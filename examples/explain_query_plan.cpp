@@ -106,7 +106,9 @@ int main() {
   spec.result_to_master = true;
 
   // Plan with observability on: the search emits one plan.query root span
-  // with a plan.candidate child per costed or eliminated placement.
+  // with a plan.candidate child per costed or eliminated placement. A trace
+  // sink also turns on provenance, without which the plan would carry no
+  // dropped subplans to explain.
   CollectingTraceSink sink;
   core::EstimateContext ctx;
   ctx.trace = &sink;

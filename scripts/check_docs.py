@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Doc-drift gate: docs must not reference knobs that no longer exist, and
-configuration keys must not exist without documentation.
+"""Doc-drift gate: docs must not reference knobs or source files that no
+longer exist, and configuration keys must not exist without documentation.
 
-Two directions, run from the repo root:
+Three checks, run from the repo root:
 
 1. Forward (docs -> source): every Properties key (``training.*`` /
    ``serving.*`` / ``planner.*`` / ``lifecycle.*`` / ``traffic.*``) and every
@@ -16,8 +16,15 @@ Two directions, run from the repo root:
    every ``option(INTELLISPHERE_...)`` must be documented in docs/CONFIG.md.
    A knob added without documentation fails the gate.
 
-Exit status 0 when both directions hold; 1 with a per-finding report
-otherwise. Wired into scripts/check.sh and the tier2 ctest label.
+3. Paths (docs -> tree): every repository path the same doc files cite
+   under ``src/``, ``bench/``, ``tests/``, ``examples/``, ``scripts/`` or
+   ``tools/`` with a source suffix (``.h``, ``.cc``, ``.cpp``, ``.py``,
+   ``.sh``) must exist. A brace form such as ``src/federation/stats.{h,cc}``
+   names one file per alternative. A doc citing a renamed or deleted file
+   fails the gate.
+
+Exit status 0 when all three hold; 1 with a per-finding report otherwise.
+Wired into scripts/check.sh and the tier2 ctest label.
 """
 
 import pathlib
@@ -53,9 +60,28 @@ KEY_DECL_RE = re.compile(
 
 OPTION_DECL_RE = re.compile(r"^\s*option\((INTELLISPHERE_[A-Z0-9_]+)", re.M)
 
+# A cited source file: a top-level source directory, a path, and a source
+# suffix or a {a,b} list of suffixes.
+PATH_RE = re.compile(
+    r"\b((?:src|bench|tests|examples|scripts|tools)/[A-Za-z0-9_./-]*?"
+    r"[A-Za-z0-9_-]\.(?:\{[a-z,]+\}|(?:h|cc|cpp|py|sh)\b))"
+)
+
 
 def read(path: pathlib.Path) -> str:
     return path.read_text(encoding="utf-8")
+
+
+def cited_paths(text: str):
+    """Every source path `text` cites, with brace forms expanded."""
+    for match in PATH_RE.finditer(text):
+        path = match.group(1)
+        if path.endswith("}"):
+            stem, suffixes = path[:-1].split("{")
+            for suffix in suffixes.split(","):
+                yield stem + suffix
+        else:
+            yield path
 
 
 def source_files():
@@ -77,7 +103,8 @@ def main() -> int:
     declared_keys = set(KEY_DECL_RE.findall(source_text))
     declared_options = set(OPTION_DECL_RE.findall(source_text))
 
-    # Forward: docs may only mention knobs the source still has.
+    # Forward: docs may only mention knobs and files the source still has.
+    n_paths = 0
     for doc in DOC_FILES:
         if not doc.is_file():
             continue
@@ -97,6 +124,10 @@ def main() -> int:
                     f"{rel}: references CMake option '{opt}' "
                     "which does not appear anywhere in the source tree"
                 )
+        for path in sorted(set(cited_paths(text))):
+            n_paths += 1
+            if not (ROOT / path).is_file():
+                failures.append(f"{rel}: cites '{path}', which does not exist")
 
     # Reverse: every declared knob must be documented in docs/CONFIG.md.
     config_doc = ROOT / "docs" / "CONFIG.md"
@@ -126,7 +157,8 @@ def main() -> int:
     n_docs = sum(1 for d in DOC_FILES if d.is_file())
     print(
         f"check_docs: OK ({n_docs} doc files, {len(declared_keys)} Properties "
-        f"keys, {len(declared_options)} CMake options cross-checked)"
+        f"keys, {len(declared_options)} CMake options, {n_paths} cited paths "
+        "cross-checked)"
     )
     return 0
 

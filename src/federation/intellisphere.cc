@@ -8,6 +8,15 @@ namespace intellisphere::fed {
 
 namespace {
 
+/// The legacy planners' results carry every eliminated host with its
+/// reason and every estimate's provenance, so the wrappers always plan with
+/// full provenance.
+core::EstimateContext WithProvenance(const core::EstimateContext& ctx) {
+  core::EstimateContext out = ctx;
+  out.detail = core::EstimateDetail::kProvenance;
+  return out;
+}
+
 /// Maps a costed root/subtree node back to the legacy PlacementOption
 /// shape (field-for-field; the wrappers' bit-parity contract).
 PlacementOption OptionFromNode(const QueryPlanNode& node) {
@@ -270,7 +279,7 @@ Result<PlacementPlan> IntelliSphere::PlanJoin(
   predicate.column = "a1";
   predicate.extra_selectivity = extra_selectivity;
   spec.joins.push_back(predicate);
-  return SingleOperatorPlanFrom(PlanQuery(spec, ctx),
+  return SingleOperatorPlanFrom(PlanQuery(spec, WithProvenance(ctx)),
                                 "no system can execute this join");
 }
 
@@ -285,7 +294,7 @@ Result<PlacementPlan> IntelliSphere::PlanAgg(
   aggregate.group_column = group_column;
   aggregate.num_aggregates = num_aggregates;
   spec.aggregate = aggregate;
-  return SingleOperatorPlanFrom(PlanQuery(spec, ctx),
+  return SingleOperatorPlanFrom(PlanQuery(spec, WithProvenance(ctx)),
                                 "no system can execute this aggregation");
 }
 
@@ -305,7 +314,7 @@ Result<PlacementPlan> IntelliSphere::PlanScan(
   spec.relations[0].table = table;
   spec.relations[0].filter_selectivity = selectivity;
   spec.relations[0].projected_bytes = projected_bytes;
-  return SingleOperatorPlanFrom(PlanQuery(spec, ctx),
+  return SingleOperatorPlanFrom(PlanQuery(spec, WithProvenance(ctx)),
                                 "no system can execute this scan");
 }
 
@@ -346,7 +355,7 @@ Result<PipelinePlan> IntelliSphere::PlanJoinThenAgg(
   spec.aggregate = aggregate;
   spec.result_to_master = true;
 
-  auto plan = PlanQuery(spec, ctx);
+  auto plan = PlanQuery(spec, WithProvenance(ctx));
   if (!plan.ok()) {
     if (plan.status().code() == StatusCode::kFailedPrecondition) {
       return Status::FailedPrecondition("no placement can run this pipeline");

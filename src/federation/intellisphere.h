@@ -137,11 +137,14 @@ class IntelliSphere {
   /// costing goes through one batched-costing call per DP level — the
   /// attached EstimationService's EstimateBatch when present (cache +
   /// batched-GEMM path), CostEstimator::EstimateBatch otherwise; the
-  /// master engine's analytic model is evaluated inline. Planning always
-  /// collects full provenance (the plan is what EXPLAIN renders); the
-  /// context contributes the deployment clock, an optional trace sink (one
-  /// `plan.candidate` span per costed or eliminated placement under a
-  /// `plan.query` root), a metrics registry, and a choice-policy override.
+  /// master engine's analytic model is evaluated inline. Provenance is on
+  /// demand: a default context plans cost-only (no dropped-subplan records,
+  /// no elimination reasons), while `detail = kProvenance` or a trace sink
+  /// yields the full plan ExplainQueryPlan renders; both give the same
+  /// candidates and totals. The context also contributes the deployment
+  /// clock, an optional trace sink (one `plan.candidate` span per costed or
+  /// eliminated placement under a `plan.query` root), a metrics registry,
+  /// and a choice-policy override.
   [[nodiscard]] Result<QueryPlan> PlanQuery(
       const QuerySpec& spec, const core::EstimateContext& ctx = {},
       const PlannerOptions& options = {}) const;
@@ -151,7 +154,9 @@ class IntelliSphere {
   /// Candidates: each distinct system owning one of the inputs, plus
   /// Teradata. Options are sorted cheapest-first. A thin wrapper over
   /// PlanQuery on the equivalent two-relation spec (bit-identical results;
-  /// pinned by the wrapper-parity regression tests).
+  /// pinned by the wrapper-parity regression tests). Like the other three
+  /// wrappers it always plans with provenance, which its eliminated-host
+  /// reasons come from.
   [[nodiscard]] Result<PlacementPlan> PlanJoin(
       const std::string& left_table, const std::string& right_table,
       int64_t left_projected_bytes, int64_t right_projected_bytes,

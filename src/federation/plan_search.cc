@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
-#include <set>
 #include <utility>
 
 namespace intellisphere::fed {
@@ -18,41 +16,12 @@ bool IsEliminationCode(StatusCode code) {
          code == StatusCode::kFailedPrecondition;
 }
 
-/// The search always collects full provenance — the plan it returns is the
-/// EXPLAIN source of truth — whatever detail the caller's context asks for.
-core::EstimateContext ProvenanceContext(const core::EstimateContext& ctx) {
-  core::EstimateContext out = ctx;
-  out.detail = core::EstimateDetail::kProvenance;
-  return out;
-}
-
-/// The approach string a node reports: the master engine's analytic model
-/// is "local"; remote hosts report their profile's approach.
-std::string ApproachLabel(const std::string& host, const std::string& master,
-                          const core::HybridEstimate& est) {
-  return host == master ? "local"
-                        : core::CostingApproachName(est.approach_used);
-}
-
-/// Copies an estimate's costing provenance into a plan node.
-void FillNodeProvenance(const std::string& host, const std::string& master,
-                        const core::HybridEstimate& est, QueryPlanNode* node) {
-  node->operator_seconds = est.seconds;
-  node->approach = ApproachLabel(host, master, est);
-  node->algorithm = est.algorithm;
-  node->algorithm_candidates = est.candidates;
-  node->eliminated_algorithms = est.eliminated;
-  node->used_remedy = est.used_remedy;
-  node->remedy_alpha = est.remedy_alpha;
-  node->fell_back_reason = est.fell_back_reason;
-}
-
 /// Per-relation derived inputs: post-filter cardinality, the width that
 /// travels over QueryGrid, and the width the relation contributes to join
 /// projections.
 struct RelationInfo {
   std::string table;
-  std::string location;
+  int site = -1;  ///< the relation's location, as a site id
   int64_t base_rows = 0;
   int64_t base_width = 0;
   int64_t rows = 0;   ///< post-filter
@@ -70,11 +39,37 @@ struct MaskStats {
   int64_t proj = 0;   ///< projected contribution to an enclosing join
 };
 
-/// Best known way to materialize a subset's result on one site.
+/// Best known way to materialize a subset's result on one site; the entry
+/// is empty while `subplan` is -1.
 struct DpEntry {
   double cost = 0.0;
-  int node = -1;
+  int subplan = -1;
 };
+
+/// What the search keeps of a base table at rest or of one operator
+/// placement it sent for costing. Plan nodes are built from these only for
+/// the trees the plan returns.
+struct Subplan {
+  QueryPlanNode::Kind kind = QueryPlanNode::Kind::kTable;
+  int site = -1;
+  uint64_t mask = 0;
+  int64_t rows = 0;
+  int64_t bytes = 0;
+  /// QueryGrid cost of staging the inputs onto `site`.
+  double transfer = 0.0;
+  /// Children plus input transfers, in the wrapper-parity accumulation
+  /// order; the operator estimate is added once the placement is costed.
+  double subtree_seconds = 0.0;
+  /// Input subplans, left first; -1 when absent.
+  int children[2] = {-1, -1};
+  /// The costing batch and request of the placement (-1 for tables).
+  int batch = -1;
+  int request = -1;
+};
+
+uint32_t SiteBit(int site) {
+  return uint32_t{1} << static_cast<unsigned>(site);
+}
 
 class Searcher {
  public:
@@ -82,7 +77,8 @@ class Searcher {
            const core::EstimateContext& ctx)
       : input_(input),
         options_(options),
-        ectx_(ProvenanceContext(ctx)),
+        ectx_(ctx),
+        provenance_(ctx.provenance()),
         costed_counter_(ectx_.Registry().GetCounter("plan.candidates_costed")),
         dropped_counter_(
             ectx_.Registry().GetCounter("plan.placements_eliminated")) {}
@@ -103,13 +99,18 @@ class Searcher {
     }
     ISPHERE_RETURN_NOT_OK(FinishCandidates(&root));
 
-    for (const auto& sites : dp_) {
-      plan_.dp_entries += static_cast<int64_t>(sites.size());
+    for (const DpEntry& entry : dp_) {
+      if (entry.subplan >= 0) plan_.dp_entries++;
     }
+    // Candidate roots are subplan indices until the nodes are built.
     std::sort(plan_.candidates.begin(), plan_.candidates.end(),
               [](const QueryPlanCandidate& a, const QueryPlanCandidate& b) {
                 return a.total_seconds < b.total_seconds;
               });
+    node_of_.assign(subplans_.size(), -1);
+    for (QueryPlanCandidate& candidate : plan_.candidates) {
+      candidate.root = NodeFor(candidate.root);
+    }
     if (root.enabled()) {
       root.SetString("best_system",
                      plan_.nodes[plan_.candidates.front().root].system)
@@ -149,6 +150,16 @@ class Searcher {
       return Status::InvalidArgument("plan-search input is missing a hook");
     }
 
+    // Site ids follow name order, so iterating a site bitmask upwards
+    // visits hosts in the order a sorted set of names would.
+    sites_.push_back(input_.master);
+    for (const rel::TableDef& def : input_.tables) {
+      sites_.push_back(def.location);
+    }
+    std::sort(sites_.begin(), sites_.end());
+    sites_.erase(std::unique(sites_.begin(), sites_.end()), sites_.end());
+    master_site_ = SiteId(input_.master);
+
     const bool bare_scan = spec.relations.size() == 1 && spec.joins.empty() &&
                            !spec.aggregate.has_value();
     relations_.reserve(spec.relations.size());
@@ -157,7 +168,7 @@ class Searcher {
       const rel::TableDef& def = input_.tables[i];
       RelationInfo info;
       info.table = r.table;
-      info.location = def.location;
+      info.site = SiteId(def.location);
       info.base_rows = def.stats.num_rows;
       info.base_width = def.stats.row_bytes;
       info.proj = r.projected_bytes >= 0 ? r.projected_bytes
@@ -184,10 +195,26 @@ class Searcher {
                                                   << static_cast<unsigned>(
                                                       p.left);
     }
-    dp_.assign(size_t{1} << n, {});
+    dp_.assign((size_t{1} << n) * sites_.size(), DpEntry{});
     mask_stats_.assign(size_t{1} << n, MaskStats{});
     mask_stats_ready_.assign(size_t{1} << n, 0);
     return Status::OK();
+  }
+
+  int SiteId(const std::string& name) const {
+    return static_cast<int>(
+        std::lower_bound(sites_.begin(), sites_.end(), name) -
+        sites_.begin());
+  }
+
+  const std::string& SiteName(int site) const {
+    return sites_[static_cast<size_t>(site)];
+  }
+
+  int NumSites() const { return static_cast<int>(sites_.size()); }
+
+  DpEntry& Entry(uint64_t mask, int site) {
+    return dp_[mask * sites_.size() + static_cast<size_t>(site)];
   }
 
   bool Connected(uint64_t mask) const {
@@ -209,14 +236,13 @@ class Searcher {
   }
 
   bool HasCrossPredicate(uint64_t a, uint64_t b) const {
-    for (const QuerySpec::JoinPredicate& p : input_.spec->joins) {
-      const uint64_t l = uint64_t{1} << static_cast<unsigned>(p.left);
-      const uint64_t r = uint64_t{1} << static_cast<unsigned>(p.right);
-      if (((l & a) && (r & b)) || ((l & b) && (r & a))) return true;
+    for (uint64_t scan = a; scan != 0; scan &= scan - 1) {
+      if (adjacency_[static_cast<size_t>(std::countr_zero(scan))] & b) {
+        return true;
+      }
     }
     return false;
   }
-
   /// Distinct count of a join-predicate endpoint within its relation,
   /// capped by the relation's post-filter cardinality when it is scanned.
   Result<int64_t> EndpointDistinct(int relation, const std::string& column) {
@@ -289,78 +315,191 @@ class Searcher {
     return label;
   }
 
-  int AddTableNode(int relation) {
-    const RelationInfo& info = relations_[static_cast<size_t>(relation)];
-    QueryPlanNode node;
-    node.kind = QueryPlanNode::Kind::kTable;
-    node.system = info.location;
-    node.label = info.table;
-    node.relation_mask = uint64_t{1} << static_cast<unsigned>(relation);
-    node.output_rows = info.base_rows;
-    node.output_row_bytes = info.base_width;
-    plan_.nodes.push_back(std::move(node));
-    return static_cast<int>(plan_.nodes.size()) - 1;
+  /// The EXPLAIN label of a queued placement.
+  std::string Describe(const Subplan& s) const {
+    const std::string& host = SiteName(s.site);
+    switch (s.kind) {
+      case QueryPlanNode::Kind::kTable:
+        break;
+      case QueryPlanNode::Kind::kScan:
+        return "scan(" +
+               relations_[static_cast<size_t>(std::countr_zero(s.mask))]
+                   .table +
+               ") at " + host;
+      case QueryPlanNode::Kind::kJoin: {
+        const Subplan& left = subplans_[static_cast<size_t>(s.children[0])];
+        const Subplan& right = subplans_[static_cast<size_t>(s.children[1])];
+        return "join(" + MaskLabel(left.mask) + "@" + SiteName(left.site) +
+               ", " + MaskLabel(right.mask) + "@" + SiteName(right.site) +
+               ") at " + host;
+      }
+      case QueryPlanNode::Kind::kAggregate:
+        return "aggregate after " + MaskLabel(s.mask) + "@" +
+               SiteName(subplans_[static_cast<size_t>(s.children[0])].site) +
+               " at " + host;
+    }
+    return MaskLabel(s.mask);
   }
 
-  void EmitCandidateSpan(TraceSpan* root, const QueryPlanNode& node) {
+  /// The approach string a node reports: the master engine's analytic
+  /// model is "local"; remote hosts report their profile's approach.
+  std::string ApproachLabel(int site, const core::HybridEstimate& est) const {
+    return site == master_site_ ? "local"
+                                : core::CostingApproachName(est.approach_used);
+  }
+
+  void EmitCandidateSpan(TraceSpan* root, const Subplan& s,
+                         const core::HybridEstimate& est) {
+    if (!root->enabled()) return;
     TraceSpan span = root->Child("plan.candidate");
-    if (!span.enabled()) return;
-    span.SetString("system", node.system)
-        .SetString("approach", node.approach)
-        .SetDouble("transfer_seconds", node.transfer_seconds)
-        .SetDouble("operator_seconds", node.operator_seconds)
-        .SetDouble("total_seconds", node.subtree_seconds);
-    if (!node.algorithm.empty()) span.SetString("algorithm", node.algorithm);
+    span.SetString("system", SiteName(s.site))
+        .SetString("approach", ApproachLabel(s.site, est))
+        .SetDouble("transfer_seconds", s.transfer)
+        .SetDouble("operator_seconds", est.seconds)
+        .SetDouble("total_seconds", s.subtree_seconds);
+    if (!est.algorithm.empty()) span.SetString("algorithm", est.algorithm);
   }
 
-  void EmitEliminatedSpan(TraceSpan* root, const PrunedSubplan& p) {
+  void EmitEliminatedSpan(TraceSpan* root, const Subplan& s,
+                          const std::string& reason) {
+    if (!root->enabled()) return;
     TraceSpan span = root->Child("plan.candidate");
-    if (!span.enabled()) return;
-    span.SetString("system", p.system)
-        .SetString("eliminated_reason", p.reason);
+    span.SetString("system", SiteName(s.site))
+        .SetString("eliminated_reason", reason);
   }
 
-  /// Installs a costed candidate into the DP table, recording whichever of
-  /// the old and new entries loses as a dominated subplan.
-  void Fold(uint64_t mask, const std::string& site, double cost, int node,
-            QueryPlanNode::Kind stage, const std::string& description) {
-    auto [it, inserted] = dp_[mask].emplace(site, DpEntry{cost, node});
-    if (inserted) return;
-    const bool wins = cost < it->second.cost;
-    const int losing_node = wins ? it->second.node : node;
+  /// Queues `s` for costing `op` on its site in the batch being built.
+  void Enqueue(Subplan s, const rel::SqlOperator& op,
+               std::vector<PlanCostRequest>* requests) {
+    s.batch = static_cast<int>(requests_.size());
+    s.request = static_cast<int>(requests->size());
+    requests->push_back({SiteName(s.site), op});
+    subplans_.push_back(s);
+  }
+
+  /// Costs the placements queued from subplan `first` on in one batch,
+  /// keeping requests and results for the returned trees' nodes. Each
+  /// costed scan or join folds into the DP table; each costed aggregation
+  /// becomes a root candidate.
+  Status CostLevel(std::vector<PlanCostRequest> requests, size_t first,
+                   TraceSpan* root) {
+    if (requests.empty()) return Status::OK();
+    std::vector<Result<core::HybridEstimate>> results =
+        input_.cost(requests, batch_ctx_);
+    if (results.size() != requests.size()) {
+      return Status::Internal("batched costing returned a short batch");
+    }
+    requests_.push_back(std::move(requests));
+    results_.push_back(std::move(results));
+    for (size_t index = first; index < subplans_.size(); ++index) {
+      Subplan& s = subplans_[index];
+      const Result<core::HybridEstimate>& result =
+          results_.back()[static_cast<size_t>(s.request)];
+      if (!result.ok()) {
+        ISPHERE_RETURN_NOT_OK(RecordFailure(result.status(), s, root));
+        continue;
+      }
+      s.subtree_seconds += result.value().seconds;
+      costed_counter_->Increment();
+      plan_.candidates_costed++;
+      EmitCandidateSpan(root, s, result.value());
+      if (s.kind == QueryPlanNode::Kind::kAggregate) {
+        ISPHERE_RETURN_NOT_OK(AddCandidate(index, s.rows, s.bytes));
+      } else {
+        Fold(index);
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Adds a subplan over every relation as a root candidate, relaying its
+  /// `rows` x `bytes` result to the master when the spec asks for it.
+  Status AddCandidate(size_t index, int64_t rows, int64_t bytes) {
+    const Subplan& s = subplans_[index];
+    double result_transfer = 0.0;
+    if (input_.spec->result_to_master && s.site != master_site_) {
+      ISPHERE_ASSIGN_OR_RETURN(
+          result_transfer,
+          input_.transfer(SiteName(s.site), input_.master, rows, bytes));
+    }
+    plan_.candidates.push_back({static_cast<int>(index), result_transfer,
+                                s.subtree_seconds + result_transfer});
+    return Status::OK();
+  }
+
+  /// Installs a costed subplan into the DP table. Under provenance,
+  /// whichever of the old and new entries loses is recorded as dominated,
+  /// described and costed as that losing subplan.
+  void Fold(size_t index) {
+    const Subplan& s = subplans_[index];
+    DpEntry& entry = Entry(s.mask, s.site);
+    if (entry.subplan < 0) {
+      entry = DpEntry{s.subtree_seconds, static_cast<int>(index)};
+      return;
+    }
+    const bool wins = s.subtree_seconds < entry.cost;
+    if (provenance_) {
+      const Subplan& loser =
+          wins ? subplans_[static_cast<size_t>(entry.subplan)] : s;
+      PrunedSubplan pruned;
+      pruned.kind = PrunedSubplan::Kind::kDominated;
+      pruned.stage = s.kind;
+      pruned.relation_mask = s.mask;
+      pruned.system = SiteName(s.site);
+      pruned.subtree_seconds = loser.subtree_seconds;
+      pruned.reason = "dominated by a cheaper subplan for the same relations";
+      pruned.description = Describe(loser);
+      plan_.pruned.push_back(std::move(pruned));
+    }
+    if (wins) entry = DpEntry{s.subtree_seconds, static_cast<int>(index)};
+  }
+
+  /// Handles one failed costing result: elimination codes are counted (and
+  /// recorded under provenance) and skipped, anything else aborts the
+  /// search.
+  Status RecordFailure(const Status& status, const Subplan& s,
+                       TraceSpan* root) {
+    if (!IsEliminationCode(status.code())) return status;
+    EmitEliminatedSpan(root, s, status.message());
+    dropped_counter_->Increment();
+    if (!provenance_) return Status::OK();
     PrunedSubplan pruned;
-    pruned.kind = PrunedSubplan::Kind::kDominated;
-    pruned.stage = stage;
-    pruned.relation_mask = mask;
-    pruned.system = site;
-    pruned.subtree_seconds =
-        plan_.nodes[static_cast<size_t>(losing_node)].subtree_seconds;
-    pruned.reason = "dominated by a cheaper subplan for the same relations";
-    pruned.description = description;
+    pruned.kind = PrunedSubplan::Kind::kEliminated;
+    pruned.stage = s.kind;
+    pruned.relation_mask = s.mask;
+    pruned.system = SiteName(s.site);
+    if (s.kind == QueryPlanNode::Kind::kAggregate) {
+      pruned.via_system =
+          SiteName(subplans_[static_cast<size_t>(s.children[0])].site);
+    }
+    pruned.reason = status.message();
+    pruned.description = Describe(s);
     plan_.pruned.push_back(std::move(pruned));
-    if (wins) it->second = DpEntry{cost, node};
+    return Status::OK();
   }
 
   /// Level 1: register unfiltered base tables at rest and cost the scan
-  /// candidates of filtered relations in one batch.
+  /// candidates of filtered relations in one batch. A table's subplan index
+  /// is its relation index.
   Status BaseLevel(TraceSpan* root) {
-    struct PendingScan {
-      int relation;
-      std::string host;
-      double transfer;
-    };
-    std::vector<PlanCostRequest> requests;
-    std::vector<PendingScan> pending;
-    std::vector<int> table_nodes(relations_.size(), -1);
-
     for (size_t i = 0; i < relations_.size(); ++i) {
       const RelationInfo& info = relations_[i];
-      const uint64_t bit = uint64_t{1} << i;
-      table_nodes[i] = AddTableNode(static_cast<int>(i));
+      Subplan table;
+      table.site = info.site;
+      table.mask = uint64_t{1} << i;
+      table.rows = info.base_rows;
+      table.bytes = info.base_width;
+      subplans_.push_back(table);
       if (!info.scanned) {
-        dp_[bit].emplace(info.location, DpEntry{0.0, table_nodes[i]});
-        continue;
+        Entry(table.mask, info.site) = DpEntry{0.0, static_cast<int>(i)};
       }
+    }
+
+    const size_t first = subplans_.size();
+    std::vector<PlanCostRequest> requests;
+    for (size_t i = 0; i < relations_.size(); ++i) {
+      const RelationInfo& info = relations_[i];
+      if (!info.scanned) continue;
       rel::ScanQuery q;
       q.input = {info.base_rows, info.base_width};
       q.selectivity = input_.spec->relations[i].filter_selectivity;
@@ -368,75 +507,36 @@ class Searcher {
       q.output_rows = info.rows;
       rel::SqlOperator op = rel::SqlOperator::MakeScan(q);
       ISPHERE_RETURN_NOT_OK(op.Validate());
-      const std::set<std::string> hosts = {input_.master, info.location};
-      for (const std::string& host : hosts) {
-        double transfer = 0.0;
-        if (info.location != host) {
+      for (uint32_t hosts = SiteBit(master_site_) | SiteBit(info.site);
+           hosts != 0; hosts &= hosts - 1) {
+        Subplan scan;
+        scan.kind = QueryPlanNode::Kind::kScan;
+        scan.site = std::countr_zero(hosts);
+        scan.mask = uint64_t{1} << i;
+        scan.rows = info.rows;
+        scan.bytes = info.proj;
+        if (scan.site != info.site) {
           // QueryGrid evaluates simple predicates on the fly: only
           // survivors travel, already projected.
           ISPHERE_ASSIGN_OR_RETURN(
-              transfer, input_.transfer(info.location, host, info.rows,
-                                        info.proj));
+              scan.transfer,
+              input_.transfer(SiteName(info.site), SiteName(scan.site),
+                              info.rows, info.proj));
         }
-        requests.push_back({host, op});
-        pending.push_back({static_cast<int>(i), host, transfer});
+        scan.subtree_seconds = scan.transfer;
+        scan.children[0] = static_cast<int>(i);
+        Enqueue(scan, op, &requests);
       }
     }
-    if (requests.empty()) return Status::OK();
-
-    std::vector<Result<core::HybridEstimate>> results =
-        input_.cost(requests, batch_ctx_);
-    if (results.size() != requests.size()) {
-      return Status::Internal("batched costing returned a short batch");
-    }
-    for (size_t i = 0; i < pending.size(); ++i) {
-      const PendingScan& c = pending[i];
-      const RelationInfo& info = relations_[static_cast<size_t>(c.relation)];
-      const uint64_t bit = uint64_t{1} << static_cast<unsigned>(c.relation);
-      if (!results[i].ok()) {
-        ISPHERE_RETURN_NOT_OK(RecordFailure(
-            results[i].status(), QueryPlanNode::Kind::kScan, bit, c.host,
-            /*via=*/"", "scan(" + info.table + ") at " + c.host, root));
-        continue;
-      }
-      QueryPlanNode node;
-      node.kind = QueryPlanNode::Kind::kScan;
-      node.system = c.host;
-      node.label = info.table;
-      node.relation_mask = bit;
-      node.output_rows = info.rows;
-      node.output_row_bytes = info.proj;
-      node.transfer_seconds = c.transfer;
-      FillNodeProvenance(c.host, input_.master, results[i].value(), &node);
-      node.subtree_seconds = c.transfer + node.operator_seconds;
-      node.op = requests[i].op;
-      node.children = {table_nodes[static_cast<size_t>(c.relation)]};
-      plan_.nodes.push_back(std::move(node));
-      const int node_index = static_cast<int>(plan_.nodes.size()) - 1;
-      costed_counter_->Increment();
-      plan_.candidates_costed++;
-      EmitCandidateSpan(root, plan_.nodes.back());
-      Fold(bit, c.host, plan_.nodes.back().subtree_seconds, node_index,
-           QueryPlanNode::Kind::kScan,
-           "scan(" + info.table + ") at " + c.host);
-    }
-    return Status::OK();
+    return CostLevel(std::move(requests), first, root);
   }
 
   /// One DP level: every connected subset of `level` relations, split into
   /// every canonical connected partition, joined on every candidate site —
   /// all costed through a single batch.
   Status JoinLevel(int level, TraceSpan* root) {
-    struct PendingJoin {
-      uint64_t mask;
-      std::string host;
-      double left_cost, right_cost;
-      double transfer_left, transfer_right;
-      int left_node, right_node;
-      std::string description;
-    };
+    const size_t first = subplans_.size();
     std::vector<PlanCostRequest> requests;
-    std::vector<PendingJoin> pending;
 
     const size_t n = relations_.size();
     const uint64_t limit = uint64_t{1} << n;
@@ -482,107 +582,89 @@ class Searcher {
         rel::SqlOperator op = rel::SqlOperator::MakeJoin(q);
         ISPHERE_RETURN_NOT_OK(op.Validate());
 
-        for (const auto& [left_site, left_entry] : dp_[left_mask]) {
-          for (const auto& [right_site, right_entry] : dp_[right_mask]) {
-            const std::set<std::string> hosts = {input_.master, left_site,
-                                                 right_site};
-            for (const std::string& host : hosts) {
+        for (int left_site = 0; left_site < NumSites(); ++left_site) {
+          const DpEntry left = Entry(left_mask, left_site);
+          if (left.subplan < 0) continue;
+          for (int right_site = 0; right_site < NumSites(); ++right_site) {
+            const DpEntry right = Entry(right_mask, right_site);
+            if (right.subplan < 0) continue;
+            for (uint32_t hosts = SiteBit(master_site_) | SiteBit(left_site) |
+                                  SiteBit(right_site);
+                 hosts != 0; hosts &= hosts - 1) {
+              Subplan join;
+              join.kind = QueryPlanNode::Kind::kJoin;
+              join.site = std::countr_zero(hosts);
+              join.mask = mask;
+              join.rows = op.join.output_rows;
+              join.bytes = op.join.OutputRowBytes();
               double transfer_left = 0.0, transfer_right = 0.0;
-              if (left_site != host) {
+              if (left_site != join.site) {
                 ISPHERE_ASSIGN_OR_RETURN(
                     transfer_left,
-                    input_.transfer(left_site, host, left_stats.rows,
-                                    left_stats.width));
+                    input_.transfer(SiteName(left_site), SiteName(join.site),
+                                    left_stats.rows, left_stats.width));
               }
-              if (right_site != host) {
+              if (right_site != join.site) {
                 ISPHERE_ASSIGN_OR_RETURN(
                     transfer_right,
-                    input_.transfer(right_site, host, right_stats.rows,
+                    input_.transfer(SiteName(right_site),
+                                    SiteName(join.site), right_stats.rows,
                                     right_stats.width));
               }
-              requests.push_back({host, op});
-              pending.push_back(
-                  {mask, host, left_entry.cost, right_entry.cost,
-                   transfer_left, transfer_right, left_entry.node,
-                   right_entry.node,
-                   "join(" + MaskLabel(left_mask) + "@" + left_site + ", " +
-                       MaskLabel(right_mask) + "@" + right_site + ") at " +
-                       host});
+              join.transfer = transfer_left + transfer_right;
+              // Accumulation order is part of the wrapper bit-parity
+              // contract: children, then left transfer, then right
+              // transfer, then operator.
+              join.subtree_seconds = left.cost + right.cost;
+              join.subtree_seconds += transfer_left;
+              join.subtree_seconds += transfer_right;
+              join.children[0] = left.subplan;
+              join.children[1] = right.subplan;
+              Enqueue(join, op, &requests);
             }
           }
         }
       }
     }
-    if (requests.empty()) return Status::OK();
+    ISPHERE_RETURN_NOT_OK(CostLevel(std::move(requests), first, root));
 
-    std::vector<Result<core::HybridEstimate>> results =
-        input_.cost(requests, batch_ctx_);
-    if (results.size() != requests.size()) {
-      return Status::Internal("batched costing returned a short batch");
-    }
-    for (size_t i = 0; i < pending.size(); ++i) {
-      const PendingJoin& c = pending[i];
-      if (!results[i].ok()) {
-        ISPHERE_RETURN_NOT_OK(RecordFailure(
-            results[i].status(), QueryPlanNode::Kind::kJoin, c.mask, c.host,
-            /*via=*/"", c.description, root));
-        continue;
-      }
-      // Accumulation order is part of the wrapper bit-parity contract:
-      // children, then left transfer, then right transfer, then operator.
-      double cost = c.left_cost + c.right_cost;
-      cost += c.transfer_left;
-      cost += c.transfer_right;
-      QueryPlanNode node;
-      node.kind = QueryPlanNode::Kind::kJoin;
-      node.system = c.host;
-      node.relation_mask = c.mask;
-      node.output_rows = requests[i].op.join.output_rows;
-      node.output_row_bytes = requests[i].op.join.OutputRowBytes();
-      node.transfer_seconds = c.transfer_left + c.transfer_right;
-      FillNodeProvenance(c.host, input_.master, results[i].value(), &node);
-      cost += node.operator_seconds;
-      node.subtree_seconds = cost;
-      node.op = requests[i].op;
-      node.children = {c.left_node, c.right_node};
-      plan_.nodes.push_back(std::move(node));
-      const int node_index = static_cast<int>(plan_.nodes.size()) - 1;
-      costed_counter_->Increment();
-      plan_.candidates_costed++;
-      EmitCandidateSpan(root, plan_.nodes.back());
-      Fold(c.mask, c.host, cost, node_index, QueryPlanNode::Kind::kJoin,
-           c.description);
-    }
-
-    // Heuristic pruning between levels: entries far costlier than the
-    // cheapest same-subset entry cannot... actually can still win (a later
-    // join may avoid a transfer), so this is explicitly a heuristic; it is
-    // off by default and never applied to the final subset.
+    // Heuristic pruning between levels: an entry far costlier than the
+    // cheapest same-subset entry can still win later (a larger join may
+    // avoid a transfer), so this is explicitly a heuristic; it is off by
+    // default and never applied to the final subset.
     if (options_.prune_factor >= 1.0 &&
         level < static_cast<int>(relations_.size())) {
       for (uint64_t mask = 1; mask < limit; ++mask) {
-        if (std::popcount(mask) != level || dp_[mask].empty()) continue;
-        double cheapest = dp_[mask].begin()->second.cost;
-        for (const auto& [site, entry] : dp_[mask]) {
-          cheapest = std::min(cheapest, entry.cost);
+        if (std::popcount(mask) != level) continue;
+        bool any = false;
+        double cheapest = 0.0;
+        for (int site = 0; site < NumSites(); ++site) {
+          const DpEntry& entry = Entry(mask, site);
+          if (entry.subplan < 0) continue;
+          cheapest = any ? std::min(cheapest, entry.cost) : entry.cost;
+          any = true;
         }
-        for (auto it = dp_[mask].begin(); it != dp_[mask].end();) {
-          if (it->second.cost > options_.prune_factor * cheapest) {
+        if (!any) continue;
+        for (int site = 0; site < NumSites(); ++site) {
+          DpEntry& entry = Entry(mask, site);
+          if (entry.subplan < 0 ||
+              !(entry.cost > options_.prune_factor * cheapest)) {
+            continue;
+          }
+          if (provenance_) {
             PrunedSubplan pruned;
             pruned.kind = PrunedSubplan::Kind::kPruned;
             pruned.stage = QueryPlanNode::Kind::kJoin;
             pruned.relation_mask = mask;
-            pruned.system = it->first;
-            pruned.subtree_seconds = it->second.cost;
+            pruned.system = SiteName(site);
+            pruned.subtree_seconds = entry.cost;
             pruned.reason =
                 "cost exceeds prune_factor x the cheapest same-subset entry";
             pruned.description =
-                MaskLabel(mask) + "@" + it->first + " (prune_factor)";
+                MaskLabel(mask) + "@" + SiteName(site) + " (prune_factor)";
             plan_.pruned.push_back(std::move(pruned));
-            it = dp_[mask].erase(it);
-          } else {
-            ++it;
           }
+          entry = DpEntry{};
         }
       }
     }
@@ -597,16 +679,12 @@ class Searcher {
     const uint64_t full = (uint64_t{1} << relations_.size()) - 1;
 
     if (!spec.aggregate.has_value()) {
-      for (const auto& [site, entry] : dp_[full]) {
-        double result_transfer = 0.0;
-        if (spec.result_to_master && site != input_.master) {
-          ISPHERE_ASSIGN_OR_RETURN(MaskStats stats, StatsFor(full));
-          ISPHERE_ASSIGN_OR_RETURN(
-              result_transfer, input_.transfer(site, input_.master,
-                                               stats.rows, stats.width));
-        }
-        plan_.candidates.push_back(
-            {entry.node, result_transfer, entry.cost + result_transfer});
+      ISPHERE_ASSIGN_OR_RETURN(MaskStats stats, StatsFor(full));
+      for (int site = 0; site < NumSites(); ++site) {
+        const DpEntry entry = Entry(full, site);
+        if (entry.subplan < 0) continue;
+        ISPHERE_RETURN_NOT_OK(AddCandidate(static_cast<size_t>(entry.subplan),
+                                           stats.rows, stats.width));
       }
       if (plan_.candidates.empty()) {
         return Status::FailedPrecondition(
@@ -635,75 +713,33 @@ class Searcher {
     rel::SqlOperator op = rel::SqlOperator::MakeAgg(q);
     ISPHERE_RETURN_NOT_OK(op.Validate());
 
-    struct PendingAgg {
-      std::string join_site;
-      std::string host;
-      double input_cost;
-      double transfer;
-      int input_node;
-    };
+    const size_t first = subplans_.size();
     std::vector<PlanCostRequest> requests;
-    std::vector<PendingAgg> pending;
-    for (const auto& [site, entry] : dp_[full]) {
+    for (int site = 0; site < NumSites(); ++site) {
+      const DpEntry entry = Entry(full, site);
+      if (entry.subplan < 0) continue;
       // The aggregation runs where the intermediate lies, or on the master.
-      const std::set<std::string> hosts = {site, input_.master};
-      for (const std::string& host : hosts) {
-        double transfer = 0.0;
-        if (host != site) {
+      for (uint32_t hosts = SiteBit(site) | SiteBit(master_site_); hosts != 0;
+           hosts &= hosts - 1) {
+        Subplan stage;
+        stage.kind = QueryPlanNode::Kind::kAggregate;
+        stage.site = std::countr_zero(hosts);
+        stage.mask = full;
+        stage.rows = groups;
+        stage.bytes = q.output_row_bytes;
+        if (stage.site != site) {
           ISPHERE_ASSIGN_OR_RETURN(
-              transfer, input_.transfer(site, host, in_stats.rows,
-                                        in_stats.width));
+              stage.transfer,
+              input_.transfer(SiteName(site), SiteName(stage.site),
+                              in_stats.rows, in_stats.width));
         }
-        requests.push_back({host, op});
-        pending.push_back({site, host, entry.cost, transfer, entry.node});
+        stage.subtree_seconds = entry.cost;
+        stage.subtree_seconds += stage.transfer;
+        stage.children[0] = entry.subplan;
+        Enqueue(stage, op, &requests);
       }
     }
-    if (!requests.empty()) {
-      std::vector<Result<core::HybridEstimate>> results =
-          input_.cost(requests, batch_ctx_);
-      if (results.size() != requests.size()) {
-        return Status::Internal("batched costing returned a short batch");
-      }
-      for (size_t i = 0; i < pending.size(); ++i) {
-        const PendingAgg& c = pending[i];
-        const std::string description = "aggregate after " + MaskLabel(full) +
-                                        "@" + c.join_site + " at " + c.host;
-        if (!results[i].ok()) {
-          ISPHERE_RETURN_NOT_OK(RecordFailure(
-              results[i].status(), QueryPlanNode::Kind::kAggregate, full,
-              c.host, /*via=*/c.join_site, description, root));
-          continue;
-        }
-        double result_transfer = 0.0;
-        if (spec.result_to_master && c.host != input_.master) {
-          ISPHERE_ASSIGN_OR_RETURN(
-              result_transfer,
-              input_.transfer(c.host, input_.master, groups,
-                              q.output_row_bytes));
-        }
-        double cost = c.input_cost;
-        cost += c.transfer;
-        QueryPlanNode node;
-        node.kind = QueryPlanNode::Kind::kAggregate;
-        node.system = c.host;
-        node.relation_mask = full;
-        node.output_rows = groups;
-        node.output_row_bytes = q.output_row_bytes;
-        node.transfer_seconds = c.transfer;
-        FillNodeProvenance(c.host, input_.master, results[i].value(), &node);
-        cost += node.operator_seconds;
-        node.subtree_seconds = cost;
-        node.op = requests[i].op;
-        node.children = {c.input_node};
-        plan_.nodes.push_back(std::move(node));
-        const int node_index = static_cast<int>(plan_.nodes.size()) - 1;
-        costed_counter_->Increment();
-        plan_.candidates_costed++;
-        EmitCandidateSpan(root, plan_.nodes.back());
-        plan_.candidates.push_back(
-            {node_index, result_transfer, cost + result_transfer});
-      }
-    }
+    ISPHERE_RETURN_NOT_OK(CostLevel(std::move(requests), first, root));
     if (plan_.candidates.empty()) {
       return Status::FailedPrecondition(
           "no placement can execute this query spec");
@@ -711,39 +747,76 @@ class Searcher {
     return Status::OK();
   }
 
-  /// Handles one failed costing result: elimination codes are recorded and
-  /// skipped, anything else aborts the search.
-  Status RecordFailure(const Status& status, QueryPlanNode::Kind stage,
-                       uint64_t mask, const std::string& host,
-                       const std::string& via, const std::string& description,
-                       TraceSpan* root) {
-    if (!IsEliminationCode(status.code())) return status;
-    PrunedSubplan pruned;
-    pruned.kind = PrunedSubplan::Kind::kEliminated;
-    pruned.stage = stage;
-    pruned.relation_mask = mask;
-    pruned.system = host;
-    pruned.via_system = via;
-    pruned.reason = status.message();
-    pruned.description = description;
-    EmitEliminatedSpan(root, pruned);
-    plan_.pruned.push_back(std::move(pruned));
-    dropped_counter_->Increment();
-    return Status::OK();
+  /// The plan node of a subplan, built on first use after its children;
+  /// the placement's estimate moves its provenance into the node.
+  int NodeFor(int index) {
+    if (node_of_[static_cast<size_t>(index)] >= 0) {
+      return node_of_[static_cast<size_t>(index)];
+    }
+    const Subplan& s = subplans_[static_cast<size_t>(index)];
+    QueryPlanNode node;
+    for (int child : s.children) {
+      if (child >= 0) node.children.push_back(NodeFor(child));
+    }
+    node.kind = s.kind;
+    node.system = SiteName(s.site);
+    node.relation_mask = s.mask;
+    node.output_rows = s.rows;
+    node.output_row_bytes = s.bytes;
+    if (s.kind == QueryPlanNode::Kind::kTable ||
+        s.kind == QueryPlanNode::Kind::kScan) {
+      node.label = relations_[static_cast<size_t>(std::countr_zero(s.mask))]
+                       .table;
+    }
+    if (s.kind != QueryPlanNode::Kind::kTable) {
+      const size_t batch = static_cast<size_t>(s.batch);
+      const size_t request = static_cast<size_t>(s.request);
+      core::HybridEstimate& est = results_[batch][request].value();
+      node.transfer_seconds = s.transfer;
+      node.operator_seconds = est.seconds;
+      node.subtree_seconds = s.subtree_seconds;
+      node.approach = ApproachLabel(s.site, est);
+      node.algorithm = std::move(est.algorithm);
+      node.algorithm_candidates = std::move(est.candidates);
+      node.eliminated_algorithms = std::move(est.eliminated);
+      node.used_remedy = est.used_remedy;
+      node.remedy_alpha = est.remedy_alpha;
+      node.fell_back_reason = std::move(est.fell_back_reason);
+      node.op = requests_[batch][request].op;
+    }
+    plan_.nodes.push_back(std::move(node));
+    node_of_[static_cast<size_t>(index)] =
+        static_cast<int>(plan_.nodes.size()) - 1;
+    return node_of_[static_cast<size_t>(index)];
   }
 
   const PlanSearchInput& input_;
   const PlannerOptions& options_;
   core::EstimateContext ectx_;
   core::EstimateContext batch_ctx_;
+  /// The caller's ctx.provenance(): whether estimates carry their
+  /// provenance and the search records the subplans it drops.
+  bool provenance_;
   Counter* costed_counter_;
   Counter* dropped_counter_;
   std::vector<RelationInfo> relations_;
   std::vector<uint64_t> adjacency_;
-  /// dp_[mask][site]: cheapest way to have `mask`'s join result on `site`.
-  std::vector<std::map<std::string, DpEntry>> dp_;
+  /// Execution sites (the master and every relation's location) in name
+  /// order; a site id indexes this list.
+  std::vector<std::string> sites_;
+  int master_site_ = -1;
+  /// dp_[mask * sites_.size() + site]: cheapest way to have `mask`'s join
+  /// result on `site`.
+  std::vector<DpEntry> dp_;
   std::vector<MaskStats> mask_stats_;
   std::vector<char> mask_stats_ready_;
+  /// Every base table and queued placement, in the order they were made.
+  std::vector<Subplan> subplans_;
+  /// Each costing batch's requests and results, by batch index.
+  std::vector<std::vector<PlanCostRequest>> requests_;
+  std::vector<std::vector<Result<core::HybridEstimate>>> results_;
+  /// Subplan index -> plan node index, -1 until the node is built.
+  std::vector<int> node_of_;
   QueryPlan plan_;
 };
 

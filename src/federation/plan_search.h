@@ -10,6 +10,12 @@
 // callback, so the serving layer's dedup/cache and the batched-GEMM path
 // absorb the candidate explosion (DESIGN.md §14).
 //
+// The search state is integer-only: the master and every relation's
+// location are interned as site ids in name order, the DP table is one flat
+// (subset mask x site id) array, and each costed placement is a small
+// record. Plan nodes are built only for the trees the plan returns, and
+// provenance is collected only when the caller's context asks for it.
+//
 // Cost model parity: on two-relation specs the search reproduces the
 // legacy PlanJoin/PlanAgg/PlanScan/PlanJoinThenAgg planners bit for bit —
 // same operator descriptors, same floating-point accumulation order, same
@@ -140,7 +146,8 @@ struct QueryPlanNode {
   double subtree_seconds = 0.0;
 
   /// Costing provenance, as in PlacementOption ("local" for the master
-  /// engine, the profile's approach name otherwise).
+  /// engine, the profile's approach name otherwise). Eliminated algorithms
+  /// carry their reasons only when the plan was searched with provenance.
   std::string approach;
   std::string algorithm;
   std::vector<core::AlgorithmEstimate> algorithm_candidates;
@@ -194,12 +201,18 @@ struct QueryPlanCandidate {
 };
 
 /// The DP search result: the chosen plan tree plus every completed
-/// alternative (cheapest first) and the subplans the search dropped.
+/// alternative (cheapest first) and, under provenance, the subplans the
+/// search dropped.
 struct QueryPlan {
+  /// The nodes of the candidates' trees and nothing else, children before
+  /// parents; every node is reachable from a candidate root.
   std::vector<QueryPlanNode> nodes;
   /// All completed root candidates, sorted cheapest first; candidates[0]
   /// is the chosen plan.
   std::vector<QueryPlanCandidate> candidates;
+  /// Eliminated, dominated and pruned subplans in search order, recorded
+  /// only when the search context asks for provenance
+  /// (EstimateContext::provenance()); empty for a cost-only search.
   std::vector<PrunedSubplan> pruned;
   /// Search statistics: operator placements actually costed, DP entries
   /// surviving in the table.
@@ -243,10 +256,16 @@ struct PlanSearchInput {
   TransferFn transfer;
 };
 
-/// Runs the DP join-order x placement search. Emits a `plan.query` root
-/// span with one `plan.candidate` child per costed or eliminated
-/// placement, and bumps the plan.candidates_costed /
-/// plan.placements_eliminated counters.
+/// Runs the DP join-order x placement search. The context's detail level
+/// is passed on to every costing batch: a default (cost-only) context gets
+/// cost-only estimates and a plan without `pruned` records, while a
+/// provenance or traced context gets estimates with their provenance and
+/// every dropped subplan — what ExplainQueryPlan renders. Candidates,
+/// totals, the chosen tree and the search statistics do not depend on the
+/// detail level as long as the costing hook's seconds do not (the
+/// facade's do not). Emits a `plan.query` root span with one
+/// `plan.candidate` child per costed or eliminated placement, and bumps
+/// the plan.candidates_costed / plan.placements_eliminated counters.
 [[nodiscard]] Result<QueryPlan> SearchPlan(const PlanSearchInput& input,
                                            const PlannerOptions& options,
                                            const core::EstimateContext& ctx);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "remote/hive_engine.h"
 #include "remote/spark_engine.h"
 #include "serving/service.h"
+#include "util/rng.h"
 
 namespace intellisphere::fed {
 namespace {
@@ -560,6 +562,13 @@ PlanSearchInput SynthInput(const QuerySpec& spec,
   return input;
 }
 
+/// A context asking for provenance: dropped subplans are recorded only then.
+core::EstimateContext ProvenanceContext() {
+  core::EstimateContext ctx;
+  ctx.detail = core::EstimateDetail::kProvenance;
+  return ctx;
+}
+
 std::vector<rel::TableDef> SynthTables() {
   auto a = rel::SyntheticTableDef(5000000, 200).value();
   a.location = "alpha";
@@ -642,8 +651,9 @@ TEST(PlanSearchTest, EliminatedAggregationHostIsRecorded) {
   QuerySpec spec;
   spec.relations = {{tables[0].name, 1.0, 32}};
   spec.aggregate = QuerySpec::Aggregate{0, "a10", 1};
-  QueryPlan plan =
-      SearchPlan(SynthInput(spec, tables), PlannerOptions{}, {}).value();
+  QueryPlan plan = SearchPlan(SynthInput(spec, tables), PlannerOptions{},
+                              ProvenanceContext())
+                       .value();
   // "beta" cannot aggregate, so only the master placement survives and the
   // elimination is kept for EXPLAIN.
   ASSERT_EQ(plan.candidates.size(), 1u);
@@ -677,7 +687,8 @@ TEST(PlanSearchTest, PruneFactorDropsEntriesButKeepsAPlan) {
   PlannerOptions tight;
   tight.prune_factor = 1.0;
   QueryPlan tight_plan =
-      SearchPlan(SynthInput(spec, tables), tight, {}).value();
+      SearchPlan(SynthInput(spec, tables), tight, ProvenanceContext())
+          .value();
   EXPECT_FALSE(tight_plan.candidates.empty());
   bool saw_pruned = false;
   for (const auto& p : tight_plan.pruned) {
@@ -685,6 +696,103 @@ TEST(PlanSearchTest, PruneFactorDropsEntriesButKeepsAPlan) {
   }
   EXPECT_TRUE(saw_pruned);
   EXPECT_LT(tight_plan.dp_entries, exact_plan.dp_entries);
+}
+
+// When a later-enumerated candidate wins a (subset, site) entry, the
+// dominated record must name the evicted subplan and carry its cost. The
+// chain a-b-c enumerates the split {a,b}|{c} before {a}|{b,c}; every
+// full-subset record's cost is recomputed here from its description.
+TEST(PlanSearchTest, DominatedRecordsDescribeTheLosingSubplan) {
+  const std::vector<rel::TableDef> all = SynthTables();
+  const std::vector<rel::TableDef> tables = {all[0], all[1], all[2]};
+  QuerySpec spec;
+  for (const auto& t : tables) spec.relations.push_back({t.name, 1.0, 32});
+  spec.joins = {{0, 1, "a1", 1.0}, {1, 2, "a10", 0.1}};
+  QueryPlan plan = SearchPlan(SynthInput(spec, tables), PlannerOptions{},
+                              ProvenanceContext())
+                       .value();
+
+  // Every way a final join can read its inputs: base relations at rest,
+  // and each joined pair on each site, costed by planning the pair alone
+  // (one split, so its entries are the ones the chain's DP holds).
+  std::map<std::string, double> cost_at;  // "{tables}@site" -> cost
+  std::map<std::string, int64_t> rows, width;  // "{tables}" -> stats
+  for (const auto& t : tables) {
+    const std::string label = "{" + t.name + "}";
+    cost_at[label + "@" + t.location] = 0.0;
+    rows[label] = t.stats.num_rows;
+    width[label] = t.stats.row_bytes;
+  }
+  for (const QuerySpec::JoinPredicate& join : spec.joins) {
+    const size_t l = static_cast<size_t>(join.left);
+    const size_t r = static_cast<size_t>(join.right);
+    QuerySpec pair;
+    pair.relations = {spec.relations[l], spec.relations[r]};
+    pair.joins = {{0, 1, join.column, join.extra_selectivity}};
+    QueryPlan pair_plan = SearchPlan(SynthInput(pair, {tables[l], tables[r]}),
+                                     PlannerOptions{}, {})
+                              .value();
+    const std::string label =
+        "{" + tables[l].name + "," + tables[r].name + "}";
+    for (const QueryPlanCandidate& c : pair_plan.candidates) {
+      const QueryPlanNode& node =
+          pair_plan.nodes[static_cast<size_t>(c.root)];
+      cost_at[label + "@" + node.system] = node.subtree_seconds;
+      rows[label] = node.output_rows;
+      width[label] = node.output_row_bytes;
+    }
+  }
+
+  const uint64_t full = 0b111;
+  const int64_t out_rows = plan.root().value()->output_rows;
+  int checked = 0;
+  for (const PrunedSubplan& p : plan.pruned) {
+    if (p.kind != PrunedSubplan::Kind::kDominated || p.relation_mask != full) {
+      continue;
+    }
+    // "join({L}@x, {R}@y) at h"
+    const std::string& d = p.description;
+    const size_t left_end = d.find('}') + 1;
+    const size_t comma = d.find(", ", left_end);
+    const size_t right_end = d.find('}', comma) + 1;
+    const size_t at = d.find(") at ", right_end);
+    ASSERT_EQ(d.rfind("join(", 0), 0u) << d;
+    const std::string left = d.substr(5, left_end - 5);
+    const std::string left_site = d.substr(left_end + 1, comma - left_end - 1);
+    const std::string right = d.substr(comma + 2, right_end - comma - 2);
+    const std::string right_site = d.substr(right_end + 1, at - right_end - 1);
+    const std::string host = d.substr(at + 5);
+    EXPECT_EQ(host, p.system);
+
+    rel::JoinQuery q;
+    q.left.num_rows = rows.at(left);
+    q.right.num_rows = rows.at(right);
+    q.output_rows = out_rows;
+    double cost = cost_at.at(left + "@" + left_site) +
+                  cost_at.at(right + "@" + right_site);
+    if (left_site != host) {
+      cost += SynthTransfer(left_site, host, rows.at(left), width.at(left));
+    }
+    if (right_site != host) {
+      cost += SynthTransfer(right_site, host, rows.at(right), width.at(right));
+    }
+    cost += SynthCostOne(host, rel::SqlOperator::MakeJoin(q)).value().seconds;
+    EXPECT_DOUBLE_EQ(p.subtree_seconds, cost) << d;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
+
+  // The scenario under test: some site's winner comes from the split
+  // enumerated second, {a}|{b,c}, so it evicted an earlier entry.
+  bool later_split_won = false;
+  for (const QueryPlanCandidate& c : plan.candidates) {
+    const QueryPlanNode& root = plan.nodes[static_cast<size_t>(c.root)];
+    for (int child : root.children) {
+      later_split_won |=
+          plan.nodes[static_cast<size_t>(child)].relation_mask == 0b110;
+    }
+  }
+  EXPECT_TRUE(later_split_won);
 }
 
 TEST(PlanSearchTest, OptionRangesAreChecked) {
@@ -709,8 +817,9 @@ TEST(PlanSearchTest, ExplainRendersTreeAndJson) {
   QuerySpec spec = ChainSpec(tables);
   spec.aggregate = QuerySpec::Aggregate{0, "a100", 1};
   spec.result_to_master = true;
-  QueryPlan plan =
-      SearchPlan(SynthInput(spec, tables), PlannerOptions{}, {}).value();
+  QueryPlan plan = SearchPlan(SynthInput(spec, tables), PlannerOptions{},
+                              ProvenanceContext())
+                       .value();
   PlacementExplanation ex = ExplainQueryPlan(plan);
   EXPECT_NE(ex.tree.find("query plan:"), std::string::npos);
   EXPECT_NE(ex.tree.find("chosen: total="), std::string::npos);
@@ -870,6 +979,178 @@ TEST_F(PlanQueryTest, ServingCacheMakesSecondPlanBitIdentical) {
   QueryPlan uncached = sphere_.PlanQuery(spec).value();
   EXPECT_DOUBLE_EQ(uncached.best().value().total_seconds,
                    cold.best().value().total_seconds);
+}
+
+// --- Cost-only vs provenance ------------------------------------------------
+//
+// A default context plans cost-only: estimates carry no provenance, dropped
+// subplans are not recorded and nodes are built only for the returned trees.
+// Over seeded specs, both modes must agree on everything else.
+
+/// A seeded spec over `tables`: 1-6 relations joined as a chain, star or
+/// cycle, with random filters, projections and join columns, and the
+/// aggregate and the result relay each on or off.
+QuerySpec RandomSpec(Rng* rng, const std::vector<rel::TableDef>& tables) {
+  static const char* const kColumns[] = {"a1", "a2", "a5", "a10"};
+  static const double kFilters[] = {1.0, 1.0, 0.5, 0.2, 0.05};
+  static const int64_t kWidths[] = {8, 16, 32};
+  auto pick = [rng](size_t size) {
+    return static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(size) - 1));
+  };
+  QuerySpec spec;
+  const int n = static_cast<int>(rng->UniformInt(1, 6));
+  for (int i = 0; i < n; ++i) {
+    spec.relations.push_back({tables[pick(tables.size())].name,
+                              kFilters[pick(5)], kWidths[pick(3)]});
+  }
+  const size_t shape = pick(3);  // chain, star, cycle
+  auto join = [&](int left, int right) {
+    spec.joins.push_back(
+        {left, right, kColumns[pick(4)], pick(2) == 0 ? 1.0 : 0.5});
+  };
+  for (int i = 1; i < n; ++i) {
+    if (shape == 1) {
+      join(0, i);
+    } else {
+      join(i - 1, i);
+    }
+  }
+  if (shape == 2 && n >= 3) join(n - 1, 0);
+  if (pick(2) == 1) {
+    spec.aggregate = QuerySpec::Aggregate{static_cast<int>(pick(n)), "a100",
+                                          static_cast<int>(pick(3)) + 1};
+  }
+  spec.result_to_master = pick(2) == 1;
+  return spec;
+}
+
+void ExpectSameOperator(const rel::SqlOperator& a, const rel::SqlOperator& b) {
+  ASSERT_EQ(a.type, b.type);
+  switch (a.type) {
+    case rel::OperatorType::kJoin:
+      EXPECT_EQ(a.join.left.num_rows, b.join.left.num_rows);
+      EXPECT_EQ(a.join.left.row_bytes, b.join.left.row_bytes);
+      EXPECT_EQ(a.join.right.num_rows, b.join.right.num_rows);
+      EXPECT_EQ(a.join.right.row_bytes, b.join.right.row_bytes);
+      EXPECT_EQ(a.join.left_projected_bytes, b.join.left_projected_bytes);
+      EXPECT_EQ(a.join.right_projected_bytes, b.join.right_projected_bytes);
+      EXPECT_EQ(a.join.output_rows, b.join.output_rows);
+      break;
+    case rel::OperatorType::kAggregation:
+      EXPECT_EQ(a.agg.input.num_rows, b.agg.input.num_rows);
+      EXPECT_EQ(a.agg.input.row_bytes, b.agg.input.row_bytes);
+      EXPECT_EQ(a.agg.output_rows, b.agg.output_rows);
+      EXPECT_EQ(a.agg.output_row_bytes, b.agg.output_row_bytes);
+      EXPECT_EQ(a.agg.num_aggregates, b.agg.num_aggregates);
+      break;
+    case rel::OperatorType::kScan:
+      EXPECT_EQ(a.scan.input.num_rows, b.scan.input.num_rows);
+      EXPECT_EQ(a.scan.input.row_bytes, b.scan.input.row_bytes);
+      EXPECT_EQ(a.scan.selectivity, b.scan.selectivity);
+      EXPECT_EQ(a.scan.projected_bytes, b.scan.projected_bytes);
+      EXPECT_EQ(a.scan.output_rows, b.scan.output_rows);
+      break;
+  }
+}
+
+void ExpectSameTree(const QueryPlan& a, int a_index, const QueryPlan& b,
+                    int b_index) {
+  const QueryPlanNode& x = a.nodes[static_cast<size_t>(a_index)];
+  const QueryPlanNode& y = b.nodes[static_cast<size_t>(b_index)];
+  EXPECT_EQ(x.kind, y.kind);
+  EXPECT_EQ(x.system, y.system);
+  EXPECT_EQ(x.relation_mask, y.relation_mask);
+  EXPECT_EQ(x.output_rows, y.output_rows);
+  EXPECT_EQ(x.output_row_bytes, y.output_row_bytes);
+  EXPECT_EQ(x.transfer_seconds, y.transfer_seconds);
+  EXPECT_EQ(x.operator_seconds, y.operator_seconds);
+  EXPECT_EQ(x.subtree_seconds, y.subtree_seconds);
+  ExpectSameOperator(x.op, y.op);
+  ASSERT_EQ(x.children.size(), y.children.size());
+  for (size_t i = 0; i < x.children.size(); ++i) {
+    ExpectSameTree(a, x.children[i], b, y.children[i]);
+  }
+}
+
+void ExpectCostOnlyMatchesProvenance(const Result<QueryPlan>& cost_only,
+                                     const Result<QueryPlan>& provenance) {
+  ASSERT_EQ(cost_only.ok(), provenance.ok());
+  if (!cost_only.ok()) {
+    EXPECT_EQ(cost_only.status().code(), provenance.status().code());
+    return;
+  }
+  const QueryPlan& a = cost_only.value();
+  const QueryPlan& b = provenance.value();
+  ASSERT_EQ(a.candidates.size(), b.candidates.size());
+  for (size_t i = 0; i < a.candidates.size(); ++i) {
+    EXPECT_EQ(a.nodes[static_cast<size_t>(a.candidates[i].root)].system,
+              b.nodes[static_cast<size_t>(b.candidates[i].root)].system);
+    EXPECT_EQ(a.candidates[i].result_transfer_seconds,
+              b.candidates[i].result_transfer_seconds);
+    EXPECT_EQ(a.candidates[i].total_seconds, b.candidates[i].total_seconds);
+  }
+  ExpectSameTree(a, a.candidates.front().root, b, b.candidates.front().root);
+  EXPECT_EQ(a.candidates_costed, b.candidates_costed);
+  EXPECT_EQ(a.dp_entries, b.dp_entries);
+
+  EXPECT_TRUE(a.pruned.empty());
+  std::vector<bool> reached(a.nodes.size(), false);
+  std::vector<int> stack;
+  for (const QueryPlanCandidate& c : a.candidates) stack.push_back(c.root);
+  while (!stack.empty()) {
+    const size_t index = static_cast<size_t>(stack.back());
+    stack.pop_back();
+    if (reached[index]) continue;
+    reached[index] = true;
+    for (int child : a.nodes[index].children) stack.push_back(child);
+  }
+  EXPECT_EQ(std::count(reached.begin(), reached.end(), false), 0);
+}
+
+TEST(PlanSearchDifferentialTest, CostOnlyMatchesProvenanceOnSyntheticSpecs) {
+  const std::vector<rel::TableDef> tables = SynthTables();
+  Rng rng(1207);
+  for (int i = 0; i < 120; ++i) {
+    const QuerySpec spec = RandomSpec(&rng, tables);
+    std::vector<rel::TableDef> resolved;
+    for (const QuerySpec::Relation& r : spec.relations) {
+      for (const rel::TableDef& t : tables) {
+        if (t.name == r.table) resolved.push_back(t);
+      }
+    }
+    for (double prune_factor : {0.0, 1.5}) {
+      SCOPED_TRACE("spec " + std::to_string(i) +
+                   " prune_factor " + std::to_string(prune_factor));
+      PlannerOptions options;
+      options.prune_factor = prune_factor;
+      ExpectCostOnlyMatchesProvenance(
+          SearchPlan(SynthInput(spec, resolved), options, {}),
+          SearchPlan(SynthInput(spec, resolved), options,
+                     ProvenanceContext()));
+    }
+  }
+}
+
+TEST_F(PlanQueryTest, CostOnlyMatchesProvenanceThroughTheServingCache) {
+  serving::EstimationService service(&sphere_.cost_estimator());
+  ASSERT_TRUE(sphere_.AttachEstimationService(&service).ok());
+  const std::vector<rel::TableDef> tables =
+      ResolvedTables(FourRelationSpec());
+  Rng rng(1208);
+  for (int i = 0; i < 60; ++i) {
+    const QuerySpec spec = RandomSpec(&rng, tables);
+    for (double prune_factor : {0.0, 1.5}) {
+      SCOPED_TRACE("spec " + std::to_string(i) +
+                   " prune_factor " + std::to_string(prune_factor));
+      PlannerOptions options;
+      options.prune_factor = prune_factor;
+      ExpectCostOnlyMatchesProvenance(
+          sphere_.PlanQuery(spec, {}, options),
+          sphere_.PlanQuery(spec, ProvenanceContext(), options));
+    }
+  }
+  EXPECT_GT(service.cache_stats().hits, 0);
 }
 
 // --- Wrapper bit-parity with the pre-redesign planners ----------------------
