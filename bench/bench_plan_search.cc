@@ -13,11 +13,15 @@
 // Emits BENCH_plan_search.json for CI trending; the hit-fraction metric
 // carries its floor in the "baseline" field, enforced (with warn-only
 // drift checks against bench/baselines/) by
-// scripts/check_bench_regression.py.
+// scripts/check_bench_regression.py. A replaced global operator new counts
+// the allocations of the warm passes (plan_search.warm_allocs_per_plan).
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,31 @@
 #include "remote/hive_engine.h"
 #include "remote/spark_engine.h"
 #include "serving/service.h"
+
+namespace {
+
+// Allocation counter for the warm passes: every global operator new made
+// while counting is on bumps g_allocs.
+std::atomic<bool> g_count_allocs{false};
+std::atomic<int64_t> g_allocs{0};
+
+}  // namespace
+
+// The replacement operator new allocates with malloc, so free is the
+// matching release; GCC cannot see that once the calls are inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace intellisphere {
 namespace {
@@ -142,6 +171,8 @@ int main() {
   // Warm passes: the DP re-emits the same batches; the cache answers.
   int64_t candidates_costed = 0;
   int64_t dp_entries = 0;
+  g_allocs.store(0);
+  g_count_allocs.store(true);
   auto warm_start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kWarmPasses; ++pass) {
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -161,12 +192,15 @@ int main() {
     }
   }
   const double warm_seconds = SecondsSince(warm_start);
+  g_count_allocs.store(false);
   const serving::CacheStats stats = service.cache_stats();
 
   const int warm_plans = kWarmPasses * static_cast<int>(specs.size());
   const double cold_plans_per_s =
       static_cast<double>(specs.size()) / cold_seconds;
   const double warm_plans_per_s = warm_plans / warm_seconds;
+  const double warm_allocs_per_plan =
+      static_cast<double>(g_allocs.load()) / warm_plans;
   const int64_t warm_hits = stats.hits - cold_stats.hits;
   const int64_t warm_misses = stats.misses - cold_stats.misses;
   const double warm_hit_fraction =
@@ -181,9 +215,11 @@ int main() {
   std::printf("warm cache: hits=%lld misses=%lld hit_fraction=%.4f\n",
               static_cast<long long>(warm_hits),
               static_cast<long long>(warm_misses), warm_hit_fraction);
-  std::printf("per plan: candidates_costed=%.1f dp_entries=%.1f\n",
+  std::printf("per plan: candidates_costed=%.1f dp_entries=%.1f "
+              "warm_allocs=%.1f\n",
               static_cast<double>(candidates_costed) / warm_plans,
-              static_cast<double>(dp_entries) / warm_plans);
+              static_cast<double>(dp_entries) / warm_plans,
+              warm_allocs_per_plan);
 
   // The DP routes every remote costing through EstimateBatch: warm passes
   // must hit the cache. A zero hit fraction means the search stopped using
@@ -208,6 +244,8 @@ int main() {
   metrics.push_back({"plan_search.dp_entries_per_plan",
                      static_cast<double>(dp_entries) / warm_plans,
                      "entries"});
+  metrics.push_back(
+      {"plan_search.warm_allocs_per_plan", warm_allocs_per_plan, "allocs"});
   bench::Check(bench::WriteBenchJson("plan_search", kSeed, metrics),
                "write json");
   return 0;

@@ -12,10 +12,14 @@ Two kinds of comparison, with very different teeth:
 
   * Drift (WARN only): if bench/baselines/ holds a reference artifact with
     the same file name, every shared metric is compared against it and a
-    relative drop beyond --drift-tolerance (default 25%) prints a warning.
-    Machine-to-machine throughput variance makes hard-failing on drift a
-    flake generator, so this is advisory: a human reads the warnings and
-    refreshes the reference when the change is intentional.
+    relative move in the worse direction beyond --drift-tolerance (default
+    25%) prints a warning. The metric's unit gives the direction: times
+    (s, ms, us, ns) and allocation counts (allocs) are lower-is-better and
+    warn when they rise; every other unit (throughputs, ratios, counts) is
+    higher-is-better and warns when it drops. Machine-to-machine throughput
+    variance makes hard-failing on drift a flake generator, so this is
+    advisory: a human reads the warnings and refreshes the reference when
+    the change is intentional.
 
 Usage: check_bench_regression.py [--baselines DIR] [--drift-tolerance F]
                                  BENCH_foo.json [BENCH_bar.json ...]
@@ -25,6 +29,10 @@ import argparse
 import json
 import os
 import sys
+
+
+# Units whose metrics improve as they fall.
+LOWER_IS_BETTER_UNITS = {"s", "ms", "us", "ns", "allocs"}
 
 
 def fail(msg):
@@ -95,10 +103,14 @@ def main():
             if not isinstance(ref_value, (int, float)) or ref_value <= 0:
                 continue  # counters at 0 and non-throughput samples: skip
             value = metrics[name]["value"]
-            drop = (ref_value - value) / ref_value
-            if drop > args.drift_tolerance:
-                warn(f"{path}: '{name}' drifted down {100 * drop:.0f}% "
-                     f"({value:g} vs reference {ref_value:g})")
+            if metrics[name].get("unit") in LOWER_IS_BETTER_UNITS:
+                worse, direction = (value - ref_value) / ref_value, "up"
+            else:
+                worse, direction = (ref_value - value) / ref_value, "down"
+            if worse > args.drift_tolerance:
+                warn(f"{path}: '{name}' drifted {direction} "
+                     f"{100 * worse:.0f}% ({value:g} vs reference "
+                     f"{ref_value:g})")
                 warnings += 1
 
     if failures:

@@ -377,7 +377,7 @@ Result<HybridEstimate> CostingProfile::EstimateImpl(
       est.algorithm = se.chosen_algorithm;
       est.eliminated_count = se.eliminated_count;
       est.eliminated = std::move(se.eliminated);
-      est.candidates = std::move(se.candidates);
+      if (ctx.provenance()) est.candidates = std::move(se.candidates);
       inst.approach_sub_op->Increment();
       if (se.eliminated_count > 0) {
         inst.subop_eliminated->Increment(se.eliminated_count);

@@ -72,7 +72,9 @@ struct HybridEstimate {
   /// the context asks for provenance.
   int eliminated_count = 0;
   std::vector<EliminatedAlgorithm> eliminated;
-  /// Every surviving candidate's estimate (sub-op path).
+  /// Every surviving candidate's estimate (sub-op path), attached only
+  /// when the context asks for provenance; a cost-only estimate leaves it
+  /// empty.
   std::vector<AlgorithmEstimate> candidates;
 };
 

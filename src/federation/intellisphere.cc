@@ -152,9 +152,11 @@ Status IntelliSphere::AttachAdmissionController(
 std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
     const std::vector<PlanCostRequest>& requests,
     const core::EstimateContext& ctx) const {
+  // Every slot is overwritten below. The placeholder's message fits the
+  // string's inline buffer, so pre-filling allocates nothing per request.
   std::vector<Result<core::HybridEstimate>> out(
       requests.size(),
-      Result<core::HybridEstimate>(Status::Internal("request not costed")));
+      Result<core::HybridEstimate>(Status::Internal("not costed")));
   // Master-engine requests never leave the process: the analytic local
   // model is evaluated inline (it is not cacheable state, and the serving
   // layer deliberately wraps only remote profiles).

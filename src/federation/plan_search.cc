@@ -1,8 +1,10 @@
 #include "federation/plan_search.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace intellisphere::fed {
@@ -69,6 +71,44 @@ struct Subplan {
 
 uint32_t SiteBit(int site) {
   return uint32_t{1} << static_cast<unsigned>(site);
+}
+
+/// Every field of an operator descriptor's active payload, doubles as bit
+/// patterns: operators with equal fields get equal estimates.
+using OperatorFields = std::array<int64_t, 12>;
+
+OperatorFields FieldsOf(const rel::SqlOperator& op) {
+  const auto bits = [](double d) { return std::bit_cast<int64_t>(d); };
+  switch (op.type) {
+    case rel::OperatorType::kJoin: {
+      const rel::JoinQuery& j = op.join;
+      return {0, j.left.num_rows, j.left.row_bytes, j.right.num_rows,
+              j.right.row_bytes, j.left_projected_bytes,
+              j.right_projected_bytes, j.output_rows, j.is_equi_join,
+              j.left_bucketed_on_key, j.right_bucketed_on_key,
+              bits(j.hot_key_fraction)};
+    }
+    case rel::OperatorType::kAggregation: {
+      const rel::AggQuery& a = op.agg;
+      return {1, a.input.num_rows, a.input.row_bytes, a.output_rows,
+              a.output_row_bytes, a.num_aggregates};
+    }
+    case rel::OperatorType::kScan: {
+      const rel::ScanQuery& s = op.scan;
+      return {2, s.input.num_rows, s.input.row_bytes, bits(s.selectivity),
+              s.projected_bytes, s.output_rows};
+    }
+  }
+  return {-1};
+}
+
+uint64_t HashFields(const OperatorFields& fields) {
+  uint64_t h = 0;
+  for (int64_t v : fields) {
+    h = (h ^ static_cast<uint64_t>(v)) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  return h;
 }
 
 class Searcher {
@@ -368,13 +408,77 @@ class Searcher {
         .SetString("eliminated_reason", reason);
   }
 
-  /// Queues `s` for costing `op` on its site in the batch being built.
-  void Enqueue(Subplan s, const rel::SqlOperator& op,
+  /// The row of `op` among the distinct operators of the batch being built,
+  /// added on first sight. Equal operators share a row, and a row holds
+  /// one request slot per site.
+  int OperatorRow(const rel::SqlOperator& op) {
+    if (2 * (batch_ops_.size() + 1) > op_table_.size()) {
+      op_table_.assign(std::max<size_t>(16, 2 * op_table_.size()), 0);
+      for (size_t row = 0; row < batch_ops_.size(); ++row) {
+        *OperatorSlot(FieldsOf(batch_ops_[row])) = static_cast<int>(row) + 1;
+      }
+    }
+    int* slot = OperatorSlot(FieldsOf(op));
+    if (*slot == 0) {
+      *slot = static_cast<int>(batch_ops_.size()) + 1;
+      batch_ops_.push_back(op);
+      op_requests_.resize(op_requests_.size() + sites_.size(), -1);
+    }
+    return *slot - 1;
+  }
+
+  /// The op_table_ slot of the batch operator with `fields`, or the empty
+  /// slot where it belongs.
+  int* OperatorSlot(const OperatorFields& fields) {
+    const size_t mask = op_table_.size() - 1;
+    size_t slot = HashFields(fields) & mask;
+    while (op_table_[slot] != 0 &&
+           FieldsOf(batch_ops_[static_cast<size_t>(op_table_[slot] - 1)]) !=
+               fields) {
+      slot = (slot + 1) & mask;
+    }
+    return &op_table_[slot];
+  }
+
+  /// Queues `s` for costing operator row `op_row` on its site in the batch
+  /// being built. The first placement of an operator on a site adds the
+  /// request; later ones share it.
+  void Enqueue(Subplan s, int op_row,
                std::vector<PlanCostRequest>* requests) {
+    int& request = op_requests_[static_cast<size_t>(op_row) * sites_.size() +
+                                static_cast<size_t>(s.site)];
+    if (request < 0) {
+      request = static_cast<int>(requests->size());
+      requests->push_back(
+          {SiteName(s.site), batch_ops_[static_cast<size_t>(op_row)]});
+    }
     s.batch = static_cast<int>(requests_.size());
-    s.request = static_cast<int>(requests->size());
-    requests->push_back({SiteName(s.site), op});
+    s.request = request;
     subplans_.push_back(s);
+  }
+
+  /// QueryGrid cost of moving one side of the current split, `stats`, from
+  /// site `from` to site `to`. The transfer hook runs once per (side, from,
+  /// to) in a split; NewSplit() forgets the answers.
+  Result<double> SplitTransfer(int side, int from, int to,
+                               const MaskStats& stats) {
+    const size_t num_sites = sites_.size();
+    double& seconds =
+        split_transfers_[(static_cast<size_t>(side) * num_sites +
+                          static_cast<size_t>(from)) *
+                             num_sites +
+                         static_cast<size_t>(to)];
+    if (std::isnan(seconds)) {
+      ISPHERE_ASSIGN_OR_RETURN(
+          seconds, input_.transfer(SiteName(from), SiteName(to), stats.rows,
+                                   stats.width));
+    }
+    return seconds;
+  }
+
+  void NewSplit() {
+    split_transfers_.assign(2 * sites_.size() * sites_.size(),
+                            std::numeric_limits<double>::quiet_NaN());
   }
 
   /// Costs the placements queued from subplan `first` on in one batch,
@@ -383,6 +487,10 @@ class Searcher {
   /// becomes a root candidate.
   Status CostLevel(std::vector<PlanCostRequest> requests, size_t first,
                    TraceSpan* root) {
+    // The next batch starts with no operators.
+    batch_ops_.clear();
+    op_requests_.clear();
+    std::fill(op_table_.begin(), op_table_.end(), 0);
     if (requests.empty()) return Status::OK();
     std::vector<Result<core::HybridEstimate>> results =
         input_.cost(requests, batch_ctx_);
@@ -507,6 +615,7 @@ class Searcher {
       q.output_rows = info.rows;
       rel::SqlOperator op = rel::SqlOperator::MakeScan(q);
       ISPHERE_RETURN_NOT_OK(op.Validate());
+      const int op_row = OperatorRow(op);
       for (uint32_t hosts = SiteBit(master_site_) | SiteBit(info.site);
            hosts != 0; hosts &= hosts - 1) {
         Subplan scan;
@@ -525,7 +634,7 @@ class Searcher {
         }
         scan.subtree_seconds = scan.transfer;
         scan.children[0] = static_cast<int>(i);
-        Enqueue(scan, op, &requests);
+        Enqueue(scan, op_row, &requests);
       }
     }
     return CostLevel(std::move(requests), first, root);
@@ -581,6 +690,8 @@ class Searcher {
         }
         rel::SqlOperator op = rel::SqlOperator::MakeJoin(q);
         ISPHERE_RETURN_NOT_OK(op.Validate());
+        const int op_row = OperatorRow(op);
+        NewSplit();
 
         for (int left_site = 0; left_site < NumSites(); ++left_site) {
           const DpEntry left = Entry(left_mask, left_site);
@@ -601,15 +712,12 @@ class Searcher {
               if (left_site != join.site) {
                 ISPHERE_ASSIGN_OR_RETURN(
                     transfer_left,
-                    input_.transfer(SiteName(left_site), SiteName(join.site),
-                                    left_stats.rows, left_stats.width));
+                    SplitTransfer(0, left_site, join.site, left_stats));
               }
               if (right_site != join.site) {
                 ISPHERE_ASSIGN_OR_RETURN(
                     transfer_right,
-                    input_.transfer(SiteName(right_site),
-                                    SiteName(join.site), right_stats.rows,
-                                    right_stats.width));
+                    SplitTransfer(1, right_site, join.site, right_stats));
               }
               join.transfer = transfer_left + transfer_right;
               // Accumulation order is part of the wrapper bit-parity
@@ -620,7 +728,7 @@ class Searcher {
               join.subtree_seconds += transfer_right;
               join.children[0] = left.subplan;
               join.children[1] = right.subplan;
-              Enqueue(join, op, &requests);
+              Enqueue(join, op_row, &requests);
             }
           }
         }
@@ -712,6 +820,7 @@ class Searcher {
     q.num_aggregates = agg.num_aggregates;
     rel::SqlOperator op = rel::SqlOperator::MakeAgg(q);
     ISPHERE_RETURN_NOT_OK(op.Validate());
+    const int op_row = OperatorRow(op);
 
     const size_t first = subplans_.size();
     std::vector<PlanCostRequest> requests;
@@ -736,7 +845,7 @@ class Searcher {
         stage.subtree_seconds = entry.cost;
         stage.subtree_seconds += stage.transfer;
         stage.children[0] = entry.subplan;
-        Enqueue(stage, op, &requests);
+        Enqueue(stage, op_row, &requests);
       }
     }
     ISPHERE_RETURN_NOT_OK(CostLevel(std::move(requests), first, root));
@@ -747,8 +856,9 @@ class Searcher {
     return Status::OK();
   }
 
-  /// The plan node of a subplan, built on first use after its children;
-  /// the placement's estimate moves its provenance into the node.
+  /// The plan node of a subplan, built on first use after its children.
+  /// The placement's estimate provenance is copied into the node, since
+  /// placements sharing a request read one result.
   int NodeFor(int index) {
     if (node_of_[static_cast<size_t>(index)] >= 0) {
       return node_of_[static_cast<size_t>(index)];
@@ -771,17 +881,17 @@ class Searcher {
     if (s.kind != QueryPlanNode::Kind::kTable) {
       const size_t batch = static_cast<size_t>(s.batch);
       const size_t request = static_cast<size_t>(s.request);
-      core::HybridEstimate& est = results_[batch][request].value();
+      const core::HybridEstimate& est = results_[batch][request].value();
       node.transfer_seconds = s.transfer;
       node.operator_seconds = est.seconds;
       node.subtree_seconds = s.subtree_seconds;
       node.approach = ApproachLabel(s.site, est);
-      node.algorithm = std::move(est.algorithm);
-      node.algorithm_candidates = std::move(est.candidates);
-      node.eliminated_algorithms = std::move(est.eliminated);
+      node.algorithm = est.algorithm;
+      node.algorithm_candidates = est.candidates;
+      node.eliminated_algorithms = est.eliminated;
       node.used_remedy = est.used_remedy;
       node.remedy_alpha = est.remedy_alpha;
-      node.fell_back_reason = std::move(est.fell_back_reason);
+      node.fell_back_reason = est.fell_back_reason;
       node.op = requests_[batch][request].op;
     }
     plan_.nodes.push_back(std::move(node));
@@ -812,6 +922,15 @@ class Searcher {
   std::vector<char> mask_stats_ready_;
   /// Every base table and queued placement, in the order they were made.
   std::vector<Subplan> subplans_;
+  /// The distinct operators of the batch being built, an open-addressed
+  /// index over them (row + 1, 0 = empty) and, per operator row, each
+  /// site's request in the batch (-1 = none yet).
+  std::vector<rel::SqlOperator> batch_ops_;
+  std::vector<int> op_table_;
+  std::vector<int> op_requests_;
+  /// The current split's transfer answers by (side, from, to); NaN until
+  /// asked.
+  std::vector<double> split_transfers_;
   /// Each costing batch's requests and results, by batch index.
   std::vector<std::vector<PlanCostRequest>> requests_;
   std::vector<std::vector<Result<core::HybridEstimate>>> results_;

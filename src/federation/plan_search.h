@@ -13,8 +13,10 @@
 // The search state is integer-only: the master and every relation's
 // location are interned as site ids in name order, the DP table is one flat
 // (subset mask x site id) array, and each costed placement is a small
-// record. Plan nodes are built only for the trees the plan returns, and
-// provenance is collected only when the caller's context asks for it.
+// record. A batch asks once per distinct (site, operator), however many
+// placements share it. Plan nodes are built only for the trees the plan
+// returns, and provenance is collected only when the caller's context asks
+// for it.
 //
 // Cost model parity: on two-relation specs the search reproduces the
 // legacy PlanJoin/PlanAgg/PlanScan/PlanJoinThenAgg planners bit for bit —
@@ -146,8 +148,9 @@ struct QueryPlanNode {
   double subtree_seconds = 0.0;
 
   /// Costing provenance, as in PlacementOption ("local" for the master
-  /// engine, the profile's approach name otherwise). Eliminated algorithms
-  /// carry their reasons only when the plan was searched with provenance.
+  /// engine, the profile's approach name otherwise). Algorithm candidates
+  /// and eliminated algorithms (with their reasons) are filled only when
+  /// the plan was searched with provenance.
   std::string approach;
   std::string algorithm;
   std::vector<core::AlgorithmEstimate> algorithm_candidates;
@@ -232,14 +235,17 @@ struct PlanCostRequest {
 };
 
 /// Batched costing callback: returns one Result per request, in request
-/// order (the EstimationService::EstimateBatch contract). Per-request
-/// kUnsupported/kFailedPrecondition results eliminate that placement; any
-/// other error aborts the search.
+/// order (the EstimationService::EstimateBatch contract). Requests within a
+/// batch are distinct per (system, operator): every placement of one
+/// operator on one host reads the same result. Per-request
+/// kUnsupported/kFailedPrecondition results eliminate every placement that
+/// reads it; any other error aborts the search.
 using BatchCostFn = std::function<std::vector<Result<core::HybridEstimate>>(
     const std::vector<PlanCostRequest>&, const core::EstimateContext&)>;
 
 /// Data-movement cost callback (QueryGrid::RelaySeconds shape). Never
-/// called with from == to.
+/// called with from == to. Within one join split the search asks once per
+/// (input side, from site, to host) and reuses the answer.
 using TransferFn = std::function<Result<double>(
     const std::string& from, const std::string& to, int64_t rows,
     int64_t row_bytes)>;
@@ -260,12 +266,14 @@ struct PlanSearchInput {
 /// is passed on to every costing batch: a default (cost-only) context gets
 /// cost-only estimates and a plan without `pruned` records, while a
 /// provenance or traced context gets estimates with their provenance and
-/// every dropped subplan — what ExplainQueryPlan renders. Candidates,
-/// totals, the chosen tree and the search statistics do not depend on the
-/// detail level as long as the costing hook's seconds do not (the
-/// facade's do not). Emits a `plan.query` root span with one
-/// `plan.candidate` child per costed or eliminated placement, and bumps
-/// the plan.candidates_costed / plan.placements_eliminated counters.
+/// every dropped subplan — what ExplainQueryPlan renders. Each returned
+/// node copies its estimate's provenance, so nodes whose placements shared
+/// a request carry the same provenance. Candidates, totals, the chosen
+/// tree and the search statistics do not depend on the detail level as
+/// long as the costing hook's seconds do not (the facade's do not). Emits
+/// a `plan.query` root span with one `plan.candidate` child per costed or
+/// eliminated placement (not per request), and bumps the
+/// plan.candidates_costed / plan.placements_eliminated counters.
 [[nodiscard]] Result<QueryPlan> SearchPlan(const PlanSearchInput& input,
                                            const PlannerOptions& options,
                                            const core::EstimateContext& ctx);

@@ -212,47 +212,52 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   // change the answer). One group per distinct key; misses are computed
   // exactly once in pass 2. Requests whose key cannot be built (unknown
   // system) each get their own keyless group so errors stay per-request.
-  // The scratch buffer keeps the duplicate path allocation-free: a key
-  // string is materialized only when a distinct key creates a group.
+  // The scratch buffer keeps the duplicate path allocation-free, and the
+  // distinct keys share one arena string.
   struct MissGroup {
-    size_t first_index;
-    std::string key;  ///< empty for uncacheable requests
+    size_t first_index = 0;
+    /// The group's last request, which takes the answer by move.
+    size_t last_index = 0;
+    /// The key's bytes in `keys`; empty for uncacheable requests.
+    size_t key_offset = 0;
+    size_t key_size = 0;
     /// Captured from the pass-1 memo so pass 2 can group by model without
     /// re-resolving the profile (null = unknown system).
     const core::CostingProfile* profile = nullptr;
     bool breaker_open = false;
     /// Answered by a cache hit in pass 1: computed[g] already holds the
-    /// value; pass 2 skips the group, pass 3 only fans out.
+    /// value; pass 2 skips the group, the fan-out only hands it on.
     bool from_cache = false;
     /// Answered with an error in pass 1 (expired deadline): keyless, never
     /// computed, never cached.
     bool preanswered = false;
   };
   std::vector<MissGroup> groups;
+  std::string keys;
+  const auto key_of = [&keys](const MissGroup& g) {
+    return std::string_view(keys).substr(g.key_offset, g.key_size);
+  };
   // One answer slot per group: cache hits land here in pass 1, computed
-  // misses in pass 2, and the final fan-out copies computed[group_of[i]]
-  // into results exactly once per request — no per-slot prefill churn.
+  // misses in pass 2, and the final fan-out hands computed[group_of[i]] to
+  // each request — no per-slot prefill churn.
   std::vector<Result<core::HybridEstimate>> computed;
   std::vector<uint32_t> group_of(n, 0);
   // Worst case is all-distinct (one group per request), but batches skew
   // heavily toward repeats; 64 covers typical fan-in without a realloc.
   groups.reserve(std::min<size_t>(n, 64));
   computed.reserve(std::min<size_t>(n, 64));
-  // Open-addressed dedup table (linear probing, power-of-two size, < 50%
-  // load): the per-request cost of spotting a duplicate is one hash plus
-  // one cache-line probe, with the key bytes compared only on a hash
-  // match. `group_plus_1 == 0` marks an empty slot, so a zero hash needs
-  // no special case. Key strings live in the groups themselves.
+  // Open-addressed dedup table (linear probing, power-of-two size):
+  // the per-request cost of spotting a duplicate is one hash plus one
+  // probe, with the key bytes compared only on a hash match.
+  // `group_plus_1 == 0` marks an empty slot, so a zero hash needs no
+  // special case. At least twice as many slots as requests keeps the load
+  // under 50% with no resize.
   struct DedupSlot {
     uint64_t hash = 0;
     uint32_t group_plus_1 = 0;
   };
-  // Sized by *distinct* keys, not batch size: it starts at 4 KiB (L1-
-  // resident even while the rest of the pass streams requests) and doubles
-  // past 50% load by re-seating the stored hashes.
-  size_t dedup_mask = 255;
-  std::vector<DedupSlot> dedup(dedup_mask + 1);
-  size_t dedup_used = 0;
+  std::vector<DedupSlot> dedup(std::bit_ceil(std::max<size_t>(2 * n, 2)));
+  const size_t dedup_mask = dedup.size() - 1;
   std::string scratch;
   // Per-batch memo of the last (system -> profile, breaker state)
   // resolution: batches overwhelmingly target one system, and the
@@ -265,17 +270,20 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   const std::string* memo_system = nullptr;
   const core::CostingProfile* memo_profile = nullptr;
   bool memo_breaker_open = false;
-  int64_t hits = 0;
+  // Groups pass 1 left unanswered: pass 2 and the cache fill run only when
+  // there is one.
+  size_t unanswered = 0;
   for (size_t i = 0; i < n; ++i) {
     // Deadline gate, mirrored from Estimate(): an expired request gets a
     // per-request DeadlineExceeded with no cache probe, no computation,
-    // and (keyless group) no pass-3 fill.
+    // and (keyless group) no cache fill.
     if (ctx.DeadlineExpiredAt(requests[i].now)) {
       group_of[i] = static_cast<uint32_t>(groups.size());
       MissGroup shed;
       shed.first_index = i;
+      shed.last_index = i;
       shed.preanswered = true;
-      groups.push_back(std::move(shed));
+      groups.push_back(shed);
       computed.emplace_back(
           Status::DeadlineExceeded("estimate deadline expired before serving"));
       continue;
@@ -288,7 +296,6 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
       memo_system = &requests[i].system;
     }
     KeyWithProfileTo(requests[i], bctx, memo_profile, &scratch);
-    bool from_cache = false;
     std::optional<core::HybridEstimate> hit;
     if (!scratch.empty()) {
       const uint64_t key_hash = std::hash<std::string_view>{}(scratch);
@@ -296,7 +303,7 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
       size_t dup_group = SIZE_MAX;
       while (dedup[slot].group_plus_1 != 0) {
         if (dedup[slot].hash == key_hash &&
-            groups[dedup[slot].group_plus_1 - 1].key == scratch) {
+            key_of(groups[dedup[slot].group_plus_1 - 1]) == scratch) {
           dup_group = dedup[slot].group_plus_1 - 1;
           break;
         }
@@ -305,44 +312,80 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
       if (dup_group != SIZE_MAX) {
         // Duplicate of an earlier request: ride its group, no cache probe.
         group_of[i] = static_cast<uint32_t>(dup_group);
+        groups[dup_group].last_index = i;
         continue;
       }
       dedup[slot] = {key_hash, static_cast<uint32_t>(groups.size() + 1)};
-      if (++dedup_used * 2 > dedup_mask) {
-        std::vector<DedupSlot> bigger(2 * (dedup_mask + 1));
-        const size_t bigger_mask = bigger.size() - 1;
-        for (const DedupSlot& s : dedup) {
-          if (s.group_plus_1 == 0) continue;
-          size_t j = s.hash & bigger_mask;
-          while (bigger[j].group_plus_1 != 0) j = (j + 1) & bigger_mask;
-          bigger[j] = s;
-        }
-        dedup.swap(bigger);
-        dedup_mask = bigger_mask;
-      }
       bool served_stale = false;
       hit = cache_.Get(scratch, epoch, requests[i].now, counters,
                        /*allow_stale=*/memo_breaker_open ||
                            ctx.admission_degraded,
                        &served_stale);
-      if (hit) {
-        if (served_stale) {
-          hit->fell_back_reason = memo_breaker_open
-                                      ? "breaker_open:served_stale"
-                                      : "admission_overload:served_stale";
-        }
-        from_cache = true;
+      if (hit && served_stale) {
+        hit->fell_back_reason = memo_breaker_open
+                                    ? "breaker_open:served_stale"
+                                    : "admission_overload:served_stale";
       }
     }
+    MissGroup group;
+    group.first_index = i;
+    group.last_index = i;
+    group.key_offset = keys.size();
+    group.key_size = scratch.size();
+    group.profile = memo_profile;
+    group.breaker_open = memo_breaker_open;
+    group.from_cache = hit.has_value();
+    // Canonical keys of one batch have similar lengths: reserving room
+    // for as many as `groups` reserved usually sizes the arena once.
+    if (keys.empty()) keys.reserve(groups.capacity() * scratch.size());
+    keys += scratch;
     group_of[i] = static_cast<uint32_t>(groups.size());
-    groups.push_back(MissGroup{i, scratch, memo_profile, memo_breaker_open,
-                               from_cache});
+    groups.push_back(group);
     if (hit) {
       computed.emplace_back(*std::move(hit));
     } else {
       computed.emplace_back(Status::Internal("unfilled"));
+      ++unanswered;
     }
   }
+
+  // Fan every group's answer out to its requests in request order; each
+  // group's last request takes the answer by move. Emits the span's
+  // attributes.
+  int64_t batched_groups = 0;
+  const auto fan_out = [&] {
+    std::vector<Result<core::HybridEstimate>> results;
+    results.reserve(n);
+    int64_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const MissGroup& g = groups[group_of[i]];
+      // Every request riding a hit group counts as a served hit,
+      // duplicates included.
+      if (g.from_cache) ++hits;
+      if (g.last_index == i) {
+        results.push_back(std::move(computed[group_of[i]]));
+      } else {
+        results.push_back(computed[group_of[i]]);
+      }
+    }
+    if (batch.enabled()) {
+      int64_t unique_misses = 0;
+      for (const MissGroup& g : groups) {
+        if (!g.from_cache) ++unique_misses;
+      }
+      const int64_t misses = static_cast<int64_t>(n) - hits;
+      batch.SetInt("size", static_cast<int64_t>(n))
+          .SetInt("hits", hits)
+          .SetInt("misses", misses)
+          .SetInt("unique_misses", unique_misses)
+          .SetInt("deduped", misses - unique_misses)
+          .SetInt("batched", batched_groups);
+    }
+    return results;
+  };
+  // All-hit batch (the warm planner's usual case): nothing to compute or
+  // fill.
+  if (unanswered == 0) return fan_out();
 
   // Pass 2: compute the unique misses. Distinct-key groups routed to the
   // same (system, logical-operator model) are fused into batched work
@@ -402,7 +445,6 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
     }
   }
 
-  int64_t batched_groups = 0;
   const auto compute_scalar = [&](size_t g) {
     const EstimateRequest& request = requests[groups[g].first_index];
     computed[g] = estimator_->Estimate(request.system, request.op,
@@ -453,42 +495,19 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
 
   // Pass 3: fill the cache from freshly computed groups (degraded, shed,
   // and admission-degraded results are never cached, see Estimate()), then
-  // fan every group's answer out to its requests in one sequential sweep.
+  // fan the answers out.
   for (size_t g = 0; g < num_groups; ++g) {
     // Answered in pass 1: a hit needs no refill, a shed must never fill.
     if (groups[g].from_cache || groups[g].preanswered) continue;
-    if (computed[g].ok() && !groups[g].key.empty() &&
+    if (computed[g].ok() && groups[g].key_size != 0 &&
         computed[g].value().fell_back_reason.empty() &&
         !ctx.admission_degraded) {
-      cache_.Put(groups[g].key, epoch,
-                 requests[groups[g].first_index].now, computed[g].value(),
-                 counters);
+      scratch.assign(key_of(groups[g]));
+      cache_.Put(scratch, epoch, requests[groups[g].first_index].now,
+                 computed[g].value(), counters);
     }
   }
-  std::vector<Result<core::HybridEstimate>> results;
-  results.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const MissGroup& g = groups[group_of[i]];
-    // Every request riding a hit group counts as a served hit, duplicates
-    // included.
-    if (g.from_cache) ++hits;
-    results.push_back(computed[group_of[i]]);
-  }
-
-  if (batch.enabled()) {
-    int64_t unique_misses = 0;
-    for (const MissGroup& g : groups) {
-      if (!g.from_cache) ++unique_misses;
-    }
-    const int64_t misses = static_cast<int64_t>(n) - hits;
-    batch.SetInt("size", static_cast<int64_t>(n))
-        .SetInt("hits", hits)
-        .SetInt("misses", misses)
-        .SetInt("unique_misses", unique_misses)
-        .SetInt("deduped", misses - unique_misses)
-        .SetInt("batched", batched_groups);
-  }
-  return results;
+  return fan_out();
 }
 
 MetricsSnapshot EstimationService::StatsSnapshot() const {

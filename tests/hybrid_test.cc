@@ -68,6 +68,22 @@ TEST(CostingProfileTest, SubOpOnlyProfile) {
   EXPECT_FALSE(profile.has_logical_model(rel::OperatorType::kJoin));
 }
 
+TEST(CostingProfileTest, CostOnlySubOpEstimateCarriesNoCandidateList) {
+  // The candidate list is provenance: a cost-only estimate skips it and
+  // keeps every number the provenance estimate has.
+  auto hive = remote::HiveEngine::CreateDefault("hive", 22);
+  auto profile = CostingProfile::SubOpOnly(MakeSubOpEstimator(hive.get()));
+  EstimateContext provenance;
+  provenance.detail = EstimateDetail::kProvenance;
+  auto cost_only = profile.Estimate(SampleJoin()).value();
+  auto full = profile.Estimate(SampleJoin(), provenance).value();
+  EXPECT_EQ(cost_only.seconds, full.seconds);
+  EXPECT_EQ(cost_only.algorithm, full.algorithm);
+  EXPECT_EQ(cost_only.eliminated_count, full.eliminated_count);
+  EXPECT_TRUE(cost_only.candidates.empty());
+  EXPECT_FALSE(full.candidates.empty());
+}
+
 TEST(CostingProfileTest, LogicalOpOnlyProfile) {
   auto hive = remote::HiveEngine::CreateDefault("hive", 22);
   std::map<rel::OperatorType, LogicalOpModel> models;

@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -1108,6 +1109,26 @@ void ExpectCostOnlyMatchesProvenance(const Result<QueryPlan>& cost_only,
   EXPECT_EQ(std::count(reached.begin(), reached.end(), false), 0);
 }
 
+/// Wraps `input`'s costing hook to count the requests that repeat an
+/// earlier request of their batch: the same system and an equal operator
+/// (equal canonical cache keys, which cover every estimate-relevant field).
+void CountRepeatedRequests(PlanSearchInput* input, int* repeats) {
+  input->cost = [inner = std::move(input->cost), repeats](
+                    const std::vector<PlanCostRequest>& requests,
+                    const core::EstimateContext& ctx) {
+    std::set<std::string> seen;
+    for (const PlanCostRequest& r : requests) {
+      if (!seen.insert(serving::CanonicalCacheKey(r.system, r.op,
+                                                  std::nullopt, false, false,
+                                                  0))
+               .second) {
+        ++*repeats;
+      }
+    }
+    return inner(requests, ctx);
+  };
+}
+
 TEST(PlanSearchDifferentialTest, CostOnlyMatchesProvenanceOnSyntheticSpecs) {
   const std::vector<rel::TableDef> tables = SynthTables();
   Rng rng(1207);
@@ -1124,11 +1145,84 @@ TEST(PlanSearchDifferentialTest, CostOnlyMatchesProvenanceOnSyntheticSpecs) {
                    " prune_factor " + std::to_string(prune_factor));
       PlannerOptions options;
       options.prune_factor = prune_factor;
+      // Placements of one operator on one host share a request, so no
+      // batch asks twice for the same (system, operator).
+      int repeats = 0;
+      PlanSearchInput cost_only = SynthInput(spec, resolved);
+      PlanSearchInput provenance = SynthInput(spec, resolved);
+      CountRepeatedRequests(&cost_only, &repeats);
+      CountRepeatedRequests(&provenance, &repeats);
       ExpectCostOnlyMatchesProvenance(
-          SearchPlan(SynthInput(spec, resolved), options, {}),
-          SearchPlan(SynthInput(spec, resolved), options,
-                     ProvenanceContext()));
+          SearchPlan(cost_only, options, {}),
+          SearchPlan(provenance, options, ProvenanceContext()));
+      EXPECT_EQ(repeats, 0);
     }
+  }
+}
+
+TEST(PlanSearchTest, CandidatesSharingARequestCarryTheSameProvenance) {
+  // The aggregation on the master is queued once per site the join result
+  // can lie on, and all those placements share one costing request: every
+  // returned node built from it must carry the whole provenance.
+  const std::vector<rel::TableDef> tables = SynthTables();
+  QuerySpec spec = ChainSpec(tables);
+  spec.aggregate = QuerySpec::Aggregate{0, "a100", 1};
+  PlanSearchInput input = SynthInput(spec, tables);
+  int master_agg_requests = 0;
+  input.cost = [&master_agg_requests](
+                   const std::vector<PlanCostRequest>& requests,
+                   const core::EstimateContext&) {
+    std::vector<Result<core::HybridEstimate>> results;
+    for (const PlanCostRequest& r : requests) {
+      Result<core::HybridEstimate> est = SynthCostOne(r.system, r.op);
+      if (r.system == kMaster &&
+          r.op.type == rel::OperatorType::kAggregation) {
+        ++master_agg_requests;
+      }
+      if (est.ok()) {
+        core::HybridEstimate& e = est.value();
+        e.algorithm = "hash_aggregate_on_" + r.system;
+        e.candidates = {{e.algorithm, e.seconds},
+                        {"sort_aggregate_on_" + r.system, 2 * e.seconds}};
+        e.eliminated = {{"map_side_aggregate_on_" + r.system,
+                         "no map-side combiner for this operator"}};
+      }
+      results.push_back(std::move(est));
+    }
+    return results;
+  };
+  QueryPlan plan =
+      SearchPlan(input, PlannerOptions{}, ProvenanceContext()).value();
+  EXPECT_EQ(master_agg_requests, 1);
+
+  std::vector<const QueryPlanNode*> master_aggs;
+  for (const QueryPlanCandidate& c : plan.candidates) {
+    const QueryPlanNode& root = plan.nodes[static_cast<size_t>(c.root)];
+    if (root.kind == QueryPlanNode::Kind::kAggregate &&
+        root.system == kMaster) {
+      master_aggs.push_back(&root);
+    }
+  }
+  ASSERT_GE(master_aggs.size(), 2u);
+  const QueryPlanNode& first = *master_aggs.front();
+  EXPECT_EQ(first.algorithm, "hash_aggregate_on_td");
+  ASSERT_EQ(first.algorithm_candidates.size(), 2u);
+  ASSERT_EQ(first.eliminated_algorithms.size(), 1u);
+  for (const QueryPlanNode* node : master_aggs) {
+    EXPECT_EQ(node->algorithm, first.algorithm);
+    ASSERT_EQ(node->algorithm_candidates.size(),
+              first.algorithm_candidates.size());
+    for (size_t i = 0; i < first.algorithm_candidates.size(); ++i) {
+      EXPECT_EQ(node->algorithm_candidates[i].algorithm,
+                first.algorithm_candidates[i].algorithm);
+      EXPECT_EQ(node->algorithm_candidates[i].seconds,
+                first.algorithm_candidates[i].seconds);
+    }
+    ASSERT_EQ(node->eliminated_algorithms.size(), 1u);
+    EXPECT_EQ(node->eliminated_algorithms[0].algorithm,
+              first.eliminated_algorithms[0].algorithm);
+    EXPECT_EQ(node->eliminated_algorithms[0].reason,
+              first.eliminated_algorithms[0].reason);
   }
 }
 

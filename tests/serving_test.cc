@@ -811,7 +811,20 @@ TEST(ServingBatchedInferenceTest, MixedModelBatchBitIdenticalToScalar) {
     requests.push_back(join);
   }
 
-  auto batched = service.EstimateBatch(requests);
+  MetricsRegistry registry;
+  core::EstimateContext ctx;
+  ctx.metrics = &registry;
+  const auto estimate_counters = [&registry] {
+    std::map<std::string, double> counters;
+    for (const MetricSample& sample : registry.Snapshot().samples) {
+      if (sample.name.rfind("estimate.", 0) == 0) {
+        counters[sample.name] = sample.value;
+      }
+    }
+    return counters;
+  };
+
+  auto batched = service.EstimateBatch(requests, ctx);
   ASSERT_EQ(batched.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
@@ -826,15 +839,24 @@ TEST(ServingBatchedInferenceTest, MixedModelBatchBitIdenticalToScalar) {
   serving::CacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.misses, 12);
   EXPECT_EQ(stats.hits, 0);
+  const std::map<std::string, double> cold_counters = estimate_counters();
+  ASSERT_EQ(cold_counters.count("estimate.approach.logical_op"), 1u);
+  EXPECT_EQ(cold_counters.at("estimate.approach.logical_op"), 12.0);
 
-  // A warm repeat of the same batch answers entirely from the cache and
-  // stays bit-identical.
-  auto warm = service.EstimateBatch(requests);
+  // A warm repeat of the same batch, duplicates included, answers entirely
+  // from the cache: bit-identical to the scalar path, no estimator work
+  // (the estimate.* counters stay put) and one hit per distinct key.
+  auto warm = service.EstimateBatch(requests, ctx);
+  ASSERT_EQ(warm.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(warm[i].ok());
-    ExpectBitIdentical(warm[i].value(), batched[i].value());
+    auto scalar =
+        estimator.Estimate(requests[i].system, requests[i].op).value();
+    ExpectBitIdentical(warm[i].value(), scalar);
   }
+  EXPECT_EQ(estimate_counters(), cold_counters);
   EXPECT_EQ(service.cache_stats().hits, 12);
+  EXPECT_EQ(service.cache_stats().misses, 12);
 }
 
 TEST(ServingBatchedInferenceTest, MinGroupSizeKeepsSmallGroupsScalar) {
