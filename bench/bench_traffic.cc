@@ -120,13 +120,15 @@ std::vector<traffic::WorkItem> Items() {
   };
 }
 
-/// All option totals of a plan, in option order, for bit-comparison.
-std::vector<std::pair<std::string, double>> OptionTotals(
-    const fed::PlacementPlan& plan) {
+/// Every candidate's root system and total, cheapest first, for
+/// bit-comparison.
+std::vector<std::pair<std::string, double>> CandidateTotals(
+    const fed::QueryPlan& plan) {
   std::vector<std::pair<std::string, double>> totals;
-  totals.reserve(plan.options.size());
-  for (const auto& option : plan.options) {
-    totals.emplace_back(option.system, option.total_seconds());
+  totals.reserve(plan.candidates.size());
+  for (const auto& candidate : plan.candidates) {
+    totals.emplace_back(plan.nodes[static_cast<size_t>(candidate.root)].system,
+                        candidate.total_seconds);
   }
   return totals;
 }
@@ -206,9 +208,8 @@ int main() {
   bench::Section("admission transparency at zero load");
   std::vector<std::vector<std::pair<std::string, double>>> direct;
   for (const auto& item : items) {
-    direct.push_back(OptionTotals(Unwrap(
-        sphere.PlanAgg(item.table, item.group_column, item.num_aggregates),
-        "direct plan")));
+    direct.push_back(CandidateTotals(
+        Unwrap(sphere.PlanQuery(traffic::SpecFor(item)), "direct plan")));
   }
   serving::AdmissionController identity_admission(&service);
   Check(sphere.AttachAdmissionController(&identity_admission),
@@ -220,10 +221,8 @@ int main() {
     // requests, so every decision is kServe.
     ctx.now = 1000.0 + 100.0 * static_cast<double>(i);
     ctx.tenant = "identity";
-    const auto admitted = OptionTotals(
-        Unwrap(sphere.PlanAgg(items[i].table, items[i].group_column,
-                              items[i].num_aggregates, ctx),
-               "admitted plan"));
+    const auto admitted = CandidateTotals(Unwrap(
+        sphere.PlanQuery(traffic::SpecFor(items[i]), ctx), "admitted plan"));
     if (admitted != direct[i]) identical = false;
   }
   const serving::AdmissionStats identity_stats = identity_admission.Stats();

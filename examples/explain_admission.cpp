@@ -103,22 +103,26 @@ int main() {
   // A burst of planner calls at one instant: the queue fills, later calls
   // degrade past half depth, the tail sheds, and one call arrives with an
   // infeasible deadline.
+  fed::QuerySpec agg;
+  agg.relations.resize(1);
+  agg.relations[0].table = "T400000_100";
+  agg.aggregate = fed::QuerySpec::Aggregate{0, "a10", 1};
   int served = 0, degraded = 0, shed = 0;
   for (int i = 0; i < 16; ++i) {
     core::EstimateContext ctx;
     ctx.now = 100.0;
     ctx.tenant = (i % 2 == 0) ? "alice" : "bob";
     if (i == 15) ctx.deadline_seconds = 100.0 + 0.01;  // cannot finish
-    auto plan = sphere.PlanAgg("T400000_100", "a10", 1, ctx);
+    auto plan = sphere.PlanQuery(agg, ctx);
     if (!plan.ok()) {
       ++shed;
       continue;
     }
-    // A degraded admission marks the fallback on whichever remote options
-    // lost fidelity, not necessarily the winner — scan them all.
+    // A degraded admission marks the fallback on whichever remote nodes
+    // lost fidelity, not necessarily the winner's — scan them all.
     bool fell_back = false;
-    for (const auto& option : plan.value().options) {
-      if (!option.fell_back_reason.empty()) fell_back = true;
+    for (const auto& node : plan.value().nodes) {
+      if (!node.fell_back_reason.empty()) fell_back = true;
     }
     if (fell_back) {
       ++degraded;

@@ -105,8 +105,11 @@ int main() {
 
   // Plan the same join twice: the first pass fills the cache, the second
   // is served from it (identical plan, bit-identical costs).
+  fed::QuerySpec join;
+  join.relations = {{"T8000000_250", 1.0, 32}, {"T2000000_100", 1.0, 32}};
+  join.joins = {{0, 1, "a1", 0.5}};
   for (int pass = 0; pass < 2; ++pass) {
-    auto plan = sphere.PlanJoin("T8000000_250", "T2000000_100", 32, 32, 0.5);
+    auto plan = sphere.PlanQuery(join);
     if (!plan.ok()) {
       std::fprintf(stderr, "planning: %s\n",
                    plan.status().ToString().c_str());
@@ -117,10 +120,12 @@ int main() {
       std::fprintf(stderr, "empty plan\n");
       return 1;
     }
+    const fed::QueryPlanNode& root =
+        plan.value().nodes[static_cast<size_t>(best.value().root)];
     const serving::CacheStats stats = service.cache_stats();
     std::printf(
         "pass %d: placed on %s, %.3fs total; cache hits=%lld misses=%lld\n",
-        pass + 1, best.value().system.c_str(), best.value().total_seconds(),
+        pass + 1, root.system.c_str(), best.value().total_seconds,
         static_cast<long long>(stats.hits),
         static_cast<long long>(stats.misses));
   }

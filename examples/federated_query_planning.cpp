@@ -91,55 +91,67 @@ int main() {
   }
 
   // Plan the join. The optimizer enumerates hive / spark / teradata.
-  auto plan = sphere.PlanJoin("T8000000_250", "T2000000_100",
-                              /*left_projected_bytes=*/32,
-                              /*right_projected_bytes=*/32,
-                              /*extra_selectivity=*/0.5);
+  fed::QuerySpec join;
+  join.relations = {{"T8000000_250", /*filter_selectivity=*/1.0,
+                     /*projected_bytes=*/32},
+                    {"T2000000_100", 1.0, 32}};
+  join.joins = {{0, 1, "a1", /*extra_selectivity=*/0.5}};
+  auto plan = sphere.PlanQuery(join);
   if (!plan.ok()) {
     std::fprintf(stderr, "planning: %s\n", plan.status().ToString().c_str());
     return 1;
   }
   std::printf("placement options (cheapest first):\n");
-  for (const auto& o : plan.value().options) {
+  for (const auto& c : plan.value().candidates) {
+    const fed::QueryPlanNode& root =
+        plan.value().nodes[static_cast<size_t>(c.root)];
     std::printf("  %-9s transfer %7.1f s + operator %7.1f s = %7.1f s\n",
-                o.system.c_str(), o.transfer_seconds, o.operator_seconds,
-                o.total_seconds());
+                root.system.c_str(), root.transfer_seconds,
+                root.operator_seconds, c.total_seconds);
   }
 
-  // Execute the winning placement; the observed cost is logged back into
-  // the winner's costing profile.
+  // Execute the winning plan; the observed cost of every remote operator is
+  // logged back into that system's costing profile.
   auto elapsed = sphere.ExecuteBest(plan.value());
   if (!elapsed.ok()) {
     std::fprintf(stderr, "execute: %s\n", elapsed.status().ToString().c_str());
     return 1;
   }
-  auto winner = plan.value().best();
+  auto winner = plan.value().root();
   if (!winner.ok()) {
     std::fprintf(stderr, "best: %s\n", winner.status().ToString().c_str());
     return 1;
   }
   std::printf("executed on %s: %.1f s observed (estimate was %.1f s)\n",
-              winner.value().system.c_str(), elapsed.value(),
-              winner.value().operator_seconds);
+              winner.value()->system.c_str(), elapsed.value(),
+              winner.value()->operator_seconds);
 
   // Multi-operator pipeline: join then GROUP BY a100, where the join
-  // result may stay on the system that produced it.
-  auto pipeline = sphere.PlanJoinThenAgg("T8000000_250", "T2000000_100", 250,
-                                         100, 1.0, "a100", 2);
+  // result may stay on the system that produced it and the final answer
+  // returns to Teradata.
+  fed::QuerySpec join_agg;
+  join_agg.relations = {{"T8000000_250", 1.0, 250}, {"T2000000_100", 1.0, 100}};
+  join_agg.joins = {{0, 1, "a1", 1.0}};
+  join_agg.aggregate = fed::QuerySpec::Aggregate{0, "a100", 2};
+  join_agg.result_to_master = true;
+  auto pipeline = sphere.PlanQuery(join_agg);
   if (!pipeline.ok()) {
     std::fprintf(stderr, "pipeline: %s\n",
                  pipeline.status().ToString().c_str());
     return 1;
   }
   std::printf("pipeline placements (join -> aggregation):\n");
-  for (const auto& p : pipeline.value().options) {
+  for (const auto& c : pipeline.value().candidates) {
+    const auto& nodes = pipeline.value().nodes;
+    const fed::QueryPlanNode& agg = nodes[static_cast<size_t>(c.root)];
+    const fed::QueryPlanNode& j =
+        nodes[static_cast<size_t>(agg.children.front())];
     std::printf(
         "  %-9s -> %-9s  transfers %6.1f s, join %6.1f s, agg %5.1f s = "
         "%7.1f s\n",
-        p.join_system.c_str(), p.agg_system.c_str(),
-        p.input_transfer_seconds + p.interm_transfer_seconds +
-            p.result_transfer_seconds,
-        p.join_seconds, p.agg_seconds, p.total_seconds());
+        j.system.c_str(), agg.system.c_str(),
+        j.transfer_seconds + agg.transfer_seconds + c.result_transfer_seconds,
+        j.operator_seconds, agg.operator_seconds, c.total_seconds);
   }
 
   // Answer correctness is placement-independent: compute the same query at

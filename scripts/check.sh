@@ -9,6 +9,7 @@
 #      clang thread-safety analysis gate (scripts/check_static_analysis.sh;
 #      skipped with a warning when clang++ is not installed),
 #   5. run the EXPLAIN examples and validate their JSON artifacts' schemas,
+#      and run the plan-and-execute example end to end,
 #   6. run the doc-drift gate (docs <-> source knob cross-check),
 #   7. run the serving-throughput, plan-search, model-lifecycle, and
 #      closed-loop traffic benches (default preset, no sanitizer) and check
@@ -86,18 +87,18 @@ cmake --build --preset lint -j "$JOBS"
 # Clang-only thread-safety analysis; skips (warning) when clang++ is absent.
 scripts/check_static_analysis.sh -j "$JOBS"
 
-echo "== [5/7] EXPLAIN examples + JSON schema validation =="
+echo "== [5/7] EXPLAIN examples + JSON schema validation + plan execution =="
 # The examples run under asan+ubsan (built in step 1's tree) and must
-# produce schema-valid EXPLAIN_placement.json / EXPLAIN_serving.json /
-# EXPLAIN_query_plan.json / EXPLAIN_lifecycle.json /
-# EXPLAIN_admission.json.
-cmake --build --preset asan-ubsan --target explain_placement \
-  explain_serving explain_query_plan explain_lifecycle \
-  explain_admission -j "$JOBS"
+# produce schema-valid EXPLAIN_serving.json / EXPLAIN_query_plan.json /
+# EXPLAIN_lifecycle.json / EXPLAIN_admission.json.
+# federated_query_planning plans with PlanQuery and runs the chosen tree
+# through ExecuteBest; it must exit 0.
+cmake --build --preset asan-ubsan --target explain_serving \
+  explain_query_plan explain_lifecycle explain_admission \
+  federated_query_planning -j "$JOBS"
 (cd build-asan-ubsan &&
   ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ./examples/explain_placement)
-python3 scripts/check_explain_json.py build-asan-ubsan/EXPLAIN_placement.json
+    ./examples/federated_query_planning)
 (cd build-asan-ubsan &&
   ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./examples/explain_serving)

@@ -8,31 +8,15 @@ keys — a "serving" object is an EstimationService::ExplainJson() document
 (examples/explain_serving), a "query_plan" object is an
 ExplainQueryPlan() document (examples/explain_query_plan), a "lifecycle"
 object is a LifecycleManager::ExplainJson() document
-(examples/explain_lifecycle), an "admission" object is an
-AdmissionController::ExplainJson() document (examples/explain_admission),
-anything else is a placement plan (examples/explain_placement).
+(examples/explain_lifecycle), and an "admission" object is an
+AdmissionController::ExplainJson() document (examples/explain_admission).
+Any other document fails.
 
 Usage: check_explain_json.py <path-to-EXPLAIN_*.json>
 """
 
 import json
 import sys
-
-OPTION_FIELDS = {
-    "rank": int,
-    "system": str,
-    "transfer_seconds": (int, float),
-    "operator_seconds": (int, float),
-    "total_seconds": (int, float),
-    "approach": str,
-    "algorithm": str,
-    "used_remedy": bool,
-    "remedy_alpha": (int, float),
-    "fell_back_reason": str,
-    "algorithm_candidates": list,
-    "eliminated_algorithms": list,
-}
-
 
 def fail(msg):
     print(f"check_explain_json: FAIL: {msg}", file=sys.stderr)
@@ -256,7 +240,10 @@ QUERY_NODE_FIELDS = {
     "approach": str,
     "algorithm": str,
     "used_remedy": bool,
+    "remedy_alpha": (int, float),
     "fell_back_reason": str,
+    "algorithm_candidates": list,
+    "eliminated_algorithms": list,
     "children": list,
 }
 
@@ -267,6 +254,7 @@ QUERY_CANDIDATE_FIELDS = {
     "system": str,
     "result_transfer_seconds": (int, float),
     "total_seconds": (int, float),
+    "tree": dict,
 }
 
 QUERY_PRUNED_FIELDS = {
@@ -292,6 +280,18 @@ def check_query_node(node, where):
         fail(f"{where}: unknown node kind '{node['kind']}'")
     if node["relation_mask"] <= 0:
         fail(f"{where}: relation_mask must cover at least one relation")
+    for i, cand in enumerate(node["algorithm_candidates"]):
+        cwhere = f"{where}.algorithm_candidates[{i}]"
+        if not isinstance(cand, dict):
+            fail(f"{cwhere}: must be an object")
+        check_type(cand, "algorithm", str, cwhere)
+        check_type(cand, "seconds", (int, float), cwhere)
+    for i, elim in enumerate(node["eliminated_algorithms"]):
+        ewhere = f"{where}.eliminated_algorithms[{i}]"
+        if not isinstance(elim, dict):
+            fail(f"{ewhere}: must be an object")
+        check_type(elim, "algorithm", str, ewhere)
+        check_type(elim, "reason", str, ewhere)
     for i, child in enumerate(node["children"]):
         check_query_node(child, f"{where}.children[{i}]")
 
@@ -329,6 +329,9 @@ def check_query_plan(doc):
             check_type(cand, field, expected, where)
         if cand["rank"] != i + 1:
             fail(f"{where}: rank {cand['rank']} != {i + 1}")
+        check_query_node(cand["tree"], f"{where}.tree")
+        if cand["tree"]["system"] != cand["system"]:
+            fail(f"{where}: system differs from its tree's root system")
         totals.append(cand["total_seconds"])
     if totals != sorted(totals):
         fail("query_plan.candidates are not sorted cheapest-first")
@@ -375,44 +378,9 @@ def main():
     if "admission" in doc:
         check_admission(doc)
         return
-    check_type(doc, "operator", str, "top level")
-    check_type(doc, "options", list, "top level")
-    check_type(doc, "eliminated_placements", list, "top level")
-    if not doc["options"]:
-        fail("options must be non-empty")
-
-    totals = []
-    for i, opt in enumerate(doc["options"]):
-        where = f"options[{i}]"
-        if not isinstance(opt, dict):
-            fail(f"{where}: must be an object")
-        for field, expected in OPTION_FIELDS.items():
-            check_type(opt, field, expected, where)
-        if opt["rank"] != i + 1:
-            fail(f"{where}: rank {opt['rank']} != {i + 1}")
-        if abs(opt["transfer_seconds"] + opt["operator_seconds"]
-               - opt["total_seconds"]) > 1e-3 * max(1.0, opt["total_seconds"]):
-            fail(f"{where}: total_seconds is not transfer + operator")
-        totals.append(opt["total_seconds"])
-        for j, cand in enumerate(opt["algorithm_candidates"]):
-            cwhere = f"{where}.algorithm_candidates[{j}]"
-            check_type(cand, "algorithm", str, cwhere)
-            check_type(cand, "seconds", (int, float), cwhere)
-        for j, elim in enumerate(opt["eliminated_algorithms"]):
-            ewhere = f"{where}.eliminated_algorithms[{j}]"
-            check_type(elim, "algorithm", str, ewhere)
-            check_type(elim, "reason", str, ewhere)
-
-    if totals != sorted(totals):
-        fail("options are not sorted cheapest-first")
-
-    for i, elim in enumerate(doc["eliminated_placements"]):
-        where = f"eliminated_placements[{i}]"
-        check_type(elim, "system", str, where)
-        check_type(elim, "reason", str, where)
-
-    print(f"check_explain_json: OK ({len(doc['options'])} options, "
-          f"{len(doc['eliminated_placements'])} eliminated)")
+    fail("unrecognised document: expected one top-level key of "
+         "'serving', 'query_plan', 'lifecycle' or 'admission', got "
+         f"{sorted(doc)}")
 
 
 if __name__ == "__main__":

@@ -20,89 +20,15 @@ void TreeLine(std::string* out, const std::string& prefix, bool last,
   *out += prefix + (last ? "`- " : "|- ") + text + "\n";
 }
 
-/// Renders one option's sub-lines (algorithm candidates, eliminations,
-/// remedy) under the option's own line.
-void RenderOptionDetails(std::string* out, const std::string& prefix,
-                         const PlacementOption& o) {
-  std::vector<std::string> lines;
-  for (const auto& c : o.algorithm_candidates) {
-    lines.push_back("candidate " + c.algorithm + ": " + Sec(c.seconds) + "s");
-  }
-  for (const auto& e : o.eliminated_algorithms) {
-    lines.push_back("eliminated " + e.algorithm + ": " + e.reason);
-  }
-  if (o.used_remedy) {
-    lines.push_back("online remedy: alpha=" + Sec(o.remedy_alpha));
-  }
-  if (!o.fell_back_reason.empty()) {
-    lines.push_back("degraded: " + o.fell_back_reason);
-  }
-  for (size_t i = 0; i < lines.size(); ++i) {
-    TreeLine(out, prefix, i + 1 == lines.size(), lines[i]);
-  }
-}
-
-std::string OptionHeadline(const PlacementOption& o, size_t rank,
-                           bool is_best) {
-  std::string line = "option " + std::to_string(rank) + ": system=" +
-                     o.system + " total=" + Sec(o.total_seconds()) +
-                     "s (transfer=" + Sec(o.transfer_seconds) +
-                     "s operator=" + Sec(o.operator_seconds) +
-                     "s) approach=" + o.approach;
-  if (!o.algorithm.empty()) line += " algorithm=" + o.algorithm;
-  if (is_best) line += " [best]";
-  return line;
-}
-
-std::string OptionJson(const PlacementOption& o, size_t rank,
-                       const std::string& indent) {
-  std::string j = indent + "{\n";
-  j += indent + "  \"rank\": " + std::to_string(rank) + ",\n";
-  j += indent + "  \"system\": \"" + JsonEscape(o.system) + "\",\n";
-  j += indent + "  \"transfer_seconds\": " + Sec(o.transfer_seconds) + ",\n";
-  j += indent + "  \"operator_seconds\": " + Sec(o.operator_seconds) + ",\n";
-  j += indent + "  \"total_seconds\": " + Sec(o.total_seconds()) + ",\n";
-  j += indent + "  \"approach\": \"" + JsonEscape(o.approach) + "\",\n";
-  j += indent + "  \"algorithm\": \"" + JsonEscape(o.algorithm) + "\",\n";
-  j += indent + "  \"used_remedy\": " + (o.used_remedy ? "true" : "false") +
-       ",\n";
-  j += indent + "  \"remedy_alpha\": " + Sec(o.remedy_alpha) + ",\n";
-  j += indent + "  \"fell_back_reason\": \"" +
-       JsonEscape(o.fell_back_reason) + "\",\n";
-  j += indent + "  \"algorithm_candidates\": [";
-  for (size_t i = 0; i < o.algorithm_candidates.size(); ++i) {
-    const auto& c = o.algorithm_candidates[i];
-    if (i > 0) j += ",";
-    j += "\n" + indent + "    {\"algorithm\": \"" + JsonEscape(c.algorithm) +
-         "\", \"seconds\": " + Sec(c.seconds) + "}";
-  }
-  if (!o.algorithm_candidates.empty()) j += "\n" + indent + "  ";
-  j += "],\n";
-  j += indent + "  \"eliminated_algorithms\": [";
-  for (size_t i = 0; i < o.eliminated_algorithms.size(); ++i) {
-    const auto& e = o.eliminated_algorithms[i];
-    if (i > 0) j += ",";
-    j += "\n" + indent + "    {\"algorithm\": \"" + JsonEscape(e.algorithm) +
-         "\", \"reason\": \"" + JsonEscape(e.reason) + "\"}";
-  }
-  if (!o.eliminated_algorithms.empty()) j += "\n" + indent + "  ";
-  j += "]\n";
-  j += indent + "}";
-  return j;
-}
-
-std::string EliminatedJson(const std::vector<EliminatedPlacement>& eliminated,
-                           const std::string& indent) {
+/// `items` as a JSON array, one element per line at `indent` + 2 spaces.
+std::string JsonArray(const std::vector<std::string>& items,
+                      const std::string& indent) {
   std::string j = "[";
-  for (size_t i = 0; i < eliminated.size(); ++i) {
-    if (i > 0) j += ",";
-    j += "\n" + indent + "  {\"system\": \"" +
-         JsonEscape(eliminated[i].system) + "\", \"reason\": \"" +
-         JsonEscape(eliminated[i].reason) + "\"}";
+  for (size_t i = 0; i < items.size(); ++i) {
+    j += (i > 0 ? ",\n" : "\n") + indent + "  " + items[i];
   }
-  if (!eliminated.empty()) j += "\n" + indent;
-  j += "]";
-  return j;
+  if (!items.empty()) j += "\n" + indent;
+  return j + "]";
 }
 
 const char* NodeKindName(QueryPlanNode::Kind kind) {
@@ -158,15 +84,26 @@ std::string QueryNodeHeadline(const QueryPlanNode& n) {
   return line;
 }
 
-/// Recursively renders the subtree rooted at `idx` under `prefix`.
+/// Recursively renders the subtree rooted at `idx` under `prefix`: the
+/// node's headline, its algorithm candidates and eliminated algorithms,
+/// then its children.
 void RenderQueryNode(std::string* out, const QueryPlan& plan, int idx,
                      const std::string& prefix, bool last) {
   const QueryPlanNode& n = plan.nodes[static_cast<size_t>(idx)];
   TreeLine(out, prefix, last, QueryNodeHeadline(n));
   const std::string child_prefix = prefix + (last ? "   " : "|  ");
-  for (size_t i = 0; i < n.children.size(); ++i) {
-    RenderQueryNode(out, plan, n.children[i], child_prefix,
-                    i + 1 == n.children.size());
+  size_t remaining = n.algorithm_candidates.size() +
+                     n.eliminated_algorithms.size() + n.children.size();
+  for (const auto& c : n.algorithm_candidates) {
+    TreeLine(out, child_prefix, --remaining == 0,
+             "candidate " + c.algorithm + ": " + Sec(c.seconds) + "s");
+  }
+  for (const auto& e : n.eliminated_algorithms) {
+    TreeLine(out, child_prefix, --remaining == 0,
+             "eliminated " + e.algorithm + ": " + e.reason);
+  }
+  for (int child : n.children) {
+    RenderQueryNode(out, plan, child, child_prefix, --remaining == 0);
   }
 }
 
@@ -190,16 +127,28 @@ std::string QueryNodeJson(const QueryPlan& plan, int idx,
   j += indent + "  \"algorithm\": \"" + JsonEscape(n.algorithm) + "\",\n";
   j += indent + "  \"used_remedy\": " + (n.used_remedy ? "true" : "false") +
        ",\n";
+  j += indent + "  \"remedy_alpha\": " + Sec(n.remedy_alpha) + ",\n";
   j += indent + "  \"fell_back_reason\": \"" +
        JsonEscape(n.fell_back_reason) + "\",\n";
-  j += indent + "  \"children\": [";
-  for (size_t i = 0; i < n.children.size(); ++i) {
-    if (i > 0) j += ",";
-    j += "\n" + indent + "    " + QueryNodeJson(plan, n.children[i],
-                                                indent + "    ");
+  std::vector<std::string> items;
+  for (const auto& c : n.algorithm_candidates) {
+    items.push_back("{\"algorithm\": \"" + JsonEscape(c.algorithm) +
+                    "\", \"seconds\": " + Sec(c.seconds) + "}");
   }
-  if (!n.children.empty()) j += "\n" + indent + "  ";
-  j += "]\n";
+  j += indent + "  \"algorithm_candidates\": " +
+       JsonArray(items, indent + "  ") + ",\n";
+  items.clear();
+  for (const auto& e : n.eliminated_algorithms) {
+    items.push_back("{\"algorithm\": \"" + JsonEscape(e.algorithm) +
+                    "\", \"reason\": \"" + JsonEscape(e.reason) + "\"}");
+  }
+  j += indent + "  \"eliminated_algorithms\": " +
+       JsonArray(items, indent + "  ") + ",\n";
+  items.clear();
+  for (int child : n.children) {
+    items.push_back(QueryNodeJson(plan, child, indent + "    "));
+  }
+  j += indent + "  \"children\": " + JsonArray(items, indent + "  ") + "\n";
   j += indent + "}";
   return j;
 }
@@ -215,35 +164,27 @@ PlacementExplanation ExplainQueryPlan(const QueryPlan& plan) {
             " subplans dropped (costed=" +
             std::to_string(plan.candidates_costed) +
             " dp_entries=" + std::to_string(plan.dp_entries) + ")\n";
-  // The chosen candidate's full tree, then the alternatives' headlines,
-  // then everything the search dropped.
-  const size_t alt_count =
-      plan.candidates.size() > 1 ? plan.candidates.size() - 1 : 0;
-  const size_t total =
-      (plan.candidates.empty() ? 0 : 1) + alt_count + plan.pruned.size();
-  size_t line_idx = 0;
-  if (!plan.candidates.empty()) {
-    const QueryPlanCandidate& best = plan.candidates.front();
-    bool last = ++line_idx == total;
+  // Every candidate's tree, the chosen one first, then everything the
+  // search dropped.
+  size_t remaining = plan.candidates.size() + plan.pruned.size();
+  for (size_t i = 0; i < plan.candidates.size(); ++i) {
+    const QueryPlanCandidate& c = plan.candidates[i];
+    const bool last = --remaining == 0;
     TreeLine(&ex.tree, "", last,
-             "chosen: total=" + Sec(best.total_seconds) +
-                 "s (result transfer=" + Sec(best.result_transfer_seconds) +
-                 "s)");
-    RenderQueryNode(&ex.tree, plan, best.root, last ? "   " : "|  ", true);
-    for (size_t i = 1; i < plan.candidates.size(); ++i) {
-      const QueryPlanCandidate& c = plan.candidates[i];
-      const QueryPlanNode& root = plan.nodes[static_cast<size_t>(c.root)];
-      TreeLine(&ex.tree, "", ++line_idx == total,
-               "candidate " + std::to_string(i + 1) + ": root@" + root.system +
-                   " total=" + Sec(c.total_seconds) + "s");
-    }
+             i == 0 ? "chosen: total=" + Sec(c.total_seconds) +
+                          "s (result transfer=" +
+                          Sec(c.result_transfer_seconds) + "s)"
+                    : "candidate " + std::to_string(i + 1) + ": root@" +
+                          plan.nodes[static_cast<size_t>(c.root)].system +
+                          " total=" + Sec(c.total_seconds) + "s");
+    RenderQueryNode(&ex.tree, plan, c.root, last ? "   " : "|  ", true);
   }
   for (const auto& p : plan.pruned) {
     std::string line = std::string(PrunedKindName(p.kind)) + " " +
                        (p.description.empty() ? MaskText(p.relation_mask)
                                               : p.description);
     if (!p.reason.empty()) line += ": " + p.reason;
-    TreeLine(&ex.tree, "", ++line_idx == total, line);
+    TreeLine(&ex.tree, "", --remaining == 0, line);
   }
 
   // --- JSON.
@@ -261,158 +202,34 @@ PlacementExplanation ExplainQueryPlan(const QueryPlan& plan) {
     ex.json += "    \"best_total_seconds\": null,\n";
     ex.json += "    \"tree\": null,\n";
   }
-  ex.json += "    \"candidates\": [";
+  std::vector<std::string> items;
   for (size_t i = 0; i < plan.candidates.size(); ++i) {
     const QueryPlanCandidate& c = plan.candidates[i];
-    const QueryPlanNode& root = plan.nodes[static_cast<size_t>(c.root)];
-    if (i > 0) ex.json += ",";
-    ex.json += "\n      {\"rank\": " + std::to_string(i + 1) +
-               ", \"system\": \"" + JsonEscape(root.system) +
-               "\", \"result_transfer_seconds\": " +
-               Sec(c.result_transfer_seconds) +
-               ", \"total_seconds\": " + Sec(c.total_seconds) + "}";
+    const std::string in = "        ";
+    items.push_back(
+        "{\n" + in + "\"rank\": " + std::to_string(i + 1) + ",\n" + in +
+        "\"system\": \"" +
+        JsonEscape(plan.nodes[static_cast<size_t>(c.root)].system) + "\",\n" +
+        in + "\"result_transfer_seconds\": " +
+        Sec(c.result_transfer_seconds) + ",\n" + in +
+        "\"total_seconds\": " + Sec(c.total_seconds) + ",\n" + in +
+        "\"tree\": " + QueryNodeJson(plan, c.root, in) + "\n      }");
   }
-  if (!plan.candidates.empty()) ex.json += "\n    ";
-  ex.json += "],\n";
-  ex.json += "    \"pruned\": [";
-  for (size_t i = 0; i < plan.pruned.size(); ++i) {
-    const PrunedSubplan& p = plan.pruned[i];
-    if (i > 0) ex.json += ",";
-    ex.json += "\n      {\"kind\": \"" + std::string(PrunedKindName(p.kind)) +
-               "\", \"stage\": \"" + NodeKindName(p.stage) +
-               "\", \"relation_mask\": " + std::to_string(p.relation_mask) +
-               ", \"system\": \"" + JsonEscape(p.system) +
-               "\", \"via_system\": \"" + JsonEscape(p.via_system) +
-               "\", \"subtree_seconds\": " + Sec(p.subtree_seconds) +
-               ", \"reason\": \"" + JsonEscape(p.reason) +
-               "\", \"description\": \"" + JsonEscape(p.description) + "\"}";
+  ex.json += "    \"candidates\": " + JsonArray(items, "    ") + ",\n";
+  items.clear();
+  for (const PrunedSubplan& p : plan.pruned) {
+    items.push_back(
+        "{\"kind\": \"" + std::string(PrunedKindName(p.kind)) +
+        "\", \"stage\": \"" + NodeKindName(p.stage) +
+        "\", \"relation_mask\": " + std::to_string(p.relation_mask) +
+        ", \"system\": \"" + JsonEscape(p.system) +
+        "\", \"via_system\": \"" + JsonEscape(p.via_system) +
+        "\", \"subtree_seconds\": " + Sec(p.subtree_seconds) +
+        ", \"reason\": \"" + JsonEscape(p.reason) +
+        "\", \"description\": \"" + JsonEscape(p.description) + "\"}");
   }
-  if (!plan.pruned.empty()) ex.json += "\n    ";
-  ex.json += "]\n";
+  ex.json += "    \"pruned\": " + JsonArray(items, "    ") + "\n";
   ex.json += "  }\n";
-  ex.json += "}\n";
-  return ex;
-}
-
-PlacementExplanation ExplainPlacement(const PlacementPlan& plan) {
-  PlacementExplanation ex;
-  const std::string op_name = rel::OperatorTypeName(plan.op.type);
-
-  // --- Tree.
-  ex.tree = "placement plan: " + op_name + " (" +
-            std::to_string(plan.options.size()) + " options, " +
-            std::to_string(plan.eliminated.size()) + " hosts eliminated)\n";
-  const size_t total = plan.options.size() + plan.eliminated.size();
-  size_t line_idx = 0;
-  for (size_t i = 0; i < plan.options.size(); ++i, ++line_idx) {
-    const PlacementOption& o = plan.options[i];
-    bool last = line_idx + 1 == total;
-    TreeLine(&ex.tree, "", last, OptionHeadline(o, i + 1, i == 0));
-    RenderOptionDetails(&ex.tree, last ? "   " : "|  ", o);
-  }
-  for (size_t i = 0; i < plan.eliminated.size(); ++i, ++line_idx) {
-    const EliminatedPlacement& e = plan.eliminated[i];
-    TreeLine(&ex.tree, "", line_idx + 1 == total,
-             "eliminated host " + e.system + ": " + e.reason);
-  }
-
-  // --- JSON.
-  ex.json = "{\n";
-  ex.json += "  \"operator\": \"" + JsonEscape(op_name) + "\",\n";
-  ex.json += "  \"options\": [";
-  for (size_t i = 0; i < plan.options.size(); ++i) {
-    if (i > 0) ex.json += ",";
-    ex.json += "\n";
-    ex.json += OptionJson(plan.options[i], i + 1, "    ");
-  }
-  if (!plan.options.empty()) ex.json += "\n  ";
-  ex.json += "],\n";
-  ex.json +=
-      "  \"eliminated_placements\": " + EliminatedJson(plan.eliminated, "  ") +
-      "\n";
-  ex.json += "}\n";
-  return ex;
-}
-
-PlacementExplanation ExplainPipeline(const PipelinePlan& plan) {
-  PlacementExplanation ex;
-
-  // --- Tree.
-  ex.tree = "pipeline plan: join then aggregation (" +
-            std::to_string(plan.options.size()) + " options, " +
-            std::to_string(plan.eliminated.size()) +
-            " placements eliminated)\n";
-  const size_t total = plan.options.size() + plan.eliminated.size();
-  size_t line_idx = 0;
-  for (size_t i = 0; i < plan.options.size(); ++i, ++line_idx) {
-    const PipelinePlacement& p = plan.options[i];
-    bool last = line_idx + 1 == total;
-    std::string head = "option " + std::to_string(i + 1) + ": join@" +
-                       p.join_system + " agg@" + p.agg_system +
-                       " total=" + Sec(p.total_seconds()) + "s";
-    if (i == 0) head += " [best]";
-    TreeLine(&ex.tree, "", last, head);
-    const std::string prefix = last ? "   " : "|  ";
-    TreeLine(&ex.tree, prefix, false,
-             "input transfer: " + Sec(p.input_transfer_seconds) + "s");
-    std::string join_line = "join: " + Sec(p.join_seconds) + "s approach=" +
-                            p.join_approach;
-    if (!p.join_algorithm.empty()) {
-      join_line += " algorithm=" + p.join_algorithm;
-    }
-    TreeLine(&ex.tree, prefix, false, join_line);
-    TreeLine(&ex.tree, prefix, false,
-             "intermediate transfer: " + Sec(p.interm_transfer_seconds) +
-                 "s");
-    std::string agg_line = "aggregation: " + Sec(p.agg_seconds) +
-                           "s approach=" + p.agg_approach;
-    if (!p.agg_algorithm.empty()) agg_line += " algorithm=" + p.agg_algorithm;
-    TreeLine(&ex.tree, prefix, false, agg_line);
-    TreeLine(&ex.tree, prefix, true,
-             "result transfer: " + Sec(p.result_transfer_seconds) + "s");
-  }
-  for (size_t i = 0; i < plan.eliminated.size(); ++i, ++line_idx) {
-    const EliminatedPlacement& e = plan.eliminated[i];
-    TreeLine(&ex.tree, "", line_idx + 1 == total,
-             "eliminated " + e.system + ": " + e.reason);
-  }
-
-  // --- JSON.
-  ex.json = "{\n";
-  ex.json += "  \"operator\": \"pipeline\",\n";
-  ex.json += "  \"options\": [";
-  for (size_t i = 0; i < plan.options.size(); ++i) {
-    const PipelinePlacement& p = plan.options[i];
-    if (i > 0) ex.json += ",";
-    ex.json += "\n    {\n";
-    ex.json += "      \"rank\": " + std::to_string(i + 1) + ",\n";
-    ex.json +=
-        "      \"join_system\": \"" + JsonEscape(p.join_system) + "\",\n";
-    ex.json += "      \"agg_system\": \"" + JsonEscape(p.agg_system) + "\",\n";
-    ex.json += "      \"input_transfer_seconds\": " +
-               Sec(p.input_transfer_seconds) + ",\n";
-    ex.json += "      \"join_seconds\": " + Sec(p.join_seconds) + ",\n";
-    ex.json += "      \"interm_transfer_seconds\": " +
-               Sec(p.interm_transfer_seconds) + ",\n";
-    ex.json += "      \"agg_seconds\": " + Sec(p.agg_seconds) + ",\n";
-    ex.json += "      \"result_transfer_seconds\": " +
-               Sec(p.result_transfer_seconds) + ",\n";
-    ex.json += "      \"total_seconds\": " + Sec(p.total_seconds()) + ",\n";
-    ex.json +=
-        "      \"join_approach\": \"" + JsonEscape(p.join_approach) + "\",\n";
-    ex.json += "      \"join_algorithm\": \"" + JsonEscape(p.join_algorithm) +
-               "\",\n";
-    ex.json +=
-        "      \"agg_approach\": \"" + JsonEscape(p.agg_approach) + "\",\n";
-    ex.json += "      \"agg_algorithm\": \"" + JsonEscape(p.agg_algorithm) +
-               "\"\n";
-    ex.json += "    }";
-  }
-  if (!plan.options.empty()) ex.json += "\n  ";
-  ex.json += "],\n";
-  ex.json +=
-      "  \"eliminated_placements\": " + EliminatedJson(plan.eliminated, "  ") +
-      "\n";
   ex.json += "}\n";
   return ex;
 }

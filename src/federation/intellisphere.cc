@@ -1,80 +1,23 @@
 #include "federation/intellisphere.h"
 
 #include <map>
-#include <set>
 #include <utility>
+#include <vector>
 
 namespace intellisphere::fed {
 
 namespace {
 
-/// The legacy planners' results carry every eliminated host with its
-/// reason and every estimate's provenance, so the wrappers always plan with
-/// full provenance.
-core::EstimateContext WithProvenance(const core::EstimateContext& ctx) {
-  core::EstimateContext out = ctx;
-  out.detail = core::EstimateDetail::kProvenance;
-  return out;
-}
-
-/// Maps a costed root/subtree node back to the legacy PlacementOption
-/// shape (field-for-field; the wrappers' bit-parity contract).
-PlacementOption OptionFromNode(const QueryPlanNode& node) {
-  PlacementOption option;
-  option.system = node.system;
-  option.transfer_seconds = node.transfer_seconds;
-  option.operator_seconds = node.operator_seconds;
-  option.approach = node.approach;
-  option.algorithm = node.algorithm;
-  option.algorithm_candidates = node.algorithm_candidates;
-  option.eliminated_algorithms = node.eliminated_algorithms;
-  option.used_remedy = node.used_remedy;
-  option.remedy_alpha = node.remedy_alpha;
-  option.fell_back_reason = node.fell_back_reason;
-  return option;
-}
-
-/// Maps a single-operator QueryPlan back to the legacy PlacementPlan:
-/// candidates (already cheapest-first) become options, eliminated hosts
-/// keep their search order, and the search's "no placement" error is
-/// rewritten to the planner's historical message.
-Result<PlacementPlan> SingleOperatorPlanFrom(Result<QueryPlan> plan,
-                                             const char* no_host_message) {
-  if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kFailedPrecondition) {
-      return Status::FailedPrecondition(no_host_message);
-    }
-    return plan.status();
+/// Appends the subtree rooted at `idx` to `order`, children first (left
+/// input before right).
+void AppendPostOrder(const QueryPlan& plan, int idx, std::vector<int>* order) {
+  for (int child : plan.nodes[static_cast<size_t>(idx)].children) {
+    AppendPostOrder(plan, child, order);
   }
-  const QueryPlan& qp = plan.value();
-  PlacementPlan out;
-  out.op = qp.nodes[static_cast<size_t>(qp.candidates.front().root)].op;
-  for (const QueryPlanCandidate& c : qp.candidates) {
-    out.options.push_back(
-        OptionFromNode(qp.nodes[static_cast<size_t>(c.root)]));
-  }
-  for (const PrunedSubplan& p : qp.pruned) {
-    if (p.kind != PrunedSubplan::Kind::kEliminated) continue;
-    out.eliminated.push_back({p.system, p.reason});
-  }
-  return out;
+  order->push_back(idx);
 }
 
 }  // namespace
-
-Result<PlacementOption> PlacementPlan::best() const {
-  if (options.empty()) {
-    return Status::FailedPrecondition("placement plan has no options");
-  }
-  return options.front();
-}
-
-Result<PipelinePlacement> PipelinePlan::best() const {
-  if (options.empty()) {
-    return Status::FailedPrecondition("pipeline plan has no options");
-  }
-  return options.front();
-}
 
 Status IntelliSphere::RegisterRemoteSystem(
     std::unique_ptr<remote::RemoteSystem> system, core::CostingProfile profile,
@@ -252,187 +195,32 @@ Result<QueryPlan> IntelliSphere::PlanQuery(const QuerySpec& spec,
   return SearchPlan(input, options, ctx);
 }
 
-Result<PlacementPlan> IntelliSphere::PlanJoin(
-    const std::string& left_table, const std::string& right_table,
-    int64_t left_projected_bytes, int64_t right_projected_bytes,
-    double extra_selectivity, const core::EstimateContext& ctx) const {
-  // Reproduce the pre-PlanQuery argument checks (and their error order):
-  // table resolution, then the cardinality-model and descriptor rules.
-  ISPHERE_RETURN_NOT_OK(catalog_.Get(left_table).status());
-  ISPHERE_RETURN_NOT_OK(catalog_.Get(right_table).status());
-  if (extra_selectivity <= 0.0 || extra_selectivity > 1.0) {
-    return Status::InvalidArgument("extra_selectivity must be in (0, 1]");
-  }
-  if (left_projected_bytes < 0 || right_projected_bytes < 0) {
-    return Status::InvalidArgument("negative projected size");
-  }
-  if (left_projected_bytes + right_projected_bytes <= 0) {
-    return Status::InvalidArgument("join must project at least one byte");
-  }
-  QuerySpec spec;
-  spec.relations.resize(2);
-  spec.relations[0].table = left_table;
-  spec.relations[0].projected_bytes = left_projected_bytes;
-  spec.relations[1].table = right_table;
-  spec.relations[1].projected_bytes = right_projected_bytes;
-  QuerySpec::JoinPredicate predicate;
-  predicate.left = 0;
-  predicate.right = 1;
-  predicate.column = "a1";
-  predicate.extra_selectivity = extra_selectivity;
-  spec.joins.push_back(predicate);
-  return SingleOperatorPlanFrom(PlanQuery(spec, WithProvenance(ctx)),
-                                "no system can execute this join");
-}
-
-Result<PlacementPlan> IntelliSphere::PlanAgg(
-    const std::string& table, const std::string& group_column,
-    int num_aggregates, const core::EstimateContext& ctx) const {
-  QuerySpec spec;
-  spec.relations.resize(1);
-  spec.relations[0].table = table;
-  QuerySpec::Aggregate aggregate;
-  aggregate.relation = 0;
-  aggregate.group_column = group_column;
-  aggregate.num_aggregates = num_aggregates;
-  spec.aggregate = aggregate;
-  return SingleOperatorPlanFrom(PlanQuery(spec, WithProvenance(ctx)),
-                                "no system can execute this aggregation");
-}
-
-Result<PlacementPlan> IntelliSphere::PlanScan(
-    const std::string& table, double selectivity, int64_t projected_bytes,
-    const core::EstimateContext& ctx) const {
-  ISPHERE_ASSIGN_OR_RETURN(rel::TableDef t, catalog_.Get(table));
-  if (selectivity < 0.0 || selectivity > 1.0) {
-    return Status::InvalidArgument("selectivity must be in [0, 1]");
-  }
-  if (projected_bytes <= 0 || projected_bytes > t.stats.row_bytes) {
-    return Status::InvalidArgument(
-        "projected bytes must be in [1, input row size]");
-  }
-  QuerySpec spec;
-  spec.relations.resize(1);
-  spec.relations[0].table = table;
-  spec.relations[0].filter_selectivity = selectivity;
-  spec.relations[0].projected_bytes = projected_bytes;
-  return SingleOperatorPlanFrom(PlanQuery(spec, WithProvenance(ctx)),
-                                "no system can execute this scan");
-}
-
-Result<PipelinePlan> IntelliSphere::PlanJoinThenAgg(
-    const std::string& left_table, const std::string& right_table,
-    int64_t left_projected_bytes, int64_t right_projected_bytes,
-    double extra_selectivity, const std::string& group_column,
-    int num_aggregates, const core::EstimateContext& ctx) const {
-  ISPHERE_ASSIGN_OR_RETURN(rel::TableDef l, catalog_.Get(left_table));
-  ISPHERE_ASSIGN_OR_RETURN(rel::TableDef r, catalog_.Get(right_table));
-  if (extra_selectivity <= 0.0 || extra_selectivity > 1.0) {
-    return Status::InvalidArgument("extra_selectivity must be in (0, 1]");
-  }
-  if (left_projected_bytes < 0 || right_projected_bytes < 0) {
-    return Status::InvalidArgument("negative projected size");
-  }
-  if (left_projected_bytes + right_projected_bytes <= 0) {
-    return Status::InvalidArgument("join must project at least one byte");
-  }
-  QuerySpec spec;
-  spec.relations.resize(2);
-  spec.relations[0].table = left_table;
-  spec.relations[0].projected_bytes = left_projected_bytes;
-  spec.relations[1].table = right_table;
-  spec.relations[1].projected_bytes = right_projected_bytes;
-  QuerySpec::JoinPredicate predicate;
-  predicate.left = 0;
-  predicate.right = 1;
-  predicate.column = "a1";
-  predicate.extra_selectivity = extra_selectivity;
-  spec.joins.push_back(predicate);
-  QuerySpec::Aggregate aggregate;
-  // The legacy planner resolved the group column against the larger input
-  // (its post-swap `l`); ties keep the call's left table.
-  aggregate.relation = l.stats.num_rows < r.stats.num_rows ? 1 : 0;
-  aggregate.group_column = group_column;
-  aggregate.num_aggregates = num_aggregates;
-  spec.aggregate = aggregate;
-  spec.result_to_master = true;
-
-  auto plan = PlanQuery(spec, WithProvenance(ctx));
-  if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kFailedPrecondition) {
-      return Status::FailedPrecondition("no placement can run this pipeline");
+Result<double> IntelliSphere::ExecuteBest(const QueryPlan& plan) {
+  ISPHERE_ASSIGN_OR_RETURN(QueryPlanCandidate best, plan.best());
+  std::vector<int> order;
+  AppendPostOrder(plan, best.root, &order);
+  double observed_seconds = 0.0;
+  for (int idx : order) {
+    const QueryPlanNode& node = plan.nodes[static_cast<size_t>(idx)];
+    if (node.kind == QueryPlanNode::Kind::kTable) continue;
+    if (node.system == kTeradataSystemName) {
+      // Local execution: the analytic estimate stands in for the elapsed
+      // time (the master engine is not simulated at task granularity).
+      ISPHERE_ASSIGN_OR_RETURN(double seconds,
+                               local_model_.EstimateSeconds(node.op));
+      observed_seconds += seconds;
+      continue;
     }
-    return plan.status();
+    ISPHERE_ASSIGN_OR_RETURN(remote::RemoteSystem * sys,
+                             GetSystem(node.system));
+    ISPHERE_ASSIGN_OR_RETURN(remote::QueryResult result,
+                             sys->Execute(node.op));
+    // Logging phase: feed the observation back into the costing profile.
+    ISPHERE_RETURN_NOT_OK(
+        estimator_.LogActual(node.system, node.op, result.elapsed_seconds));
+    observed_seconds += result.elapsed_seconds;
   }
-  const QueryPlan& qp = plan.value();
-  PipelinePlan out;
-  {
-    const QueryPlanNode& agg_node =
-        qp.nodes[static_cast<size_t>(qp.candidates.front().root)];
-    const QueryPlanNode& join_node =
-        qp.nodes[static_cast<size_t>(agg_node.children.front())];
-    out.join_op = join_node.op;
-    out.agg_op = agg_node.op;
-  }
-  for (const QueryPlanCandidate& c : qp.candidates) {
-    const QueryPlanNode& agg_node = qp.nodes[static_cast<size_t>(c.root)];
-    const QueryPlanNode& join_node =
-        qp.nodes[static_cast<size_t>(agg_node.children.front())];
-    PipelinePlacement p;
-    p.join_system = join_node.system;
-    p.agg_system = agg_node.system;
-    p.input_transfer_seconds = join_node.transfer_seconds;
-    p.join_seconds = join_node.operator_seconds;
-    p.interm_transfer_seconds = agg_node.transfer_seconds;
-    p.agg_seconds = agg_node.operator_seconds;
-    p.result_transfer_seconds = c.result_transfer_seconds;
-    p.join_approach = join_node.approach;
-    p.join_algorithm = join_node.algorithm;
-    p.agg_approach = agg_node.approach;
-    p.agg_algorithm = agg_node.algorithm;
-    out.options.push_back(std::move(p));
-  }
-  // Rebuild the legacy interleaving: per join host (sorted), its join
-  // elimination, then the aggregation eliminations of placements routed
-  // via it.
-  std::set<std::string> join_hosts = {std::string(kTeradataSystemName),
-                                      l.location, r.location};
-  for (const std::string& jh : join_hosts) {
-    for (const PrunedSubplan& p : qp.pruned) {
-      if (p.kind != PrunedSubplan::Kind::kEliminated) continue;
-      if (p.stage != QueryPlanNode::Kind::kJoin || p.system != jh) continue;
-      out.eliminated.push_back({jh, "join: " + p.reason});
-    }
-    for (const PrunedSubplan& p : qp.pruned) {
-      if (p.kind != PrunedSubplan::Kind::kEliminated) continue;
-      if (p.stage != QueryPlanNode::Kind::kAggregate || p.via_system != jh) {
-        continue;
-      }
-      out.eliminated.push_back(
-          {p.system, "aggregation after join on " + jh + ": " + p.reason});
-    }
-  }
-  return out;
-}
-
-Result<double> IntelliSphere::ExecuteBest(const PlacementPlan& plan) {
-  if (plan.options.empty()) {
-    return Status::InvalidArgument("empty placement plan");
-  }
-  ISPHERE_ASSIGN_OR_RETURN(PlacementOption best, plan.best());
-  if (best.system == kTeradataSystemName) {
-    // Local execution: the analytic estimate stands in for the elapsed
-    // time (the master engine is not simulated at task granularity).
-    return local_model_.EstimateSeconds(plan.op);
-  }
-  ISPHERE_ASSIGN_OR_RETURN(remote::RemoteSystem * sys,
-                           GetSystem(best.system));
-  ISPHERE_ASSIGN_OR_RETURN(remote::QueryResult result,
-                           sys->Execute(plan.op));
-  // Logging phase: feed the observation back into the costing profile.
-  ISPHERE_RETURN_NOT_OK(
-      estimator_.LogActual(best.system, plan.op, result.elapsed_seconds));
-  return result.elapsed_seconds;
+  return observed_seconds;
 }
 
 }  // namespace intellisphere::fed

@@ -18,11 +18,11 @@
 // returns, and provenance is collected only when the caller's context asks
 // for it.
 //
-// Cost model parity: on two-relation specs the search reproduces the
-// legacy PlanJoin/PlanAgg/PlanScan/PlanJoinThenAgg planners bit for bit —
-// same operator descriptors, same floating-point accumulation order, same
-// host iteration and sort — which is what lets those planners be thin
-// wrappers over PlanQuery (pinned by the wrapper-parity regression tests).
+// Cost model parity: on one- and two-relation specs the search reproduces
+// the single-operator planners that preceded it bit for bit — same operator
+// descriptors, same floating-point accumulation order, same host iteration
+// and sort. tests/plan_search_test.cc pins this against hand-rolled
+// replicas of those planners' loops.
 
 #ifndef INTELLISPHERE_FEDERATION_PLAN_SEARCH_H_
 #define INTELLISPHERE_FEDERATION_PLAN_SEARCH_H_
@@ -147,8 +147,9 @@ struct QueryPlanNode {
   /// Cumulative cost of the subtree: children + input transfers + operator.
   double subtree_seconds = 0.0;
 
-  /// Costing provenance, as in PlacementOption ("local" for the master
-  /// engine, the profile's approach name otherwise). Algorithm candidates
+  /// Costing provenance: the approach that produced operator_seconds
+  /// ("local" for the master engine, the profile's approach name
+  /// otherwise). Algorithm candidates
   /// and eliminated algorithms (with their reasons) are filled only when
   /// the plan was searched with provenance.
   std::string approach;

@@ -10,14 +10,14 @@ namespace intellisphere::traffic {
 
 namespace {
 
-/// True when any costed option carries degradation provenance — the plan
-/// was answered, but at least one placement's estimate came down a
-/// fallback rung (breaker or admission overload). The Teradata option is
-/// analytic and never falls back, so checking only best() would
-/// under-count degraded answers.
-bool PlanDegraded(const fed::PlacementPlan& plan) {
-  for (const auto& option : plan.options) {
-    if (!option.fell_back_reason.empty()) return true;
+/// True when any plan node carries degradation provenance — the plan was
+/// answered, but at least one placement's estimate came down a fallback
+/// rung (breaker or admission overload). Teradata nodes are analytic and
+/// never fall back, so checking only the chosen tree would under-count
+/// degraded answers.
+bool PlanDegraded(const fed::QueryPlan& plan) {
+  for (const fed::QueryPlanNode& node : plan.nodes) {
+    if (!node.fell_back_reason.empty()) return true;
   }
   return false;
 }
@@ -34,34 +34,40 @@ double Percentile(std::vector<double> samples, double q) {
   return samples[rank];
 }
 
+fed::QuerySpec SpecFor(const WorkItem& item) {
+  fed::QuerySpec spec;
+  spec.relations.resize(1);
+  spec.relations[0].table = item.table;
+  spec.aggregate =
+      fed::QuerySpec::Aggregate{0, item.group_column, item.num_aggregates};
+  return spec;
+}
+
 Result<std::vector<ItemTruth>> ComputeOracle(
     fed::IntelliSphere* sphere, const std::vector<WorkItem>& items) {
   std::vector<ItemTruth> truth;
   truth.reserve(items.size());
   for (const WorkItem& item : items) {
-    ISPHERE_ASSIGN_OR_RETURN(
-        fed::PlacementPlan plan,
-        sphere->PlanAgg(item.table, item.group_column, item.num_aggregates));
-    if (plan.options.empty()) {
-      return Status::FailedPrecondition(
-          "ComputeOracle: no placement options for table " + item.table);
-    }
+    ISPHERE_ASSIGN_OR_RETURN(fed::QueryPlan plan,
+                             sphere->PlanQuery(SpecFor(item)));
     ItemTruth t;
     t.oracle_seconds = std::numeric_limits<double>::infinity();
-    for (const auto& option : plan.options) {
+    for (const fed::QueryPlanCandidate& candidate : plan.candidates) {
+      const fed::QueryPlanNode& root =
+          plan.nodes[static_cast<size_t>(candidate.root)];
       double op_seconds = 0.0;
-      if (option.system == fed::kTeradataSystemName) {
-        ISPHERE_ASSIGN_OR_RETURN(op_seconds,
-                                 sphere->local_model().EstimateSeconds(plan.op));
+      if (root.system == fed::kTeradataSystemName) {
+        ISPHERE_ASSIGN_OR_RETURN(
+            op_seconds, sphere->local_model().EstimateSeconds(root.op));
       } else {
         ISPHERE_ASSIGN_OR_RETURN(remote::RemoteSystem * system,
-                                 sphere->GetSystem(option.system));
+                                 sphere->GetSystem(root.system));
         ISPHERE_ASSIGN_OR_RETURN(remote::QueryResult observed,
-                                 system->Execute(plan.op));
+                                 system->Execute(root.op));
         op_seconds = observed.elapsed_seconds;
       }
-      const double total = option.transfer_seconds + op_seconds;
-      t.total_seconds[option.system] = total;
+      const double total = root.transfer_seconds + op_seconds;
+      t.total_seconds[root.system] = total;
       t.oracle_seconds = std::min(t.oracle_seconds, total);
     }
     truth.push_back(std::move(t));
@@ -83,6 +89,10 @@ Result<TrafficReport> RunTraffic(const fed::IntelliSphere& sphere,
   ISPHERE_ASSIGN_OR_RETURN(
       std::vector<TrafficEvent> events,
       GenerateTraffic(opts, static_cast<int>(items.size())));
+
+  std::vector<fed::QuerySpec> specs;
+  specs.reserve(items.size());
+  for (const WorkItem& item : items) specs.push_back(SpecFor(item));
 
   // Stable tenant-name storage: EstimateContext::tenant is a string_view
   // into this vector for the whole run.
@@ -122,11 +132,9 @@ Result<TrafficReport> RunTraffic(const fed::IntelliSphere& sphere,
       ctx.deadline_seconds = ev.time + opts.deadline_seconds;
     }
 
-    const WorkItem& item = items[static_cast<size_t>(ev.item)];
     const auto started = std::chrono::steady_clock::now();
-    const Result<fed::PlacementPlan> plan =
-        sphere.PlanAgg(item.table, item.group_column, item.num_aggregates,
-                       ctx);
+    const Result<fed::QueryPlan> plan =
+        sphere.PlanQuery(specs[static_cast<size_t>(ev.item)], ctx);
     const double latency_us =
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - started)
@@ -161,9 +169,9 @@ Result<TrafficReport> RunTraffic(const fed::IntelliSphere& sphere,
 
     if (!truth.empty()) {
       const ItemTruth& t = truth[static_cast<size_t>(ev.item)];
-      ISPHERE_ASSIGN_OR_RETURN(fed::PlacementOption best,
-                               plan.value().best());
-      const auto chosen = t.total_seconds.find(best.system);
+      ISPHERE_ASSIGN_OR_RETURN(const fed::QueryPlanNode* root,
+                               plan.value().root());
+      const auto chosen = t.total_seconds.find(root->system);
       if (chosen != t.total_seconds.end() && t.oracle_seconds > 0.0) {
         const double regret =
             (chosen->second - t.oracle_seconds) / t.oracle_seconds;

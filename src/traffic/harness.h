@@ -1,5 +1,5 @@
 // The closed-loop traffic harness (DESIGN.md §17): replays a generated
-// arrival trace against a federation facade — planner → (admission) →
+// arrival trace against a federation facade — PlanQuery → (admission) →
 // serving → cache → models — on the simulated deployment clock, and
 // accounts for what the overload machinery actually delivered: per-tenant
 // wall-latency percentiles vs SLO, availability over non-shed traffic,
@@ -25,17 +25,23 @@
 namespace intellisphere::traffic {
 
 /// One distinct query shape in the workload: an aggregation over a
-/// registered table (the paper's GROUP-BY benchmark operator).
+/// registered table (the paper's GROUP-BY benchmark operator), planned as
+/// SpecFor(item).
 struct WorkItem {
   std::string table;
   std::string group_column;
   int num_aggregates = 1;
 };
 
-/// Ground truth for one work item: the *observed* cost of every placement,
-/// measured by executing the operator on each candidate's simulated engine
-/// (the master engine's analytic model for Teradata), plus the QueryGrid
-/// transfer the planner charged. `oracle_seconds` is the cheapest.
+/// The single-relation aggregate spec the harness plans for `item` through
+/// IntelliSphere::PlanQuery.
+fed::QuerySpec SpecFor(const WorkItem& item);
+
+/// Ground truth for one work item: the *observed* cost of every candidate
+/// placement, measured by executing the candidate's root operator on its
+/// simulated engine (the master engine's analytic model for Teradata), plus
+/// the QueryGrid transfer the planner charged. `oracle_seconds` is the
+/// cheapest.
 struct ItemTruth {
   std::map<std::string, double> total_seconds;  ///< by system name
   double oracle_seconds = 0.0;
@@ -60,7 +66,7 @@ struct TenantTrafficStats {
 struct TrafficReport {
   int64_t arrivals = 0;
   int64_t answered_full = 0;      ///< plan ok, no degradation provenance
-  int64_t answered_degraded = 0;  ///< plan ok, some option fell back
+  int64_t answered_degraded = 0;  ///< plan ok, some plan node fell back
   int64_t shed_load = 0;          ///< ResourceExhausted from admission
   int64_t shed_deadline = 0;      ///< DeadlineExceeded (predicted or expired)
   int64_t planner_errors = 0;     ///< any other planning failure
@@ -87,19 +93,21 @@ struct TrafficReport {
 /// empty. Exposed for tests.
 double Percentile(std::vector<double> samples, double q);
 
-/// Executes every placement of every work item once on the simulated
-/// engines to build the regret oracle. Call this *before* attaching an
-/// admission controller (the probe plans flow through whatever serving
-/// path is attached, and must not charge the admission queue). Errors if
-/// any item fails to plan or any placement fails to execute.
+/// Executes every candidate placement of every work item once on the
+/// simulated engines to build the regret oracle. Plans with a default
+/// (cost-only) context, the detail level RunTraffic plans at, so the probe
+/// plans warm the cache entries the trace reads. Call this *before*
+/// attaching an admission controller (the probe plans flow through whatever
+/// serving path is attached, and must not charge the admission queue).
+/// Errors if any item fails to plan or any placement fails to execute.
 [[nodiscard]] Result<std::vector<ItemTruth>> ComputeOracle(
     fed::IntelliSphere* sphere, const std::vector<WorkItem>& items);
 
 /// Replays the generated trace for (opts, items) against the facade: for
-/// each arrival, plans the item's aggregation with an EstimateContext
-/// carrying {now = arrival time, tenant, priority class, absolute
-/// deadline}, classifies the outcome by status code, and measures the
-/// planning wall latency. `truth` may be empty (regret reporting is then
+/// each arrival, plans SpecFor(item) through PlanQuery with a cost-only
+/// EstimateContext carrying {now = arrival time, tenant, priority class,
+/// absolute deadline}, classifies the outcome by status code, and measures
+/// the planning wall latency. `truth` may be empty (regret reporting is then
 /// skipped); otherwise it must be ComputeOracle's output for `items`.
 [[nodiscard]] Result<TrafficReport> RunTraffic(
     const fed::IntelliSphere& sphere, const std::vector<WorkItem>& items,

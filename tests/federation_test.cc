@@ -1,7 +1,15 @@
-// Unit tests for the federation layer: QueryGrid transfer model and the
-// IntelliSphere placement optimizer.
+// Unit tests for the federation layer: QueryGrid transfer model, the
+// IntelliSphere placement optimizer (PlanQuery) and the plan executor
+// (ExecuteBest).
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/sub_op.h"
 #include "federation/intellisphere.h"
@@ -87,14 +95,77 @@ TEST(QueryGridTest, RegistrationRules) {
   EXPECT_TRUE(grid.HasConnector("hive"));
 }
 
+QuerySpec JoinSpec(const std::string& left, const std::string& right,
+                   double extra_selectivity) {
+  QuerySpec spec;
+  spec.relations = {{left, 1.0, 32}, {right, 1.0, 32}};
+  spec.joins = {{0, 1, "a1", extra_selectivity}};
+  return spec;
+}
+
+QuerySpec AggSpec(const std::string& table, const std::string& group_column,
+                  int num_aggregates) {
+  QuerySpec spec;
+  spec.relations.resize(1);
+  spec.relations[0].table = table;
+  spec.aggregate = QuerySpec::Aggregate{0, group_column, num_aggregates};
+  return spec;
+}
+
+const QueryPlanNode& RootOf(const QueryPlan& plan,
+                            const QueryPlanCandidate& candidate) {
+  return plan.nodes[static_cast<size_t>(candidate.root)];
+}
+
+/// Pass-through decorator that records the observed seconds of every
+/// operator it runs, in execution order.
+class RecordingSystem : public remote::RemoteSystem {
+ public:
+  explicit RecordingSystem(std::unique_ptr<remote::RemoteSystem> inner)
+      : inner_(std::move(inner)) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  [[nodiscard]] Result<remote::QueryResult> ExecuteJoin(
+      const rel::JoinQuery& query) override {
+    return Record(inner_->ExecuteJoin(query));
+  }
+  [[nodiscard]] Result<remote::QueryResult> ExecuteAgg(
+      const rel::AggQuery& query) override {
+    return Record(inner_->ExecuteAgg(query));
+  }
+  [[nodiscard]] Result<remote::QueryResult> ExecuteScan(
+      const rel::ScanQuery& query) override {
+    return Record(inner_->ExecuteScan(query));
+  }
+  double total_simulated_seconds() const override {
+    return inner_->total_simulated_seconds();
+  }
+  int64_t queries_executed() const override {
+    return inner_->queries_executed();
+  }
+  const std::vector<double>& observed() const { return observed_; }
+
+ private:
+  Result<remote::QueryResult> Record(Result<remote::QueryResult> result) {
+    if (result.ok()) observed_.push_back(result.value().elapsed_seconds);
+    return result;
+  }
+
+  std::unique_ptr<remote::RemoteSystem> inner_;
+  std::vector<double> observed_;
+};
+
 class IntelliSphereTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto hive = remote::HiveEngine::CreateDefault("hive", 31);
     hive_ = hive.get();
+    core::CostingProfile profile = ProfileFor(hive_);
+    auto recorder = std::make_unique<RecordingSystem>(std::move(hive));
+    recorder_ = recorder.get();
     ASSERT_TRUE(sphere_
-                    .RegisterRemoteSystem(std::move(hive),
-                                          ProfileFor(hive_), ConnectorParams{})
+                    .RegisterRemoteSystem(std::move(recorder),
+                                          std::move(profile), ConnectorParams{})
                     .ok());
     auto big = rel::SyntheticTableDef(8000000, 250).value();
     big.location = "hive";
@@ -106,6 +177,7 @@ class IntelliSphereTest : public ::testing::Test {
 
   IntelliSphere sphere_;
   remote::HiveEngine* hive_ = nullptr;
+  RecordingSystem* recorder_ = nullptr;  ///< wraps hive_ in the facade
 };
 
 TEST_F(IntelliSphereTest, RegistrationValidation) {
@@ -119,23 +191,23 @@ TEST_F(IntelliSphereTest, RegistrationValidation) {
 }
 
 TEST_F(IntelliSphereTest, PlanJoinEnumeratesHostsAndSorts) {
-  auto plan = sphere_
-                  .PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0)
-                  .value();
+  auto plan =
+      sphere_.PlanQuery(JoinSpec("T8000000_250", "T100000_100", 1.0)).value();
   // Candidates: hive (owns the big table) and teradata.
-  ASSERT_EQ(plan.options.size(), 2u);
-  for (size_t i = 1; i < plan.options.size(); ++i) {
-    EXPECT_LE(plan.options[i - 1].total_seconds(),
-              plan.options[i].total_seconds());
+  ASSERT_EQ(plan.candidates.size(), 2u);
+  for (size_t i = 1; i < plan.candidates.size(); ++i) {
+    EXPECT_LE(plan.candidates[i - 1].total_seconds,
+              plan.candidates[i].total_seconds);
   }
   // Moving the 2 GB table to Teradata is costed as transfer.
-  for (const auto& o : plan.options) {
-    if (o.system == kTeradataSystemName) {
-      EXPECT_GT(o.transfer_seconds, 1.0);
+  for (const auto& c : plan.candidates) {
+    const QueryPlanNode& root = RootOf(plan, c);
+    if (root.system == kTeradataSystemName) {
+      EXPECT_GT(root.transfer_seconds, 1.0);
     } else {
-      EXPECT_EQ(o.system, "hive");
+      EXPECT_EQ(root.system, "hive");
       // Only the small Teradata-side table moves to hive.
-      EXPECT_LT(o.transfer_seconds, 10.0);
+      EXPECT_LT(root.transfer_seconds, 10.0);
     }
   }
 }
@@ -143,10 +215,9 @@ TEST_F(IntelliSphereTest, PlanJoinEnumeratesHostsAndSorts) {
 TEST_F(IntelliSphereTest, BigRemoteInputFavorsRemoteExecution) {
   // Shipping 2 GB out of hive to join with a 10 MB table would be absurd;
   // the optimizer should place the join on hive.
-  auto plan = sphere_
-                  .PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0)
-                  .value();
-  EXPECT_EQ(plan.best().value().system, "hive");
+  auto plan =
+      sphere_.PlanQuery(JoinSpec("T8000000_250", "T100000_100", 1.0)).value();
+  EXPECT_EQ(plan.root().value()->system, "hive");
 }
 
 TEST_F(IntelliSphereTest, TinyLocalInputsFavorTeradata) {
@@ -158,23 +229,24 @@ TEST_F(IntelliSphereTest, TinyLocalInputsFavorTeradata) {
   b.name = "local_b";
   ASSERT_TRUE(sphere_.RegisterTable(a).ok());
   ASSERT_TRUE(sphere_.RegisterTable(b).ok());
-  auto plan = sphere_.PlanJoin("local_a", "local_b", 32, 32, 1.0).value();
-  EXPECT_EQ(plan.best().value().system, kTeradataSystemName);
+  auto plan = sphere_.PlanQuery(JoinSpec("local_a", "local_b", 1.0)).value();
+  EXPECT_EQ(plan.root().value()->system, kTeradataSystemName);
 }
 
 TEST_F(IntelliSphereTest, PlanAggConsidersOwnerAndTeradata) {
   // A strongly shrinking aggregation (80k groups) is far cheaper to run
   // where the 2 GB input lives than after shipping it to Teradata.
-  auto plan = sphere_.PlanAgg("T8000000_250", "a100", 2).value();
-  ASSERT_EQ(plan.options.size(), 2u);
-  EXPECT_EQ(plan.best().value().system, "hive");
-  EXPECT_EQ(plan.op.type, rel::OperatorType::kAggregation);
-  EXPECT_EQ(plan.op.agg.output_rows, 80000);
+  auto plan = sphere_.PlanQuery(AggSpec("T8000000_250", "a100", 2)).value();
+  ASSERT_EQ(plan.candidates.size(), 2u);
+  const QueryPlanNode* root = plan.root().value();
+  EXPECT_EQ(root->system, "hive");
+  EXPECT_EQ(root->op.type, rel::OperatorType::kAggregation);
+  EXPECT_EQ(root->op.agg.output_rows, 80000);
 }
 
 TEST_F(IntelliSphereTest, ExecuteBestRunsOnChosenSystem) {
-  auto plan = sphere_.PlanAgg("T8000000_250", "a100", 1).value();
-  const PlacementOption best = plan.best().value();
+  auto plan = sphere_.PlanQuery(AggSpec("T8000000_250", "a100", 1)).value();
+  const QueryPlanNode best = *plan.root().value();
   ASSERT_EQ(best.system, "hive");
   int64_t before = hive_->queries_executed();
   double elapsed = sphere_.ExecuteBest(plan).value();
@@ -183,6 +255,71 @@ TEST_F(IntelliSphereTest, ExecuteBestRunsOnChosenSystem) {
   // The estimate is in the same ballpark as the observed execution.
   EXPECT_NEAR(best.operator_seconds, elapsed,
               0.6 * std::max(elapsed, best.operator_seconds));
+}
+
+TEST_F(IntelliSphereTest, ExecuteBestRunsEveryOperatorOfTheChosenTree) {
+  // Joining an 80 GB hive table with another hive table and aggregating
+  // the result: shipping either input to Teradata is prohibitive, so the
+  // whole chosen tree runs on hive, one remote query per operator.
+  auto huge = rel::SyntheticTableDef(80000000, 1000).value();
+  huge.location = "hive";
+  ASSERT_TRUE(sphere_.RegisterTable(huge).ok());
+  auto other = rel::SyntheticTableDef(2000000, 100).value();
+  other.location = "hive";
+  ASSERT_TRUE(sphere_.RegisterTable(other).ok());
+  QuerySpec spec;
+  spec.relations = {{"T80000000_1000", 1.0, kFullRowWidth},
+                    {"T2000000_100", 1.0, kFullRowWidth}};
+  spec.joins = {{0, 1, "a1", 1.0}};
+  spec.aggregate = QuerySpec::Aggregate{0, "a100", 1};
+  auto plan = sphere_.PlanQuery(spec).value();
+  const QueryPlanNode* agg = plan.root().value();
+  ASSERT_EQ(agg->kind, QueryPlanNode::Kind::kAggregate);
+  ASSERT_EQ(agg->system, "hive");
+  const QueryPlanNode& join = plan.nodes[static_cast<size_t>(agg->children[0])];
+  ASSERT_EQ(join.kind, QueryPlanNode::Kind::kJoin);
+  ASSERT_EQ(join.system, "hive");
+
+  const int64_t before = hive_->queries_executed();
+  const double elapsed = sphere_.ExecuteBest(plan).value();
+  EXPECT_EQ(hive_->queries_executed(), before + 2);
+  ASSERT_EQ(recorder_->observed().size(), 2u);
+  EXPECT_EQ(elapsed, recorder_->observed()[0] + recorder_->observed()[1]);
+}
+
+TEST_F(IntelliSphereTest, ExecuteBestOnTeradataRunsNoRemoteQuery) {
+  auto a = rel::SyntheticTableDef(20000, 40).value();
+  a.location = kTeradataSystemName;
+  a.name = "local_a";
+  auto b = rel::SyntheticTableDef(10000, 40).value();
+  b.location = kTeradataSystemName;
+  b.name = "local_b";
+  ASSERT_TRUE(sphere_.RegisterTable(a).ok());
+  ASSERT_TRUE(sphere_.RegisterTable(b).ok());
+  QuerySpec spec = JoinSpec("local_a", "local_b", 1.0);
+  spec.aggregate = QuerySpec::Aggregate{0, "a10", 1};
+  auto plan = sphere_.PlanQuery(spec).value();
+  const QueryPlanNode* agg = plan.root().value();
+  ASSERT_EQ(agg->system, kTeradataSystemName);
+  const QueryPlanNode& join = plan.nodes[static_cast<size_t>(agg->children[0])];
+  ASSERT_EQ(join.system, kTeradataSystemName);
+
+  const int64_t before = hive_->queries_executed();
+  const double elapsed = sphere_.ExecuteBest(plan).value();
+  EXPECT_EQ(hive_->queries_executed(), before);
+  EXPECT_TRUE(recorder_->observed().empty());
+  // Master-engine operators contribute their analytic estimates.
+  const eng::LocalCostModel& local = sphere_.local_model();
+  EXPECT_EQ(elapsed, local.EstimateSeconds(join.op).value() +
+                         local.EstimateSeconds(agg->op).value());
+}
+
+TEST_F(IntelliSphereTest, ExecuteBestOnEmptyPlanIsFailedPrecondition) {
+  const int64_t before = hive_->queries_executed();
+  auto elapsed = sphere_.ExecuteBest(QueryPlan{});
+  ASSERT_FALSE(elapsed.ok());
+  EXPECT_EQ(elapsed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(hive_->queries_executed(), before);
 }
 
 TEST_F(IntelliSphereTest, RejectsDuplicateAndReservedRegistrations) {
@@ -239,11 +376,11 @@ TEST(IntelliSphereMultiSystemTest, JoinAcrossTwoRemotes) {
   s.location = "spark";
   ASSERT_TRUE(sphere.RegisterTable(s).ok());
 
-  auto plan = sphere.PlanJoin("T8000000_250", "T2000000_100", 32, 32, 0.5)
-                  .value();
-  EXPECT_EQ(plan.options.size(), 3u);
+  auto plan =
+      sphere.PlanQuery(JoinSpec("T8000000_250", "T2000000_100", 0.5)).value();
+  EXPECT_EQ(plan.candidates.size(), 3u);
   std::set<std::string> hosts;
-  for (const auto& o : plan.options) hosts.insert(o.system);
+  for (const auto& c : plan.candidates) hosts.insert(RootOf(plan, c).system);
   EXPECT_TRUE(hosts.count("hive"));
   EXPECT_TRUE(hosts.count("spark"));
   EXPECT_TRUE(hosts.count(kTeradataSystemName));
@@ -256,26 +393,22 @@ TEST_F(IntelliSphereTest, ClockOnlyPlannerContextsRecordGlobalCounters) {
   Counter* costed =
       MetricsRegistry::Global().GetCounter("plan.candidates_costed");
   const int64_t before = costed->value();
-  auto join = sphere_.PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0,
-                               core::EstimateContext::AtTime(0.0));
-  auto agg = sphere_.PlanAgg("T8000000_250", "a100", 1,
-                             core::EstimateContext::AtTime(0.0));
-  auto scan = sphere_.PlanScan("T8000000_250", 0.5, 32,
-                               core::EstimateContext::AtTime(0.0));
-  auto pipeline = sphere_.PlanJoinThenAgg("T8000000_250", "T100000_100", 32,
-                                          32, 1.0, "a100", 1,
-                                          core::EstimateContext::AtTime(0.0));
-  ASSERT_TRUE(join.ok());
-  ASSERT_TRUE(agg.ok());
-  ASSERT_TRUE(scan.ok());
-  ASSERT_TRUE(pipeline.ok());
-  const int64_t expected =
-      static_cast<int64_t>(join.value().options.size() +
-                           agg.value().options.size() +
-                           scan.value().options.size());
-  // The pipeline planner counts its own candidates too; require at least
-  // the three single-operator plans' worth plus one pipeline candidate.
-  EXPECT_GE(costed->value() - before, expected + 1);
+  const core::EstimateContext ctx = core::EstimateContext::AtTime(0.0);
+  QuerySpec scan;
+  scan.relations = {{"T8000000_250", 0.5, 32}};
+  QuerySpec join_agg = JoinSpec("T8000000_250", "T100000_100", 1.0);
+  join_agg.aggregate = QuerySpec::Aggregate{0, "a100", 1};
+  join_agg.result_to_master = true;
+  int64_t expected = 0;
+  for (const QuerySpec& spec :
+       {JoinSpec("T8000000_250", "T100000_100", 1.0),
+        AggSpec("T8000000_250", "a100", 1), scan, join_agg}) {
+    auto plan = sphere_.PlanQuery(spec, ctx);
+    ASSERT_TRUE(plan.ok());
+    expected += plan.value().candidates_costed;
+  }
+  // The search bumps the counter by exactly each plan's own tally.
+  EXPECT_EQ(costed->value() - before, expected);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
-// Tests for multi-operator pipeline planning: join followed by aggregation
-// where the intermediate result may stay on the system that produced it.
+// Tests for multi-operator pipeline planning through PlanQuery: a join
+// followed by an aggregation, where the intermediate result may stay on the
+// system that produced it and the final answer returns to Teradata.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 #include "core/sub_op.h"
 #include "federation/intellisphere.h"
@@ -34,6 +38,35 @@ core::CostingProfile ProfileFor(remote::SimulatedEngineBase* engine) {
       core::SubOpCostEstimator::ForHive(std::move(run.catalog)).value());
 }
 
+/// Join `left` and `right` on a1, then GROUP BY `group_column` (a column of
+/// the left table) computing `num_aggregates` SUMs; the final answer
+/// returns to Teradata.
+QuerySpec JoinThenAggSpec(const std::string& left, const std::string& right,
+                          int64_t left_projected_bytes,
+                          int64_t right_projected_bytes,
+                          double extra_selectivity,
+                          const std::string& group_column,
+                          int num_aggregates) {
+  QuerySpec spec;
+  spec.relations = {{left, 1.0, left_projected_bytes},
+                    {right, 1.0, right_projected_bytes}};
+  spec.joins = {{0, 1, "a1", extra_selectivity}};
+  spec.aggregate = QuerySpec::Aggregate{0, group_column, num_aggregates};
+  spec.result_to_master = true;
+  return spec;
+}
+
+/// A candidate's two stages: the aggregation root and the join under it.
+struct Stages {
+  const QueryPlanNode& join;
+  const QueryPlanNode& agg;
+};
+
+Stages StagesOf(const QueryPlan& plan, const QueryPlanCandidate& candidate) {
+  const QueryPlanNode& agg = plan.nodes[static_cast<size_t>(candidate.root)];
+  return {plan.nodes[static_cast<size_t>(agg.children.front())], agg};
+}
+
 class PipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -64,45 +97,47 @@ class PipelineTest : public ::testing::Test {
 
 TEST_F(PipelineTest, EnumeratesJoinAggPlacements) {
   auto plan = sphere_
-                  .PlanJoinThenAgg("T8000000_250", "T2000000_100", 32, 32,
-                                   0.5, "a10", 2)
+                  .PlanQuery(JoinThenAggSpec("T8000000_250", "T2000000_100",
+                                             32, 32, 0.5, "a10", 2))
                   .value();
   // Join hosts: hive, spark, teradata; agg hosts: join host or teradata.
   // (join on teradata collapses the pair, so 5 distinct placements.)
-  EXPECT_EQ(plan.options.size(), 5u);
+  EXPECT_EQ(plan.candidates.size(), 5u);
   // Sorted cheapest-first.
-  for (size_t i = 1; i < plan.options.size(); ++i) {
-    EXPECT_LE(plan.options[i - 1].total_seconds(),
-              plan.options[i].total_seconds());
+  for (size_t i = 1; i < plan.candidates.size(); ++i) {
+    EXPECT_LE(plan.candidates[i - 1].total_seconds,
+              plan.candidates[i].total_seconds);
   }
   // Operator descriptors are consistent.
-  EXPECT_EQ(plan.join_op.type, rel::OperatorType::kJoin);
-  EXPECT_EQ(plan.agg_op.type, rel::OperatorType::kAggregation);
-  EXPECT_EQ(plan.agg_op.agg.input.num_rows, plan.join_op.join.output_rows);
-  EXPECT_EQ(plan.agg_op.agg.input.row_bytes,
-            plan.join_op.join.OutputRowBytes());
+  const Stages best = StagesOf(plan, plan.candidates.front());
+  EXPECT_EQ(best.join.op.type, rel::OperatorType::kJoin);
+  EXPECT_EQ(best.agg.op.type, rel::OperatorType::kAggregation);
+  EXPECT_EQ(best.agg.op.agg.input.num_rows, best.join.op.join.output_rows);
+  EXPECT_EQ(best.agg.op.agg.input.row_bytes,
+            best.join.op.join.OutputRowBytes());
 }
 
 TEST_F(PipelineTest, TransferAccountingIsConsistent) {
   auto plan = sphere_
-                  .PlanJoinThenAgg("T8000000_250", "T2000000_100", 32, 32,
-                                   0.5, "a10", 2)
+                  .PlanQuery(JoinThenAggSpec("T8000000_250", "T2000000_100",
+                                             32, 32, 0.5, "a10", 2))
                   .value();
-  for (const auto& p : plan.options) {
+  for (const auto& c : plan.candidates) {
+    const Stages p = StagesOf(plan, c);
     // Keeping the aggregation with the join avoids intermediate transfer.
-    if (p.agg_system == p.join_system) {
-      EXPECT_DOUBLE_EQ(p.interm_transfer_seconds, 0.0);
+    if (p.agg.system == p.join.system) {
+      EXPECT_DOUBLE_EQ(p.agg.transfer_seconds, 0.0);
     } else {
-      EXPECT_GT(p.interm_transfer_seconds, 0.0);
+      EXPECT_GT(p.agg.transfer_seconds, 0.0);
     }
     // A remote final answer must come back to Teradata.
-    if (p.agg_system == kTeradataSystemName) {
-      EXPECT_DOUBLE_EQ(p.result_transfer_seconds, 0.0);
+    if (p.agg.system == kTeradataSystemName) {
+      EXPECT_DOUBLE_EQ(c.result_transfer_seconds, 0.0);
     } else {
-      EXPECT_GT(p.result_transfer_seconds, 0.0);
+      EXPECT_GT(c.result_transfer_seconds, 0.0);
     }
-    EXPECT_GT(p.join_seconds, 0.0);
-    EXPECT_GT(p.agg_seconds, 0.0);
+    EXPECT_GT(p.join.operator_seconds, 0.0);
+    EXPECT_GT(p.agg.operator_seconds, 0.0);
   }
 }
 
@@ -115,28 +150,29 @@ TEST_F(PipelineTest, ShrinkingAggregationStaysRemote) {
   big.location = "hive";
   ASSERT_TRUE(sphere_.RegisterTable(big).ok());
   auto plan = sphere_
-                  .PlanJoinThenAgg("T80000000_1000", "T2000000_100", 1000,
-                                   100, 1.0, "a100", 1)
+                  .PlanQuery(JoinThenAggSpec("T80000000_1000", "T2000000_100",
+                                             1000, 100, 1.0, "a100", 1))
                   .value();
-  const auto best = plan.best().value();
-  EXPECT_EQ(best.join_system, "hive");
-  EXPECT_EQ(best.agg_system, best.join_system);
+  const Stages best = StagesOf(plan, plan.best().value());
+  EXPECT_EQ(best.join.system, "hive");
+  EXPECT_EQ(best.agg.system, best.join.system);
 }
 
 TEST_F(PipelineTest, GroupCardinalityCappedByJoinOutput) {
   // At selectivity 0.01 the join result (20k rows) has fewer rows than
   // a10's distinct count (800k): the estimate must cap.
   auto plan = sphere_
-                  .PlanJoinThenAgg("T8000000_250", "T2000000_100", 32, 32,
-                                   0.01, "a10", 1)
+                  .PlanQuery(JoinThenAggSpec("T8000000_250", "T2000000_100",
+                                             32, 32, 0.01, "a10", 1))
                   .value();
-  EXPECT_LE(plan.agg_op.agg.output_rows, plan.join_op.join.output_rows);
+  const Stages best = StagesOf(plan, plan.candidates.front());
+  EXPECT_LE(best.agg.op.agg.output_rows, best.join.op.join.output_rows);
 }
 
 TEST_F(PipelineTest, ErrorsOnUnknownTables) {
   EXPECT_FALSE(sphere_
-                   .PlanJoinThenAgg("nope", "T2000000_100", 32, 32, 0.5,
-                                    "a10", 2)
+                   .PlanQuery(JoinThenAggSpec("nope", "T2000000_100", 32, 32,
+                                              0.5, "a10", 2))
                    .ok());
 }
 

@@ -1,8 +1,8 @@
 // Tests for the cross-engine DP plan search (DESIGN.md §15): selectivity
 // estimation (histogram vs. min/max fallback), QuerySpec validation, the
-// DP enumerator against an exhaustive oracle on small specs, wrapper
-// bit-parity with the pre-redesign single-operator planners, and the
-// planner knobs.
+// DP enumerator against an exhaustive oracle on small specs, PlanQuery's
+// bit-parity with replicas of the pre-redesign single-operator planners,
+// and the planner knobs.
 
 #include <gtest/gtest.h>
 
@@ -1247,10 +1247,30 @@ TEST_F(PlanQueryTest, CostOnlyMatchesProvenanceThroughTheServingCache) {
   EXPECT_GT(service.cache_stats().hits, 0);
 }
 
-// --- Wrapper bit-parity with the pre-redesign planners ----------------------
+// --- Legacy parity: PlanQuery against the pre-redesign planners -----------
 //
-// Hand-rolled replicas of the legacy planner loops (the exact code the thin
-// wrappers replaced), compared field for field against the wrappers.
+// Hand-rolled replicas of the single-operator planner loops PlanQuery
+// replaced, compared field for field against PlanQuery on the equivalent
+// spec under a provenance context: the candidate roots are the replicas'
+// options and the eliminated `pruned` records their eliminated hosts.
+
+/// One placement as the legacy planners reported it.
+struct LegacyOption {
+  std::string system;
+  double transfer_seconds = 0.0;
+  double operator_seconds = 0.0;
+  std::string approach;
+  std::string algorithm;
+  double total_seconds() const { return transfer_seconds + operator_seconds; }
+};
+
+/// A legacy planner's answer: the costed operator, every option cheapest
+/// first, and the (host, reason) of every host that could not run it.
+struct LegacyPlan {
+  rel::SqlOperator op;
+  std::vector<LegacyOption> options;
+  std::vector<std::pair<std::string, std::string>> eliminated;
+};
 
 Result<core::HybridEstimate> LegacyHostEstimate(const IntelliSphere& sphere,
                                                 const std::string& host,
@@ -1267,12 +1287,41 @@ Result<core::HybridEstimate> LegacyHostEstimate(const IntelliSphere& sphere,
   return sphere.cost_estimator().Estimate(host, op, pctx);
 }
 
-Result<PlacementPlan> LegacyPlanJoin(IntelliSphere& sphere,
-                                     const std::string& left_table,
-                                     const std::string& right_table,
-                                     int64_t left_projected_bytes,
-                                     int64_t right_projected_bytes,
-                                     double extra_selectivity) {
+/// Costs the plan's operator on `host` the way the legacy planners did: an
+/// option when the host can run it, an elimination with the estimator's
+/// message otherwise.
+void AddLegacyOption(const IntelliSphere& sphere, const std::string& host,
+                     double transfer_seconds, LegacyPlan* plan) {
+  auto est = LegacyHostEstimate(sphere, host, plan->op);
+  if (!est.ok()) {
+    plan->eliminated.emplace_back(host, est.status().message());
+    return;
+  }
+  LegacyOption option;
+  option.system = host;
+  option.transfer_seconds = transfer_seconds;
+  option.operator_seconds = est.value().seconds;
+  option.approach = host == kTeradataSystemName
+                        ? "local"
+                        : core::CostingApproachName(est.value().approach_used);
+  option.algorithm = est.value().algorithm;
+  plan->options.push_back(std::move(option));
+}
+
+void SortCheapestFirst(LegacyPlan* plan) {
+  std::sort(plan->options.begin(), plan->options.end(),
+            [](const LegacyOption& a, const LegacyOption& b) {
+              return a.total_seconds() < b.total_seconds();
+            });
+}
+
+/// The legacy join planner's loop.
+LegacyPlan LegacyJoinReplica(IntelliSphere& sphere,
+                             const std::string& left_table,
+                             const std::string& right_table,
+                             int64_t left_projected_bytes,
+                             int64_t right_projected_bytes,
+                             double extra_selectivity) {
   rel::TableDef l = sphere.GetTable(left_table).value();
   rel::TableDef r = sphere.GetTable(right_table).value();
   if (l.stats.num_rows < r.stats.num_rows) {
@@ -1287,83 +1336,78 @@ Result<PlacementPlan> LegacyPlanJoin(IntelliSphere& sphere,
   q.left_projected_bytes = left_projected_bytes;
   q.right_projected_bytes = right_projected_bytes;
   q.output_rows = out_rows;
-  rel::SqlOperator op = rel::SqlOperator::MakeJoin(q);
 
   const std::set<std::string> hosts = {std::string(kTeradataSystemName),
                                        l.location, r.location};
-  PlacementPlan plan;
-  plan.op = op;
+  LegacyPlan plan;
+  plan.op = rel::SqlOperator::MakeJoin(q);
   for (const std::string& host : hosts) {
-    PlacementOption option;
-    option.system = host;
+    double transfer_seconds = 0.0;
     if (l.location != host) {
-      option.transfer_seconds += sphere.query_grid()
-                                     .RelaySeconds(l.location, host,
-                                                   l.stats.num_rows,
-                                                   l.stats.row_bytes)
-                                     .value();
+      transfer_seconds += sphere.query_grid()
+                              .RelaySeconds(l.location, host,
+                                            l.stats.num_rows,
+                                            l.stats.row_bytes)
+                              .value();
     }
     if (r.location != host) {
-      option.transfer_seconds += sphere.query_grid()
-                                     .RelaySeconds(r.location, host,
-                                                   r.stats.num_rows,
-                                                   r.stats.row_bytes)
-                                     .value();
+      transfer_seconds += sphere.query_grid()
+                              .RelaySeconds(r.location, host,
+                                            r.stats.num_rows,
+                                            r.stats.row_bytes)
+                              .value();
     }
-    auto est = LegacyHostEstimate(sphere, host, op);
-    if (!est.ok()) {
-      plan.eliminated.push_back({host, est.status().message()});
-      continue;
-    }
-    option.operator_seconds = est.value().seconds;
-    option.approach = host == kTeradataSystemName
-                          ? "local"
-                          : core::CostingApproachName(
-                                est.value().approach_used);
-    option.algorithm = est.value().algorithm;
-    plan.options.push_back(std::move(option));
+    AddLegacyOption(sphere, host, transfer_seconds, &plan);
   }
-  std::sort(plan.options.begin(), plan.options.end(),
-            [](const PlacementOption& a, const PlacementOption& b) {
-              return a.total_seconds() < b.total_seconds();
-            });
+  SortCheapestFirst(&plan);
   return plan;
 }
 
+/// PlanQuery's answer must equal the replica's, bit for bit.
+void ExpectMatchesLegacy(const QueryPlan& plan, const LegacyPlan& legacy) {
+  ASSERT_EQ(plan.candidates.size(), legacy.options.size());
+  for (size_t i = 0; i < legacy.options.size(); ++i) {
+    const QueryPlanNode& got =
+        plan.nodes[static_cast<size_t>(plan.candidates[i].root)];
+    const LegacyOption& want = legacy.options[i];
+    EXPECT_EQ(got.system, want.system);
+    EXPECT_EQ(got.transfer_seconds, want.transfer_seconds);
+    EXPECT_EQ(got.operator_seconds, want.operator_seconds);
+    EXPECT_EQ(got.approach, want.approach);
+    EXPECT_EQ(got.algorithm, want.algorithm);
+  }
+  std::vector<std::pair<std::string, std::string>> eliminated;
+  for (const PrunedSubplan& p : plan.pruned) {
+    if (p.kind == PrunedSubplan::Kind::kEliminated) {
+      eliminated.emplace_back(p.system, p.reason);
+    }
+  }
+  EXPECT_EQ(eliminated, legacy.eliminated);
+}
+
+// The suite is named for the single-operator wrappers over PlanQuery that
+// these replicas used to check; its subject is now PlanQuery itself.
 class WrapperParityTest : public PlanQueryTest {};
 
 TEST_F(WrapperParityTest, PlanJoinMatchesLegacyReplicaBitForBit) {
   for (double extra : {1.0, 0.5}) {
-    auto legacy =
-        LegacyPlanJoin(sphere_, "T8000000_250", "T2000000_100", 32, 24, extra)
-            .value();
-    auto plan =
-        sphere_.PlanJoin("T8000000_250", "T2000000_100", 32, 24, extra)
-            .value();
-    ASSERT_EQ(plan.options.size(), legacy.options.size());
-    for (size_t i = 0; i < plan.options.size(); ++i) {
-      const PlacementOption& got = plan.options[i];
-      const PlacementOption& want = legacy.options[i];
-      EXPECT_EQ(got.system, want.system);
-      EXPECT_DOUBLE_EQ(got.transfer_seconds, want.transfer_seconds);
-      EXPECT_DOUBLE_EQ(got.operator_seconds, want.operator_seconds);
-      EXPECT_EQ(got.approach, want.approach);
-      EXPECT_EQ(got.algorithm, want.algorithm);
-    }
+    LegacyPlan legacy = LegacyJoinReplica(sphere_, "T8000000_250",
+                                          "T2000000_100", 32, 24, extra);
+    QuerySpec spec;
+    spec.relations = {{"T8000000_250", 1.0, 32}, {"T2000000_100", 1.0, 24}};
+    spec.joins = {{0, 1, "a1", extra}};
+    QueryPlan plan = sphere_.PlanQuery(spec, ProvenanceContext()).value();
+    ExpectMatchesLegacy(plan, legacy);
     // Same operator descriptor.
-    EXPECT_EQ(plan.op.type, rel::OperatorType::kJoin);
-    EXPECT_EQ(plan.op.join.left.num_rows, legacy.op.join.left.num_rows);
-    EXPECT_EQ(plan.op.join.right.num_rows, legacy.op.join.right.num_rows);
-    EXPECT_EQ(plan.op.join.output_rows, legacy.op.join.output_rows);
-    EXPECT_EQ(plan.op.join.left_projected_bytes,
+    const rel::SqlOperator& op = plan.root().value()->op;
+    EXPECT_EQ(op.type, rel::OperatorType::kJoin);
+    EXPECT_EQ(op.join.left.num_rows, legacy.op.join.left.num_rows);
+    EXPECT_EQ(op.join.right.num_rows, legacy.op.join.right.num_rows);
+    EXPECT_EQ(op.join.output_rows, legacy.op.join.output_rows);
+    EXPECT_EQ(op.join.left_projected_bytes,
               legacy.op.join.left_projected_bytes);
-    EXPECT_EQ(plan.op.join.right_projected_bytes,
+    EXPECT_EQ(op.join.right_projected_bytes,
               legacy.op.join.right_projected_bytes);
-    ASSERT_EQ(plan.eliminated.size(), legacy.eliminated.size());
-    for (size_t i = 0; i < plan.eliminated.size(); ++i) {
-      EXPECT_EQ(plan.eliminated[i].system, legacy.eliminated[i].system);
-      EXPECT_EQ(plan.eliminated[i].reason, legacy.eliminated[i].reason);
-    }
   }
 }
 
@@ -1375,43 +1419,32 @@ TEST_F(WrapperParityTest, PlanAggMatchesLegacyReplicaBitForBit) {
   q.output_rows = groups;
   q.output_row_bytes = 4 + 8 * 3;
   q.num_aggregates = 3;
-  rel::SqlOperator op = rel::SqlOperator::MakeAgg(q);
+  LegacyPlan legacy;
+  legacy.op = rel::SqlOperator::MakeAgg(q);
 
-  auto plan = sphere_.PlanAgg("T8000000_250", "a100", 3).value();
-  EXPECT_EQ(plan.op.agg.input.num_rows, op.agg.input.num_rows);
-  EXPECT_EQ(plan.op.agg.output_rows, op.agg.output_rows);
-  EXPECT_EQ(plan.op.agg.output_row_bytes, op.agg.output_row_bytes);
+  QuerySpec spec;
+  spec.relations = {{"T8000000_250", 1.0, kFullRowWidth}};
+  spec.aggregate = QuerySpec::Aggregate{0, "a100", 3};
+  QueryPlan plan = sphere_.PlanQuery(spec, ProvenanceContext()).value();
+  const rel::SqlOperator& op = plan.root().value()->op;
+  EXPECT_EQ(op.agg.input.num_rows, legacy.op.agg.input.num_rows);
+  EXPECT_EQ(op.agg.output_rows, legacy.op.agg.output_rows);
+  EXPECT_EQ(op.agg.output_row_bytes, legacy.op.agg.output_row_bytes);
 
   const std::set<std::string> hosts = {std::string(kTeradataSystemName),
                                        t.location};
-  std::vector<PlacementOption> legacy;
   for (const std::string& host : hosts) {
-    PlacementOption option;
-    option.system = host;
+    double transfer_seconds = 0.0;
     if (t.location != host) {
-      option.transfer_seconds = sphere_.query_grid()
-                                    .RelaySeconds(t.location, host,
-                                                  t.stats.num_rows,
-                                                  t.stats.row_bytes)
-                                    .value();
+      transfer_seconds = sphere_.query_grid()
+                             .RelaySeconds(t.location, host, t.stats.num_rows,
+                                           t.stats.row_bytes)
+                             .value();
     }
-    auto est = LegacyHostEstimate(sphere_, host, op);
-    if (!est.ok()) continue;
-    option.operator_seconds = est.value().seconds;
-    legacy.push_back(std::move(option));
+    AddLegacyOption(sphere_, host, transfer_seconds, &legacy);
   }
-  std::sort(legacy.begin(), legacy.end(),
-            [](const PlacementOption& a, const PlacementOption& b) {
-              return a.total_seconds() < b.total_seconds();
-            });
-  ASSERT_EQ(plan.options.size(), legacy.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(plan.options[i].system, legacy[i].system);
-    EXPECT_DOUBLE_EQ(plan.options[i].transfer_seconds,
-                     legacy[i].transfer_seconds);
-    EXPECT_DOUBLE_EQ(plan.options[i].operator_seconds,
-                     legacy[i].operator_seconds);
-  }
+  SortCheapestFirst(&legacy);
+  ExpectMatchesLegacy(plan, legacy);
 }
 
 TEST_F(WrapperParityTest, PlanScanMatchesLegacyReplicaBitForBit) {
@@ -1425,69 +1458,31 @@ TEST_F(WrapperParityTest, PlanScanMatchesLegacyReplicaBitForBit) {
   q.selectivity = selectivity;
   q.projected_bytes = projected;
   q.output_rows = out_rows;
-  rel::SqlOperator op = rel::SqlOperator::MakeScan(q);
+  LegacyPlan legacy;
+  legacy.op = rel::SqlOperator::MakeScan(q);
 
-  auto plan = sphere_.PlanScan("T2000000_100", selectivity, projected).value();
-  EXPECT_EQ(plan.op.scan.output_rows, op.scan.output_rows);
-  EXPECT_DOUBLE_EQ(plan.op.scan.selectivity, op.scan.selectivity);
+  QuerySpec spec;
+  spec.relations = {{"T2000000_100", selectivity, projected}};
+  QueryPlan plan = sphere_.PlanQuery(spec, ProvenanceContext()).value();
+  const rel::SqlOperator& op = plan.root().value()->op;
+  EXPECT_EQ(op.scan.output_rows, legacy.op.scan.output_rows);
+  EXPECT_DOUBLE_EQ(op.scan.selectivity, legacy.op.scan.selectivity);
 
   const std::set<std::string> hosts = {std::string(kTeradataSystemName),
                                        t.location};
-  std::vector<PlacementOption> legacy;
   for (const std::string& host : hosts) {
-    PlacementOption option;
-    option.system = host;
+    double transfer_seconds = 0.0;
     if (t.location != host) {
       // Pushdown: only survivors travel, already projected.
-      option.transfer_seconds = sphere_.query_grid()
-                                    .RelaySeconds(t.location, host, out_rows,
-                                                  projected)
-                                    .value();
+      transfer_seconds = sphere_.query_grid()
+                             .RelaySeconds(t.location, host, out_rows,
+                                           projected)
+                             .value();
     }
-    auto est = LegacyHostEstimate(sphere_, host, op);
-    if (!est.ok()) continue;
-    option.operator_seconds = est.value().seconds;
-    legacy.push_back(std::move(option));
+    AddLegacyOption(sphere_, host, transfer_seconds, &legacy);
   }
-  std::sort(legacy.begin(), legacy.end(),
-            [](const PlacementOption& a, const PlacementOption& b) {
-              return a.total_seconds() < b.total_seconds();
-            });
-  ASSERT_EQ(plan.options.size(), legacy.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(plan.options[i].system, legacy[i].system);
-    EXPECT_DOUBLE_EQ(plan.options[i].transfer_seconds,
-                     legacy[i].transfer_seconds);
-    EXPECT_DOUBLE_EQ(plan.options[i].operator_seconds,
-                     legacy[i].operator_seconds);
-  }
-}
-
-TEST_F(WrapperParityTest, PipelineWrapperAgreesWithPlanQuery) {
-  auto pipeline = sphere_
-                      .PlanJoinThenAgg("T8000000_250", "T2000000_100", 32, 24,
-                                       0.5, "a10", 2)
-                      .value();
-  // The equivalent declarative spec: the join pair plus a trailing
-  // aggregation whose group column resolves against the larger table, with
-  // the final answer relayed to the master.
-  QuerySpec spec;
-  spec.relations = {{"T8000000_250", 1.0, 32}, {"T2000000_100", 1.0, 24}};
-  spec.joins = {{0, 1, "a1", 0.5}};
-  spec.aggregate = QuerySpec::Aggregate{0, "a10", 2};
-  spec.result_to_master = true;
-  QueryPlan plan = sphere_.PlanQuery(spec).value();
-  ASSERT_EQ(plan.candidates.size(), pipeline.options.size());
-  for (size_t i = 0; i < plan.candidates.size(); ++i) {
-    EXPECT_DOUBLE_EQ(plan.candidates[i].total_seconds,
-                     pipeline.options[i].total_seconds());
-    const QueryPlanNode& agg_node =
-        plan.nodes[static_cast<size_t>(plan.candidates[i].root)];
-    EXPECT_EQ(agg_node.system, pipeline.options[i].agg_system);
-    const QueryPlanNode& join_node =
-        plan.nodes[static_cast<size_t>(agg_node.children.front())];
-    EXPECT_EQ(join_node.system, pipeline.options[i].join_system);
-  }
+  SortCheapestFirst(&legacy);
+  ExpectMatchesLegacy(plan, legacy);
 }
 
 }  // namespace

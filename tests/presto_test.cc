@@ -117,14 +117,17 @@ TEST(PrestoFederationTest, PlannerRoutesAroundMemoryLimits) {
   other.location = fed::kTeradataSystemName;
   ASSERT_TRUE(sphere.RegisterTable(other).ok());
 
-  auto plan =
-      sphere.PlanJoin("T80000000_1000", "T80000000_500", 32, 32, 0.5).value();
+  fed::QuerySpec spec;
+  spec.relations = {{"T80000000_1000", 1.0, 32}, {"T80000000_500", 1.0, 32}};
+  spec.joins = {{0, 1, "a1", 0.5}};
+  auto plan = sphere.PlanQuery(spec).value();
   // Presto cannot execute the oversized join (ExecuteBest would fail), but
   // Teradata can, so a plan exists either way.
-  ASSERT_FALSE(plan.options.empty());
+  ASSERT_FALSE(plan.candidates.empty());
   bool teradata_offered = false;
-  for (const auto& o : plan.options) {
-    teradata_offered |= o.system == fed::kTeradataSystemName;
+  for (const auto& c : plan.candidates) {
+    teradata_offered |= plan.nodes[static_cast<size_t>(c.root)].system ==
+                        fed::kTeradataSystemName;
   }
   EXPECT_TRUE(teradata_offered);
 }

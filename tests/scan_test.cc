@@ -196,14 +196,18 @@ TEST(ScanPlanningTest, PushdownMakesTeradataCompetitive) {
 
   // A highly selective scan: QueryGrid pushdown ships only the survivors,
   // so either placement is cheap; the remote one avoids the transfer.
-  auto plan = sphere.PlanScan("T8000000_250", 0.01, 32).value();
-  ASSERT_EQ(plan.options.size(), 2u);
-  EXPECT_EQ(plan.op.type, rel::OperatorType::kScan);
-  EXPECT_EQ(plan.op.scan.output_rows, 80000);
-  for (const auto& o : plan.options) {
-    if (o.system == fed::kTeradataSystemName) {
+  fed::QuerySpec spec;
+  spec.relations = {{"T8000000_250", 0.01, 32}};
+  auto plan = sphere.PlanQuery(spec).value();
+  ASSERT_EQ(plan.candidates.size(), 2u);
+  const fed::QueryPlanNode* root = plan.root().value();
+  EXPECT_EQ(root->op.type, rel::OperatorType::kScan);
+  EXPECT_EQ(root->op.scan.output_rows, 80000);
+  for (const auto& c : plan.candidates) {
+    const fed::QueryPlanNode& node = plan.nodes[static_cast<size_t>(c.root)];
+    if (node.system == fed::kTeradataSystemName) {
       // Only 80k x 32 B travel: far below shipping the full 2 GB table.
-      EXPECT_LT(o.transfer_seconds, 5.0);
+      EXPECT_LT(node.transfer_seconds, 5.0);
     }
   }
   // Executing the best placement works end to end.

@@ -708,20 +708,32 @@ core::CostingProfile ProfileFor(remote::HiveEngine* hive) {
   return core::CostingProfile::SubOpOnly(MakeSubOpEstimator(hive));
 }
 
-void ExpectSamePlan(const fed::PlacementPlan& a, const fed::PlacementPlan& b) {
-  ASSERT_EQ(a.options.size(), b.options.size());
-  for (size_t i = 0; i < a.options.size(); ++i) {
-    EXPECT_EQ(a.options[i].system, b.options[i].system);
-    EXPECT_EQ(a.options[i].transfer_seconds, b.options[i].transfer_seconds);
-    EXPECT_EQ(a.options[i].operator_seconds, b.options[i].operator_seconds);
-    EXPECT_EQ(a.options[i].approach, b.options[i].approach);
-    EXPECT_EQ(a.options[i].algorithm, b.options[i].algorithm);
-    ASSERT_EQ(a.options[i].algorithm_candidates.size(),
-              b.options[i].algorithm_candidates.size());
-    ASSERT_EQ(a.options[i].eliminated_algorithms.size(),
-              b.options[i].eliminated_algorithms.size());
+void ExpectSamePlan(const fed::QueryPlan& a, const fed::QueryPlan& b) {
+  ASSERT_EQ(a.candidates.size(), b.candidates.size());
+  for (size_t i = 0; i < a.candidates.size(); ++i) {
+    const fed::QueryPlanNode& x =
+        a.nodes[static_cast<size_t>(a.candidates[i].root)];
+    const fed::QueryPlanNode& y =
+        b.nodes[static_cast<size_t>(b.candidates[i].root)];
+    EXPECT_EQ(x.system, y.system);
+    EXPECT_EQ(x.transfer_seconds, y.transfer_seconds);
+    EXPECT_EQ(x.operator_seconds, y.operator_seconds);
+    EXPECT_EQ(x.approach, y.approach);
+    EXPECT_EQ(x.algorithm, y.algorithm);
+    ASSERT_EQ(x.algorithm_candidates.size(), y.algorithm_candidates.size());
+    ASSERT_EQ(x.eliminated_algorithms.size(), y.eliminated_algorithms.size());
   }
-  ASSERT_EQ(a.eliminated.size(), b.eliminated.size());
+  ASSERT_EQ(a.pruned.size(), b.pruned.size());
+}
+
+/// Joins the big hive table with the small Teradata one, with provenance.
+fed::QueryPlan PlanJoinWithProvenance(const fed::IntelliSphere& sphere) {
+  fed::QuerySpec spec;
+  spec.relations = {{"T8000000_250", 1.0, 32}, {"T100000_100", 1.0, 32}};
+  spec.joins = {{0, 1, "a1", 1.0}};
+  core::EstimateContext ctx;
+  ctx.detail = core::EstimateDetail::kProvenance;
+  return sphere.PlanQuery(spec, ctx).value();
 }
 
 TEST(ServingFederationTest, AttachedServiceKeepsPlansBitIdentical) {
@@ -739,18 +751,15 @@ TEST(ServingFederationTest, AttachedServiceKeepsPlansBitIdentical) {
   small.location = fed::kTeradataSystemName;
   ASSERT_TRUE(sphere.RegisterTable(small).ok());
 
-  auto uncached =
-      sphere.PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0).value();
+  const fed::QueryPlan uncached = PlanJoinWithProvenance(sphere);
 
   serving::ServiceOptions opts;
   opts.jobs = 1;
   serving::EstimationService service(&sphere.cost_estimator(), opts);
   ASSERT_TRUE(sphere.AttachEstimationService(&service).ok());
 
-  auto cold = sphere.PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0)
-                  .value();
-  auto warm = sphere.PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0)
-                  .value();
+  const fed::QueryPlan cold = PlanJoinWithProvenance(sphere);
+  const fed::QueryPlan warm = PlanJoinWithProvenance(sphere);
   ExpectSamePlan(uncached, cold);
   ExpectSamePlan(uncached, warm);
   // The second planning round answered the remote estimate from the cache.
@@ -759,8 +768,7 @@ TEST(ServingFederationTest, AttachedServiceKeepsPlansBitIdentical) {
 
   // Detach restores the direct path.
   ASSERT_TRUE(sphere.AttachEstimationService(nullptr).ok());
-  auto detached =
-      sphere.PlanJoin("T8000000_250", "T100000_100", 32, 32, 1.0).value();
+  const fed::QueryPlan detached = PlanJoinWithProvenance(sphere);
   ExpectSamePlan(uncached, detached);
 }
 
