@@ -14,7 +14,9 @@
 // carries its floor in the "baseline" field, enforced (with warn-only
 // drift checks against bench/baselines/) by
 // scripts/check_bench_regression.py. A replaced global operator new counts
-// the allocations of the warm passes (plan_search.warm_allocs_per_plan).
+// the allocations of the cold pass, where every remote estimate misses and
+// is inserted (plan_search.cold_allocs_per_plan), and of the warm passes
+// (plan_search.warm_allocs_per_plan).
 
 #include <atomic>
 #include <chrono>
@@ -35,8 +37,8 @@
 
 namespace {
 
-// Allocation counter for the warm passes: every global operator new made
-// while counting is on bumps g_allocs.
+// Allocation counter for the cold and warm passes: every global operator
+// new (plain or over-aligned) made while counting is on bumps g_allocs.
 std::atomic<bool> g_count_allocs{false};
 std::atomic<int64_t> g_allocs{0};
 
@@ -54,8 +56,21 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop
 
 namespace intellisphere {
@@ -159,6 +174,9 @@ int main() {
 
   // Cold pass: every remote placement is a cache miss.
   std::vector<double> cold_totals;
+  cold_totals.reserve(specs.size());
+  g_allocs.store(0);
+  g_count_allocs.store(true);
   auto cold_start = std::chrono::steady_clock::now();
   for (const fed::QuerySpec& spec : specs) {
     fed::QueryPlan plan = bench::Unwrap(sphere.PlanQuery(spec), "cold plan");
@@ -166,6 +184,9 @@ int main() {
         bench::Unwrap(plan.best(), "cold best").total_seconds);
   }
   const double cold_seconds = SecondsSince(cold_start);
+  g_count_allocs.store(false);
+  const double cold_allocs_per_plan =
+      static_cast<double>(g_allocs.load()) / static_cast<double>(specs.size());
   const serving::CacheStats cold_stats = service.cache_stats();
 
   // Warm passes: the DP re-emits the same batches; the cache answers.
@@ -208,8 +229,9 @@ int main() {
           ? static_cast<double>(warm_hits) / (warm_hits + warm_misses)
           : 0.0;
 
-  std::printf("cold: %zu plans in %.4fs (%.1f plans/s)\n", specs.size(),
-              cold_seconds, cold_plans_per_s);
+  std::printf("cold: %zu plans in %.4fs (%.1f plans/s, %.1f allocs/plan)\n",
+              specs.size(), cold_seconds, cold_plans_per_s,
+              cold_allocs_per_plan);
   std::printf("warm: %d plans in %.4fs (%.1f plans/s)\n", warm_plans,
               warm_seconds, warm_plans_per_s);
   std::printf("warm cache: hits=%lld misses=%lld hit_fraction=%.4f\n",
@@ -244,6 +266,8 @@ int main() {
   metrics.push_back({"plan_search.dp_entries_per_plan",
                      static_cast<double>(dp_entries) / warm_plans,
                      "entries"});
+  metrics.push_back(
+      {"plan_search.cold_allocs_per_plan", cold_allocs_per_plan, "allocs"});
   metrics.push_back(
       {"plan_search.warm_allocs_per_plan", warm_allocs_per_plan, "allocs"});
   bench::Check(bench::WriteBenchJson("plan_search", kSeed, metrics),

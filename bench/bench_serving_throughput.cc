@@ -4,14 +4,15 @@
 // fast paths:
 //
 //  * Cold batches run the distinct-key misses through model-grouped
-//    batched GEMM inference (one fused forward pass per logical model)
-//    with lock-free cache misses — gated at >= 5x the throughput of
-//    uncached scalar single calls.
-//  * Warm batches answer from the seqlock fast-read path — gated at >= 5x
-//    uncached throughput, and the warm phase must record ZERO locked cache
-//    probes (CacheStats::locked_gets): steady-state hits take no shard
-//    mutex.
-//  * A multi-threaded warm-hit section checks the wait-free read path
+//    batched GEMM inference (one fused forward pass per logical model);
+//    their cache probes are tag misses in the set table, declared without
+//    a mutex — gated at >= 5x the throughput of uncached scalar single
+//    calls.
+//  * Warm batches answer from verified seqlock ways of the set table —
+//    gated at >= 5x uncached throughput, and the warm phase must record
+//    ZERO locked cache probes (CacheStats::locked_gets): steady-state hits
+//    take no shard mutex.
+//  * A multi-threaded warm-hit section checks the lock-free read path
 //    scales across cores (adaptive: on a single-core host it only asserts
 //    concurrency doesn't collapse throughput).
 //
@@ -333,7 +334,7 @@ void Run() {
     sweep_qps.push_back(ColdQpsAtBatchSize(estimator, requests, size));
   }
 
-  // Shared pre-warmed service for the wait-free sections: the concurrent
+  // Shared pre-warmed service for the lock-free sections: the concurrent
   // scaling measurement and the locked-probe counter gate.
   serving::EstimationService warmed(&estimator, BenchServiceOptions(1));
   {

@@ -61,8 +61,8 @@ echo "== [3/7] thread pool + parallel pipeline + observability + serving + resil
 # trace-sink and metrics-registry locking from pool workers, serving_test
 # hammers the sharded estimate cache and EstimationService from concurrent
 # workers — including the seqlock reader/writer hammer
-# (SeqlockReaderWriterHammer) that races the wait-free read path against
-# slot republishes and steals — resilience_test drives circuit
+# (SeqlockReaderWriterHammer) that races the lock-free read path against
+# writers evicting and rewriting the ways of one set — resilience_test drives circuit
 # breakers and degraded serving under concurrent faulty traffic, and
 # lifecycle_test races estimate serving against background retrains and
 # the epoch-bumped model swap (ConcurrentServeDuringRetrainHammer), and

@@ -52,7 +52,14 @@ Result<double> LinearRegression::Predict(const std::vector<double>& row) const {
 }
 
 Result<double> LinearRegression::Predict1D(double x) const {
-  return Predict({x});
+  // Predict's arithmetic without its one-element row vector: the sub-op
+  // formulas call this per sub-op cost, on the cache-miss path.
+  if (weights_.size() != 1) {
+    return Status::InvalidArgument("predict width mismatch");
+  }
+  double s = intercept_;
+  s += weights_[0] * x;
+  return s;
 }
 
 void LinearRegression::Save(const std::string& prefix,

@@ -82,15 +82,6 @@ Result<CacheOptions> CacheOptions::FromProperties(const Properties& props) {
     }
     opts.quantize_bits = static_cast<int>(bits);
   }
-  if (props.Contains(kCacheTouchSampleKey)) {
-    ISPHERE_ASSIGN_OR_RETURN(int64_t sample,
-                             props.GetInt(kCacheTouchSampleKey));
-    if (sample < 1) {
-      return Status::InvalidArgument(
-          "serving.cache.touch_sample must be >= 1");
-    }
-    opts.touch_sample = static_cast<int>(sample);
-  }
   return opts;
 }
 
@@ -169,36 +160,28 @@ EstimateCache::EstimateCache(CacheOptions options)
   options_.shards = std::max(1, options_.shards);
   options_.capacity = std::max<int64_t>(0, options_.capacity);
   options_.quantize_bits = std::clamp(options_.quantize_bits, 0, 52);
-  // Budget split evenly; a shard always holds at least one entry so a
-  // shards > capacity misconfiguration degrades instead of disabling.
-  per_shard_capacity_ =
-      options_.capacity == 0
-          ? 0
-          : std::max<int64_t>(1, options_.capacity / options_.shards);
-  options_.touch_sample = std::max(1, options_.touch_sample);
-  // Seqlock mirror sizing: a power of two near the shard's entry budget so
-  // the direct map rarely aliases, clamped so tiny caches still get a few
-  // slots and huge ones don't burn unbounded memory (192 B per slot).
-  slot_count_ = per_shard_capacity_ == 0
-                    ? 0
-                    : std::bit_ceil(static_cast<size_t>(
-                          std::clamp<int64_t>(per_shard_capacity_, 8, 1024)));
-  slot_mask_ = slot_count_ == 0 ? 0 : slot_count_ - 1;
+  // The budget is split as evenly as possible, and a shard always holds at
+  // least one entry so a shards > capacity misconfiguration degrades
+  // instead of disabling. A shard is budget / ways_ whole sets: the table
+  // never exceeds its budget and rounds away at most ways_ - 1 entries.
+  // Sets are allocated on first insert, so construction costs no table
+  // memory.
+  const int64_t base = options_.capacity / options_.shards;
+  const int64_t extra = options_.capacity % options_.shards;
+  ways_ = static_cast<int>(std::clamp<int64_t>(base, 1, kMaxWays));
   shards_.reserve(options_.shards);
   for (int i = 0; i < options_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    if (slot_count_ > 0) {
-      shard->slots = std::make_unique<FastSlot[]>(slot_count_);
-      shard->owners.assign(slot_count_, Shard::SlotOwner{});
-    }
-    shards_.push_back(std::move(shard));
+    const int64_t budget =
+        options_.capacity == 0 ? 0 : std::max<int64_t>(1, base + (i < extra));
+    shards_.push_back(
+        std::make_unique<Shard>(static_cast<size_t>(budget / ways_)));
   }
 }
 
 bool EstimateCache::Packable(const std::string& key,
                              const core::HybridEstimate& v) {
-  // Anything with variable-length provenance (sub-op candidate lists,
-  // degradation reasons) or an oversized key keeps locked-path semantics.
+  // Variable-length provenance (sub-op candidate lists, degradation
+  // reasons) and oversized keys go out of line.
   return key.size() <= kFastKeyCap && v.algorithm.size() <= kFastAlgoCap &&
          v.fell_back_reason.empty() && v.eliminated.empty() &&
          v.candidates.empty();
@@ -206,11 +189,15 @@ bool EstimateCache::Packable(const std::string& key,
 
 void EstimateCache::Pack(const std::string& key, uint64_t hash, uint64_t epoch,
                          double stored_now, const core::HybridEstimate& v,
-                         PackedEstimate* out) {
+                         bool out_of_line, PackedEstimate* out) {
   *out = PackedEstimate{};
   out->hash = hash;
   out->epoch = epoch;
   out->stored_now = stored_now;
+  if (out_of_line) {
+    out->flags = kOutOfLine;
+    return;
+  }
   out->seconds = v.seconds;
   out->remedy_alpha = v.remedy_alpha;
   out->nn_seconds = v.nn_seconds;
@@ -238,222 +225,223 @@ void EstimateCache::Unpack(const PackedEstimate& p, core::HybridEstimate* v) {
   v->eliminated_count = p.eliminated_count;
 }
 
-void EstimateCache::WriteSlot(Shard& shard, size_t si,
-                              const PackedEstimate* p) {
-  // Seqlock write protocol (serialized per shard by shard.mu): odd version
-  // while the payload words are in flux, even again once they are stable.
-  // The final release pairs with the reader's acquire fence.
-  FastSlot& slot = shard.slots[si];
-  slot.seq.fetch_add(1, std::memory_order_acq_rel);
-  uint64_t buf[kSlotWords] = {};
+void EstimateCache::WriteWay(Way& way, const PackedEstimate* p) {
+  // Seqlock write: odd version while the payload words are in flux, even
+  // again once they are stable. Each word is a release store, so a reader
+  // whose acquire load sees any new word also sees the odd version on its
+  // recheck; the final release pairs with the reader's first acquire.
+  way.seq.fetch_add(1, std::memory_order_acq_rel);
+  uint64_t buf[kWayWords] = {};
   if (p != nullptr) std::memcpy(buf, p, sizeof(*p));
-  for (size_t w = 0; w < kSlotWords; ++w) {
-    // lint:relaxed-ok(seqlock payload word; ordered by the seq release below)
-    slot.words[w].store(buf[w], std::memory_order_relaxed);
+  for (size_t w = 0; w < kWayWords; ++w) {
+    way.words[w].store(buf[w], std::memory_order_release);
   }
-  slot.seq.fetch_add(1, std::memory_order_release);
+  way.seq.fetch_add(1, std::memory_order_release);
 }
 
-void EstimateCache::PublishEntry(Shard& shard, Entry& e) {
-  if (slot_count_ == 0) return;
-  const size_t si = SlotIndex(e.hash);
-  Shard::SlotOwner& owner = shard.owners[si];
-  if (Packable(e.key, e.value)) {
-    if (owner.used && owner.hash != e.hash) {
-      // Steal the slot from its previous owner. Mark the victim unslotted
-      // BEFORE overwriting: a reader must never observe unslotted == 0
-      // while some index entry has no mirror, or it would declare a false
-      // lock-free miss for that entry.
-      auto prev = shard.index.find(owner.hash);
-      if (prev != shard.index.end() && prev->second->slotted) {
-        prev->second->slotted = false;
-        shard.unslotted.fetch_add(1, std::memory_order_acq_rel);
-      }
+bool EstimateCache::ReadWay(const Way& way, PackedEstimate* out) {
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const uint64_t s1 = way.seq.load(std::memory_order_acquire);
+    if ((s1 & 1) != 0) continue;  // writer mid-publish: retry once
+    uint64_t buf[kWayWords];
+    // Fence-free seqlock reader (Boehm, "Can seqlocks get along with
+    // programming language memory models?"): every payload word is an
+    // acquire load, so the version recheck below cannot be reordered
+    // before any of them. On x86 an acquire load is a plain mov, and
+    // unlike atomic_thread_fence(acquire) gcc supports it under tsan.
+    for (size_t w = 0; w < kWayWords; ++w) {
+      buf[w] = way.words[w].load(std::memory_order_acquire);
     }
-    PackedEstimate packed;
-    Pack(e.key, e.hash, e.epoch, e.stored_now, e.value, &packed);
-    WriteSlot(shard, si, &packed);
-    owner.used = true;
-    owner.hash = e.hash;
-    if (!e.slotted) {
-      e.slotted = true;
-      shard.unslotted.fetch_sub(1, std::memory_order_acq_rel);
+    // lint:relaxed-ok(version recheck; ordered by the acquire payload loads)
+    if (way.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
+    std::memcpy(out, buf, sizeof(*out));
+    return true;
+  }
+  return false;
+}
+
+EstimateCache::Route EstimateCache::RouteOf(uint64_t hash) const {
+  // The low half of the hash is the tag (forced nonzero: 0 marks an empty
+  // way). The high half picks the shard by a multiply-shift range
+  // reduction, and the set by the same reduction of the bits that multiply
+  // leaves below the shard.
+  const uint64_t pick = (hash >> 32) * shards_.size();
+  const size_t shard = static_cast<size_t>(pick >> 32);
+  const uint64_t rest = pick & 0xffffffffu;
+  const size_t set =
+      static_cast<size_t>((rest * shards_[shard]->set_count) >> 32);
+  return {shard, set, static_cast<uint32_t>(hash) | 1u};
+}
+
+EstimateCache::Probe EstimateCache::Scan(const Set& set, const Route& r,
+                                         uint64_t hash, const std::string& key,
+                                         int* way, PackedEstimate* out) const {
+  for (int w = *way; w < ways_; ++w) {
+    // The acquire pairs with the writer's release of the tag, which comes
+    // after the payload's stable version. A way rewritten since its tag
+    // was read fails the hash or key check below.
+    if (set.tags[w].load(std::memory_order_acquire) != r.tag) continue;
+    *way = w;
+    if (!ReadWay(set.ways[w], out)) return Probe::kTorn;
+    if (out->hash != hash) continue;
+    if ((out->flags & kOutOfLine) != 0) return Probe::kOutOfLine;
+    if (out->key_len == key.size() &&
+        std::memcmp(out->key, key.data(), key.size()) == 0) {
+      return Probe::kInline;
     }
-  } else if (e.slotted) {
-    // The entry was refreshed into an unpackable value: withdraw its
-    // mirror (count first, then wipe — same invariant as above).
-    e.slotted = false;
-    shard.unslotted.fetch_add(1, std::memory_order_acq_rel);
-    WriteSlot(shard, si, nullptr);
-    owner.used = false;
+  }
+  return Probe::kAbsent;
+}
+
+int EstimateCache::FindLocked(Shard& shard, const Set& set, const Route& r,
+                              uint64_t hash, const std::string& key,
+                              PackedEstimate* out) const {
+  // Writers are excluded, so no snapshot tears here.
+  for (int w = 0;; ++w) {
+    switch (Scan(set, r, hash, key, &w, out)) {
+      case Probe::kInline:
+        return w;
+      case Probe::kOutOfLine:
+        if (shard.side.at(SideIndex(r.set, w)).key == key) return w;
+        continue;
+      default:
+        return -1;
+    }
   }
 }
 
-void EstimateCache::RetireEntry(Shard& shard, Entry& e) {
-  if (slot_count_ == 0) return;
-  if (e.slotted) {
-    const size_t si = SlotIndex(e.hash);
-    WriteSlot(shard, si, nullptr);
-    shard.owners[si].used = false;
-    e.slotted = false;
-  } else {
-    shard.unslotted.fetch_sub(1, std::memory_order_acq_rel);
+int EstimateCache::FreeWay(Shard& shard, Set& set, size_t si,
+                           bool* evicted) const {
+  for (int w = 0; w < ways_; ++w) {
+    if (set.tags[w].load(std::memory_order_acquire) == 0) {
+      ++shard.live;
+      return w;
+    }
   }
+  // CLOCK (second chance): from the hand, clear reference bits up to the
+  // first unreferenced way. After one full sweep the way at the hand goes,
+  // even if a hit has set its bit again meanwhile.
+  uint8_t& hand = shard.hands[si];
+  for (int step = 0; step < ways_; ++step) {
+    // lint:relaxed-ok(CLOCK reference bit: a lost update only changes the victim)
+    if (set.referenced[hand].load(std::memory_order_relaxed) == 0) break;
+    // lint:relaxed-ok(CLOCK reference bit, see above)
+    set.referenced[hand].store(0, std::memory_order_relaxed);
+    hand = static_cast<uint8_t>((hand + 1) % ways_);
+  }
+  const int victim = hand;
+  hand = static_cast<uint8_t>((hand + 1) % ways_);
+  Retire(shard, set, si, victim);
+  *evicted = true;
+  return victim;
+}
+
+void EstimateCache::Retire(Shard& shard, Set& set, size_t si, int way) {
+  set.tags[way].store(0, std::memory_order_release);
+  if (!shard.side.empty()) shard.side.erase(SideIndex(si, way));
+}
+
+void EstimateCache::Reference(Set& set, int way) {
+  // Stored only when clear, so repeated hits leave the line shared.
+  // lint:relaxed-ok(CLOCK reference bit: a lost update only changes the victim)
+  if (set.referenced[way].load(std::memory_order_relaxed) == 0) {
+    // lint:relaxed-ok(CLOCK reference bit, see above)
+    set.referenced[way].store(1, std::memory_order_relaxed);
+  }
+}
+
+void EstimateCache::CountGet(bool hit, bool lockless,
+                             const CacheCounters& counters) {
+  // lint:relaxed-ok(stat counter; Stats reads are point-in-time by contract)
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  if (lockless) {
+    std::atomic<int64_t>& split = hit ? lockless_hits_ : lockless_misses_;
+    // lint:relaxed-ok(stat counter; no data is published through it)
+    split.fetch_add(1, std::memory_order_relaxed);
+  }
+  Counter* counter = hit ? counters.hits : counters.misses;
+  if (counter != nullptr) counter->Increment();
 }
 
 int EstimateCache::ShardOf(const std::string& key) const {
-  return static_cast<int>(HashKey(key) % shards_.size());
+  return static_cast<int>(RouteOf(HashKey(key)).shard);
 }
 
 std::optional<core::HybridEstimate> EstimateCache::Get(
     const std::string& key, uint64_t epoch, double now,
     const CacheCounters& counters, bool allow_stale, bool* served_stale) {
   if (served_stale != nullptr) *served_stale = false;
-  if (per_shard_capacity_ == 0) {
-    // Caching disabled: every lookup is a definitive miss, no shard touched.
-    // lint:relaxed-ok(stat counter; Stats reads are point-in-time by contract)
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    // lint:relaxed-ok(stat counter; no data is published through it)
-    lockless_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (counters.misses != nullptr) counters.misses->Increment();
-    return std::nullopt;
-  }
   const uint64_t hash = HashKey(key);
-  Shard& shard = *shards_[hash % shards_.size()];
+  const Route r = RouteOf(hash);
+  Shard& shard = *shards_[r.shard];
 
-  // ---- Optimistic lock-free probe (DESIGN.md §14) -------------------------
-  // Snapshot the direct-mapped seqlock slot for this hash. Outcomes:
-  //   * consistent snapshot holds this key, fresh epoch + TTL  -> hit, no lock
-  //   * consistent snapshot shows the key absent AND every index entry is
-  //     mirrored (unslotted == 0)                              -> miss, no lock
-  //   * anything else (writer active twice, stale epoch/TTL, unmirrored
-  //     entries exist)                                         -> locked probe
+  // ---- Lock-free probe (DESIGN.md §14) -----------------------------------
+  //   * no way carries the key's tag (or the set was never published, or
+  //     caching is disabled)                            -> miss, no lock
+  //   * an inline image verifies, fresh epoch and TTL   -> hit, no lock
+  //   * out-of-line value, stale epoch or TTL, torn     -> locked probe
   // A lock-free miss racing a concurrent Put linearizes the Get before the
-  // Put — exactly the probe/compute race the locked path already had.
-  if (slot_count_ > 0) {
-    FastSlot& slot = shard.slots[SlotIndex(hash)];
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-      if ((s1 & 1) != 0) continue;  // writer mid-publish: retry once
-      PackedEstimate packed;
-      bool mirrored = false;
-      if (s1 != 0) {
-        uint64_t buf[kSlotWords];
-        // Fence-free seqlock reader (Boehm, "Can seqlocks get along with
-        // programming language memory models?"): every payload word is an
-        // acquire load, so the version recheck below cannot be reordered
-        // before any of them. On x86 an acquire load is a plain mov, and
-        // unlike atomic_thread_fence(acquire) gcc supports it under tsan.
-        for (size_t w = 0; w < kSlotWords; ++w) {
-          buf[w] = slot.words[w].load(std::memory_order_acquire);
-        }
-        // lint:relaxed-ok(version recheck; ordered by the acquire payload loads)
-        if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
-        std::memcpy(&packed, buf, sizeof(packed));
-        mirrored = packed.key_len == key.size() && packed.hash == hash &&
-                   packed.key_len > 0 &&
-                   std::memcmp(packed.key, key.data(), packed.key_len) == 0;
-      }
-      if (!mirrored) {
-        if (shard.unslotted.load(std::memory_order_acquire) == 0) {
-          // Every live entry is mirrored and this key's slot says no:
-          // a definitive miss without taking the mutex.
-          // lint:relaxed-ok(stat counter; point-in-time by contract)
-          misses_.fetch_add(1, std::memory_order_relaxed);
-          // lint:relaxed-ok(stat counter; no data is published through it)
-          lockless_misses_.fetch_add(1, std::memory_order_relaxed);
-          if (counters.misses != nullptr) counters.misses->Increment();
-          return std::nullopt;
-        }
-        break;  // unmirrored entries exist: only the locked index can say
-      }
-      if (packed.epoch != epoch) break;  // locked path erases + counts stale
-      if (options_.ttl_seconds > 0.0 &&
-          now - packed.stored_now > options_.ttl_seconds) {
-        break;  // locked path owns expiry (and degraded allow_stale serves)
-      }
-      core::HybridEstimate value;
-      Unpack(packed, &value);
-      // lint:relaxed-ok(stat counter; point-in-time by contract)
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      // lint:relaxed-ok(stat counter; no data is published through it)
-      lockless_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (counters.hits != nullptr) counters.hits->Increment();
-      // Sampled, non-blocking LRU touch: every touch_sample-th read of this
-      // slot tries (and only tries) the shard lock to refresh recency, so
-      // the steady-state hit path never waits on a mutex.
-      // lint:relaxed-ok(sampling counter; drives no synchronization)
-      const uint64_t reads = slot.reads.fetch_add(1, std::memory_order_relaxed);
-      if ((reads + 1) % static_cast<uint64_t>(options_.touch_sample) == 0 &&
-          shard.mu.TryLock()) {
-        auto it = shard.index.find(hash);
-        if (it != shard.index.end() && it->second->key == key) {
-          shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-          // lint:relaxed-ok(stat counter; no data is published through it)
-          lru_touches_.fetch_add(1, std::memory_order_relaxed);
-        }
-        shard.mu.Unlock();
-      }
-      return value;
-    }
+  // Put — the same probe/compute race the locked path has.
+  Set* set = shard.set_count == 0
+                 ? nullptr
+                 : shard.sets[r.set].load(std::memory_order_acquire);
+  int way = 0;
+  PackedEstimate packed;
+  const Probe probe = set == nullptr ? Probe::kAbsent
+                                     : Scan(*set, r, hash, key, &way, &packed);
+  std::optional<core::HybridEstimate> found;
+  if (probe == Probe::kAbsent) {
+    CountGet(false, true, counters);
+    return found;
   }
-  // ---- Locked fallback ----------------------------------------------------
+  if (probe == Probe::kInline && packed.epoch == epoch &&
+      !Expired(packed, now)) {
+    Reference(*set, way);
+    Unpack(packed, &found.emplace());
+    CountGet(true, true, counters);
+    return found;
+  }
+
+  // ---- Locked probe -------------------------------------------------------
   // lint:relaxed-ok(stat counter; no data is published through it)
   locked_gets_.fetch_add(1, std::memory_order_relaxed);
-  std::optional<core::HybridEstimate> found;
   bool stale = false;
   bool expired = false;
   bool served_expired = false;
   {
     MutexLock lock(&shard.mu);
-    auto it = shard.index.find(hash);
-    // A hash match with a different stored key is a collision: some other
-    // key owns the slot, so this lookup is simply a miss.
-    if (it != shard.index.end() && it->second->key == key) {
-      Entry& entry = *it->second;
-      if (entry.epoch != epoch) {
+    way = FindLocked(shard, *set, r, hash, key, &packed);
+    if (way >= 0) {
+      if (packed.epoch != epoch) {
         // Epoch staleness is never forgiven: the value was computed from
         // superseded model weights, so "stale" here means wrong.
         stale = true;
-      } else if (options_.ttl_seconds > 0.0 &&
-                 now - entry.stored_now > options_.ttl_seconds) {
-        if (allow_stale) {
-          // Degraded serve: hand out the expired value and *keep* the
-          // entry (no stored_now refresh — it stays expired for normal
-          // lookups) so later degraded lookups still have an answer.
-          shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-          found = entry.value;
-          served_expired = true;
-        } else {
-          expired = true;
-        }
-      } else {
-        // Hit: refresh recency and copy out under the lock.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        found = entry.value;
+      } else if (Expired(packed, now)) {
+        // Degraded serve hands out the expired value and *keeps* the entry
+        // (stored_now unchanged, so it stays expired for normal lookups).
+        served_expired = allow_stale;
+        expired = !allow_stale;
       }
       if (stale || expired) {
-        RetireEntry(shard, *it->second);
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
+        Retire(shard, *set, r.set, way);
+        --shard.live;
+      } else {
+        Reference(*set, way);
+        if ((packed.flags & kOutOfLine) != 0) {
+          found = shard.side.at(SideIndex(r.set, way)).value;
+        } else {
+          Unpack(packed, &found.emplace());
+        }
       }
     }
   }
-  if (found.has_value()) {
-    // lint:relaxed-ok(stat counter; Stats reads are point-in-time by contract)
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (counters.hits != nullptr) counters.hits->Increment();
-    if (served_expired) {
-      // lint:relaxed-ok(stat counter; no data is published through it)
-      stale_served_.fetch_add(1, std::memory_order_relaxed);
-      if (counters.stale_served != nullptr) counters.stale_served->Increment();
-      if (served_stale != nullptr) *served_stale = true;
-    }
-    return found;
+  CountGet(found.has_value(), false, counters);
+  if (served_expired) {
+    // lint:relaxed-ok(stat counter; no data is published through it)
+    stale_served_.fetch_add(1, std::memory_order_relaxed);
+    if (counters.stale_served != nullptr) counters.stale_served->Increment();
+    if (served_stale != nullptr) *served_stale = true;
   }
-  // lint:relaxed-ok(stat counter; Stats reads are point-in-time by contract)
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (counters.misses != nullptr) counters.misses->Increment();
   if (stale) {
     // lint:relaxed-ok(stat counter; no data is published through it)
     stale_epoch_.fetch_add(1, std::memory_order_relaxed);
@@ -464,79 +452,67 @@ std::optional<core::HybridEstimate> EstimateCache::Get(
     evictions_.fetch_add(1, std::memory_order_relaxed);
     if (counters.evictions != nullptr) counters.evictions->Increment();
   }
-  return std::nullopt;
+  return found;
 }
 
 void EstimateCache::Put(const std::string& key, uint64_t epoch, double now,
                         const core::HybridEstimate& value,
                         const CacheCounters& counters) {
-  if (per_shard_capacity_ == 0) return;
+  if (options_.capacity == 0) return;
   const uint64_t hash = HashKey(key);
-  Shard& shard = *shards_[hash % shards_.size()];
-  int64_t evicted = 0;
+  const Route r = RouteOf(hash);
+  Shard& shard = *shards_[r.shard];
+  const bool out_of_line = !Packable(key, value);
+  PackedEstimate packed;
+  Pack(key, hash, epoch, now, value, out_of_line, &packed);
+  bool evicted = false;
   {
     MutexLock lock(&shard.mu);
-    auto it = shard.index.find(hash);
-    if (it != shard.index.end()) {
-      // Same key: refresh in place (e.g. recomputed after an epoch bump).
-      // Different key: a collision displaces the slot's previous owner.
-      Entry& entry = *it->second;
-      if (entry.key != key) {
-        if (entry.slotted) {
-          // The displaced identity's mirror is dead; the new identity
-          // starts unmirrored until PublishEntry below. Count before
-          // wiping so unslotted never understates.
-          entry.slotted = false;
-          shard.unslotted.fetch_add(1, std::memory_order_acq_rel);
-          const size_t si = SlotIndex(entry.hash);
-          WriteSlot(shard, si, nullptr);
-          shard.owners[si].used = false;
-        }
-        entry.key = key;
-        ++evicted;
-      }
-      entry.value = value;
-      entry.epoch = epoch;
-      entry.stored_now = now;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      PublishEntry(shard, entry);
-    } else {
-      shard.lru.push_front(Entry{key, hash, value, epoch, now});
-      shard.index.emplace(hash, shard.lru.begin());
-      // New entries are born unmirrored; PublishEntry flips them when the
-      // value packs into a slot.
-      shard.unslotted.fetch_add(1, std::memory_order_acq_rel);
-      PublishEntry(shard, shard.lru.front());
-      while (static_cast<int64_t>(shard.lru.size()) > per_shard_capacity_) {
-        RetireEntry(shard, shard.lru.back());
-        shard.index.erase(shard.lru.back().hash);
-        shard.lru.pop_back();
-        ++evicted;
-      }
+    Set* set = shard.sets[r.set].load(std::memory_order_acquire);
+    if (set == nullptr) {
+      set = shard.owned.emplace_back(std::make_unique<Set>()).get();
+      shard.sets[r.set].store(set, std::memory_order_release);
     }
+    PackedEstimate old;
+    // Same key: refresh its way in place (e.g. recomputed after an epoch
+    // bump); its tag stays, and readers retry or lock while the version is
+    // odd. New key: untag the victim first, publish the new tag last.
+    int way = FindLocked(shard, *set, r, hash, key, &old);
+    if (way < 0) {
+      way = FreeWay(shard, *set, r.set, &evicted);
+      // lint:relaxed-ok(CLOCK reference bit: a new entry starts unreferenced)
+      set->referenced[way].store(0, std::memory_order_relaxed);
+    }
+    if (out_of_line) {
+      shard.side[SideIndex(r.set, way)] = SideEntry{key, value};
+    } else if (!shard.side.empty()) {
+      shard.side.erase(SideIndex(r.set, way));
+    }
+    WriteWay(set->ways[way], &packed);
+    set->tags[way].store(r.tag, std::memory_order_release);
   }
-  if (evicted > 0) {
+  if (evicted) {
     // lint:relaxed-ok(stat counter; no data is published through it)
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    if (counters.evictions != nullptr) {
-      counters.evictions->Increment(evicted);
-    }
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (counters.evictions != nullptr) counters.evictions->Increment();
   }
 }
 
 void EstimateCache::Clear() {
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->unslotted.store(0, std::memory_order_release);
-    // Every slot must be wiped (with the seqlock protocol, since readers
-    // may be probing concurrently) or dropped entries would keep serving
-    // from their stale mirrors.
-    for (size_t si = 0; si < slot_count_; ++si) {
-      WriteSlot(*shard, si, nullptr);
-      shard->owners[si] = Shard::SlotOwner{};
+    // Every way is wiped with the seqlock protocol, since readers may be
+    // probing concurrently.
+    for (const auto& set : shard->owned) {
+      for (int w = 0; w < ways_; ++w) {
+        set->tags[w].store(0, std::memory_order_release);
+        // lint:relaxed-ok(CLOCK reference bit; no data is published through it)
+        set->referenced[w].store(0, std::memory_order_relaxed);
+        WriteWay(set->ways[w], nullptr);
+      }
     }
+    shard->side.clear();
+    shard->live = 0;
   }
 }
 
@@ -544,31 +520,25 @@ size_t EstimateCache::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    total += shard->lru.size();
+    total += static_cast<size_t>(shard->live);
   }
   return total;
 }
 
 CacheStats EstimateCache::Stats() const {
+  const auto read = [](const std::atomic<int64_t>& counter) {
+    // lint:relaxed-ok(stat reads; Stats is documented as a point-in-time view)
+    return counter.load(std::memory_order_relaxed);
+  };
   CacheStats stats;
-  // lint:relaxed-ok(stat reads; Stats is documented as a point-in-time view)
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.stale_epoch = stale_epoch_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.stale_served = stale_served_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.lockless_hits = lockless_hits_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.lockless_misses = lockless_misses_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.locked_gets = locked_gets_.load(std::memory_order_relaxed);
-  // lint:relaxed-ok(see hits above)
-  stats.lru_touches = lru_touches_.load(std::memory_order_relaxed);
+  stats.hits = read(hits_);
+  stats.misses = read(misses_);
+  stats.evictions = read(evictions_);
+  stats.stale_epoch = read(stale_epoch_);
+  stats.stale_served = read(stale_served_);
+  stats.lockless_hits = read(lockless_hits_);
+  stats.lockless_misses = read(lockless_misses_);
+  stats.locked_gets = read(locked_gets_);
   stats.entries = static_cast<int64_t>(size());
   return stats;
 }

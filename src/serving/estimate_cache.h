@@ -1,39 +1,28 @@
-// Sharded LRU cache for hybrid cost estimates — the memoization layer of
-// the concurrent serving front-end (DESIGN.md §11). Federation planners
-// re-cost near-identical (system, operator, policy) keys across candidate
-// placements; the paper's serving setting (Section 5: the estimator is
-// invoked per candidate placement inside Teradata's optimizer) makes the
-// estimate path a high-QPS read-mostly workload, so the cache is sharded —
-// one mutex + LRU list + hash index per shard — and a lookup touches
-// exactly one shard lock.
+// Set-associative estimate cache — the memoization layer of the concurrent
+// serving front-end (DESIGN.md §11). The paper's optimizer calls the
+// estimator once per candidate placement (Section 5), so the cache sees a
+// high-QPS stream of hits *and* misses: it is sharded, and each shard is
+// one table of 16-way sets that a lookup normally reads without a lock.
 //
 // Correctness over hit rate: every entry stores the *full* canonical key
-// and a lookup verifies it byte-for-byte (the 64-bit hash only routes to a
-// shard and buckets the index), so a hash collision can never return the
-// wrong estimate, and a hit is bit-identical to the uncached computation.
-// Colliding keys displace each other (counted as an eviction) instead of
-// chaining — at 64 bits a collision is a once-per-geologic-era event, not
-// a capacity concern.
+// and a hit verifies it byte-for-byte (the 64-bit hash only routes to a
+// shard, a set and a tag), so a collision can never return the wrong
+// estimate and a hit is bit-identical to the uncached computation.
 // Stale-model protection is epoch-based: every entry records the
 // CostEstimator::model_epoch() captured before its value was computed, and
-// Get rejects entries whose epoch differs from the caller's current epoch
-// — an estimate produced against pre-retrain weights is never served after
-// OfflineTuneAll / profile re-registration bumps the epoch.
+// Get never serves an entry whose epoch differs from the caller's.
 //
-// Optimistic read path (DESIGN.md §14): each shard additionally keeps a
-// direct-mapped table of fixed-width *seqlock slots* mirroring its hottest
-// entries. A Get first probes the slot without any lock: it snapshots the
-// slot's atomic payload words between two reads of the slot's version
-// counter (even = stable, odd = writer active) and serves the hit — or
-// declares a definitive miss when the shard's `unslotted` count says every
-// index entry is mirrored — entirely lock-free. Writers (insert, evict,
-// LRU maintenance, Clear) still serialize on the shard Mutex and bump the
-// version counter around every slot write, so a reader either observes a
-// fully consistent snapshot or retries (once) and falls back to the locked
-// probe. The LRU touch on a lock-free hit becomes a sampled, non-blocking
-// TryLock bump (serving.cache.touch_sample), so steady-state warm hits
-// acquire no mutex at all — CacheStats::locked_gets counts the probes that
-// did.
+// Lock-free reads (DESIGN.md §14): each way holds a fixed-width image of
+// one entry framed by a seqlock version word, and each set keeps a tag
+// line with one nonzero tag per occupied way. Every live entry owns a
+// tagged way, so a reader that finds no way carrying its tag has a
+// definitive miss, and a tagged way whose snapshot verifies is a hit —
+// both without the mutex. Writers (insert, CLOCK eviction, erase, Clear)
+// serialize on the shard Mutex, clear a victim's tag before rewriting its
+// way, and publish a new tag only after the payload's stable version. A Get
+// locks only for values kept out of line (provenance lists, over-long keys
+// or algorithm names), epoch-stale or TTL-expired entries, and snapshots
+// torn twice; CacheStats::locked_gets counts those probes.
 
 #ifndef INTELLISPHERE_SERVING_ESTIMATE_CACHE_H_
 #define INTELLISPHERE_SERVING_ESTIMATE_CACHE_H_
@@ -41,7 +30,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -65,14 +53,15 @@ inline constexpr char kCacheShardsKey[] = "serving.cache.shards";
 inline constexpr char kCacheCapacityKey[] = "serving.cache.capacity";
 inline constexpr char kCacheTtlSecondsKey[] = "serving.cache.ttl_seconds";
 inline constexpr char kCacheQuantizeBitsKey[] = "serving.cache.quantize_bits";
-inline constexpr char kCacheTouchSampleKey[] = "serving.cache.touch_sample";
 
 /// Cache tuning knobs.
 struct CacheOptions {
   /// Number of independently locked shards; keys are hash-routed.
   int shards = 8;
   /// Total entry budget across all shards (split evenly; each shard keeps
-  /// at least one entry). 0 disables caching entirely.
+  /// at least one entry). The table holds at most this many entries and at
+  /// least capacity - shards * 15 (a shard rounds down to whole 16-way
+  /// sets). 0 disables caching entirely.
   int64_t capacity = 4096;
   /// Entry lifetime on the *deployment clock* (the `now` passed to
   /// Get/Put, not wall time — deterministic and testable). 0 = no expiry.
@@ -82,10 +71,6 @@ struct CacheOptions {
   /// cached results provably bit-identical; raising it trades exactness
   /// for hit rate on jittery statistics. Clamped to [0, 52].
   int quantize_bits = 0;
-  /// A lock-free hit bumps its entry's LRU position only every N-th read
-  /// (and only via a non-blocking TryLock), so the warm path stays
-  /// mutex-free. 1 = touch on every hit; must be >= 1.
-  int touch_sample = 64;
 
   /// Reads the serving.cache.* keys above; absent keys keep their
   /// defaults. InvalidArgument on non-positive shards or negative values.
@@ -97,15 +82,14 @@ struct CacheOptions {
 struct CacheStats {
   int64_t hits = 0;
   int64_t misses = 0;        ///< every Get that returned nothing
-  int64_t evictions = 0;     ///< capacity + TTL removals
+  int64_t evictions = 0;     ///< capacity (CLOCK) + TTL removals
   int64_t stale_epoch = 0;   ///< subset of misses rejected by epoch check
   int64_t stale_served = 0;  ///< TTL-expired hits served under allow_stale
   int64_t entries = 0;       ///< live entries right now
   // Optimistic-read-path breakdown (DESIGN.md §14).
-  int64_t lockless_hits = 0;    ///< hits served from a seqlock slot, no mutex
+  int64_t lockless_hits = 0;    ///< hits served from a seqlock way, no mutex
   int64_t lockless_misses = 0;  ///< definitive misses declared without a mutex
   int64_t locked_gets = 0;      ///< Gets that fell back to the locked probe
-  int64_t lru_touches = 0;      ///< sampled TryLock LRU bumps that landed
   double HitRate() const {
     int64_t total = hits + misses;
     return total > 0 ? static_cast<double>(hits) / total : 0.0;
@@ -150,8 +134,8 @@ void CanonicalCacheKeyTo(const std::string& system,
                          bool provenance, bool logical_phase,
                          int quantize_bits, std::string* out);
 
-/// The sharded LRU estimate cache. All methods are thread-safe; a call
-/// locks exactly one shard.
+/// The sharded set-associative estimate cache. All methods are
+/// thread-safe; a Put locks exactly one shard, a Get at most one.
 class EstimateCache {
  public:
   explicit EstimateCache(CacheOptions options);
@@ -159,8 +143,8 @@ class EstimateCache {
   /// Looks up `key`. Returns the cached estimate only when the entry's
   /// model epoch equals `epoch` and its TTL (if configured) has not lapsed
   /// at deployment time `now`; otherwise erases the dead entry and counts
-  /// a miss (plus stale_epoch when the epoch check failed). A hit
-  /// refreshes the entry's LRU position.
+  /// a miss (plus stale_epoch when the epoch check failed). A hit sets the
+  /// entry's CLOCK reference bit.
   ///
   /// Degraded mode (`allow_stale`, DESIGN.md §12): a TTL-expired entry is
   /// served anyway — counted as a hit plus stale_served, reported through
@@ -174,8 +158,8 @@ class EstimateCache {
                                           bool* served_stale = nullptr);
 
   /// Inserts (or refreshes) `key` with a value computed at model `epoch`
-  /// and deployment time `now`, evicting the shard's LRU tail when over
-  /// budget. No-op when capacity is 0.
+  /// and deployment time `now`. A new key takes an empty way of its set or
+  /// evicts the set's CLOCK victim. No-op when capacity is 0.
   void Put(const std::string& key, uint64_t epoch, double now,
            const core::HybridEstimate& value,
            const CacheCounters& counters = {});
@@ -191,13 +175,14 @@ class EstimateCache {
   int ShardOf(const std::string& key) const;
 
  private:
-  /// Fixed-width, trivially-copyable image of a cache entry small enough to
-  /// publish through a seqlock slot as raw 64-bit words. Estimates whose
-  /// key or payload exceed these caps (notably sub-op results carrying
-  /// candidate provenance) simply stay on the locked path — the slot is a
-  /// fast mirror, not the source of truth.
+  /// Fixed-width, trivially-copyable image of a cache entry, published
+  /// through a way's seqlock as raw 64-bit words. Entries whose key or
+  /// payload exceed these caps (notably sub-op results carrying candidate
+  /// provenance) keep their key and value in a side entry instead, and the
+  /// image carries only the hash, epoch, clock and the out-of-line flag.
   static constexpr size_t kFastKeyCap = 104;
   static constexpr size_t kFastAlgoCap = 24;
+  static constexpr uint8_t kOutOfLine = 4;
   struct PackedEstimate {
     uint64_t hash = 0;
     uint64_t epoch = 0;
@@ -208,7 +193,7 @@ class EstimateCache {
     double remedy_seconds = 0.0;
     int32_t eliminated_count = 0;
     uint8_t approach = 0;
-    uint8_t flags = 0;  ///< bit0 used_remedy, bit1 fell_back_to_sub_op
+    uint8_t flags = 0;  ///< 1 used_remedy, 2 fell_back_to_sub_op, kOutOfLine
     uint8_t key_len = 0;
     uint8_t algo_len = 0;
     char key[kFastKeyCap] = {};
@@ -216,71 +201,98 @@ class EstimateCache {
   };
   static_assert(std::is_trivially_copyable_v<PackedEstimate>);
   static_assert(sizeof(PackedEstimate) % sizeof(uint64_t) == 0);
-  static constexpr size_t kSlotWords = sizeof(PackedEstimate) / sizeof(uint64_t);
+  static constexpr size_t kWayWords = sizeof(PackedEstimate) / sizeof(uint64_t);
+  static constexpr int kMaxWays = 16;
 
-  /// One seqlock slot. seq == 0 means never written; odd means a writer is
-  /// mid-publish; any other even value frames a consistent payload.
-  struct FastSlot {
+  /// One way: seq odd means a writer is mid-publish, even frames a
+  /// consistent payload. Atomics are safe to read without the shard mutex;
+  /// writes are serialized by it.
+  struct Way {
     std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> words[kSlotWords] = {};
-    /// Lock-free read counter driving the sampled LRU touch.
-    std::atomic<uint64_t> reads{0};
+    std::atomic<uint64_t> words[kWayWords] = {};
   };
-
-  struct Entry {
-    std::string key;     ///< full key, compared on every lookup
-    uint64_t hash = 0;   ///< cached so eviction needn't rehash
+  /// One set, allocated on its first insert. tags[w] == 0 marks way w
+  /// empty; a live entry's tag is nonzero. `referenced` holds the CLOCK
+  /// reference bits, which hits set without the mutex.
+  struct alignas(64) Set {
+    std::atomic<uint32_t> tags[kMaxWays] = {};
+    std::atomic<uint8_t> referenced[kMaxWays] = {};
+    Way ways[kMaxWays];
+  };
+  /// The key and value of an entry too large for its way's image.
+  struct SideEntry {
+    std::string key;
     core::HybridEstimate value;
-    uint64_t epoch = 0;
-    double stored_now = 0.0;
-    bool slotted = false;  ///< currently mirrored in a FastSlot
   };
   struct Shard {
+    explicit Shard(size_t set_count)
+        : set_count(set_count),
+          sets(std::make_unique<std::atomic<Set*>[]>(set_count)),
+          hands(set_count, 0) {}
     mutable Mutex mu;
-    /// front = most recently used
-    std::list<Entry> lru GUARDED_BY(mu);
-    /// Keyed by the precomputed 64-bit key hash: the probe hashes the
-    /// (~100-byte) canonical key exactly once, and index operations are
-    /// integer-keyed. Entry::key disambiguates collisions.
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index
-        GUARDED_BY(mu);
-    /// Direct-mapped seqlock mirror, slot_count_ slots (atomics are safe to
-    /// touch without mu; the *write* protocol is serialized by mu).
-    std::unique_ptr<FastSlot[]> slots;
-    /// Which entry hash owns each slot (writer-side bookkeeping only).
-    struct SlotOwner {
-      bool used = false;
-      uint64_t hash = 0;
-    };
-    std::vector<SlotOwner> owners GUARDED_BY(mu);
-    /// Number of index entries NOT mirrored in a slot. When 0, a key absent
-    /// from its slot is absent from the shard, so a reader can declare a
-    /// miss without locking.
-    std::atomic<int64_t> unslotted{0};
+    const size_t set_count;
+    /// Set i once its first insert published it; a null set reads as
+    /// empty. Published sets are never withdrawn and are freed only with
+    /// the cache, so a reader's pointer stays valid.
+    const std::unique_ptr<std::atomic<Set*>[]> sets;
+    std::vector<std::unique_ptr<Set>> owned GUARDED_BY(mu);
+    std::vector<uint8_t> hands GUARDED_BY(mu);  ///< CLOCK hand per set
+    /// Out-of-line entries, keyed by SideIndex(set, way).
+    std::unordered_map<size_t, SideEntry> side GUARDED_BY(mu);
+    int64_t live GUARDED_BY(mu) = 0;
   };
+  /// Where a key hash lives: shard, set and tag come from disjoint bits.
+  struct Route {
+    size_t shard;
+    size_t set;
+    uint32_t tag;
+  };
+  /// Outcome of scanning a set for a key.
+  enum class Probe { kAbsent, kInline, kOutOfLine, kTorn };
 
   static bool Packable(const std::string& key, const core::HybridEstimate& v);
   static void Pack(const std::string& key, uint64_t hash, uint64_t epoch,
                    double stored_now, const core::HybridEstimate& v,
-                   PackedEstimate* out);
+                   bool out_of_line, PackedEstimate* out);
   static void Unpack(const PackedEstimate& p, core::HybridEstimate* v);
-  size_t SlotIndex(uint64_t hash) const {
-    return ((hash >> 32) ^ hash) & slot_mask_;
+  static size_t SideIndex(size_t set, int way) {
+    return set * kMaxWays + static_cast<size_t>(way);
   }
-  /// Seqlock-writes `p` (or an empty marker when null) into slot `si`.
-  void WriteSlot(Shard& shard, size_t si, const PackedEstimate* p);
-  /// Mirrors `e` into its slot if packable (stealing the slot from any
-  /// previous owner); otherwise ensures `e` is counted unslotted. Keeps the
-  /// unslotted invariant. Call under shard.mu after insert/refresh.
-  void PublishEntry(Shard& shard, Entry& e) REQUIRES(shard.mu);
-  /// Unpublishes `e` ahead of its erase (evict/expire/stale): clears its
-  /// slot or decrements unslotted. Call under shard.mu.
-  void RetireEntry(Shard& shard, Entry& e) REQUIRES(shard.mu);
+  /// Seqlock-writes `p` (or an empty image when null) into `way`. Call
+  /// under the owning shard's mutex.
+  static void WriteWay(Way& way, const PackedEstimate* p);
+  /// Copies `way`'s payload inside one stable version window; false when a
+  /// writer was active through both attempts.
+  static bool ReadWay(const Way& way, PackedEstimate* out);
+  Route RouteOf(uint64_t hash) const;
+  bool Expired(const PackedEstimate& p, double now) const {
+    return options_.ttl_seconds > 0.0 &&
+           now - p.stored_now > options_.ttl_seconds;
+  }
+  /// Scans ways [*way, ways_) of `set` for `key`. kInline: way *way holds
+  /// the key and *out its image. kOutOfLine: way *way holds the key's hash
+  /// with its key in a side entry. kTorn: a writer held way *way through
+  /// both snapshot attempts. kAbsent: no remaining way holds the key.
+  Probe Scan(const Set& set, const Route& r, uint64_t hash,
+             const std::string& key, int* way, PackedEstimate* out) const;
+  /// The way of `set` holding `key` (its image in *out), or -1.
+  int FindLocked(Shard& shard, const Set& set, const Route& r, uint64_t hash,
+                 const std::string& key, PackedEstimate* out) const
+      REQUIRES(shard.mu);
+  /// A way for a new key: the first empty one, else the CLOCK victim, whose
+  /// entry is retired (*evicted set).
+  int FreeWay(Shard& shard, Set& set, size_t si, bool* evicted) const
+      REQUIRES(shard.mu);
+  /// Untags way `way` and drops its side entry; the image stays until the
+  /// way is rewritten (readers verify every image they serve).
+  static void Retire(Shard& shard, Set& set, size_t si, int way)
+      REQUIRES(shard.mu);
+  static void Reference(Set& set, int way);
+  /// Bumps hits_ or misses_ (and the lockless split) for one Get.
+  void CountGet(bool hit, bool lockless, const CacheCounters& counters);
 
   CacheOptions options_;
-  int64_t per_shard_capacity_ = 0;
-  size_t slot_count_ = 0;  ///< per shard; 0 when caching is disabled
-  size_t slot_mask_ = 0;
+  int ways_ = 1;  ///< ways per set: min(16, per-shard capacity)
   /// unique_ptrs because Shard (mutex) is immovable.
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -292,7 +304,6 @@ class EstimateCache {
   std::atomic<int64_t> lockless_hits_{0};
   std::atomic<int64_t> lockless_misses_{0};
   std::atomic<int64_t> locked_gets_{0};
-  std::atomic<int64_t> lru_touches_{0};
 };
 
 }  // namespace intellisphere::serving

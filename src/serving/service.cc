@@ -530,8 +530,6 @@ MetricsSnapshot EstimationService::StatsSnapshot() const {
        static_cast<double>(stats.lockless_misses), "count"},
       {"serving.cache.locked_gets", static_cast<double>(stats.locked_gets),
        "count"},
-      {"serving.cache.lru_touches", static_cast<double>(stats.lru_touches),
-       "count"},
   };
   return snap;
 }
@@ -564,8 +562,6 @@ std::string EstimationService::ExplainJson() const {
   json += "      \"lockless_misses\": " +
           std::to_string(stats.lockless_misses) + ",\n";
   json += "      \"locked_gets\": " + std::to_string(stats.locked_gets) +
-          ",\n";
-  json += "      \"lru_touches\": " + std::to_string(stats.lru_touches) +
           ",\n";
   json += "      \"hit_rate\": " + JsonNumberShort(stats.HitRate()) + "\n";
   json += "    },\n";

@@ -5,7 +5,8 @@
 //
 // Concurrency contract: every const method here is safe for concurrent
 // callers — the CostEstimator read path touches no mutable state, the cache
-// locks per shard, and the pool serializes its queue. Mutation of the
+// reads lock-free and writes under one shard lock, and the pool serializes
+// its queue. Mutation of the
 // wrapped estimator (retraining, LogActual, profile swaps) must happen in
 // an exclusive section with no estimate calls in flight; the model-epoch
 // fence (CostEstimator::model_epoch) then guarantees no estimate computed

@@ -266,6 +266,26 @@ TEST(LinearRegressionTest, SaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(lr2.Predict1D(10).value(), lr.Predict1D(10).value());
 }
 
+TEST(LinearRegressionTest, Predict1DBitIdenticalToPredict) {
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      lines = {{{1, 2, 3, 4}, {3, 5, 7, 9}},
+               {{0.5, 40, 250, 1000}, {1e-7, 3.3e-6, 2.1e-5, 8.9e-5}},
+               {{-3, 0.1, 7.25}, {11, -0.4, 1e9}}};
+  const double inputs[] = {0.0, -1.5, 0.1, 40, 250, 1000, 1e12, 3.0e-300};
+  for (const auto& [xs, ys] : lines) {
+    auto lr = LinearRegression::Fit1D(xs, ys).value();
+    for (double x : inputs) {
+      const double fast = lr.Predict1D(x).value();
+      const double ref = lr.Predict({x}).value();
+      EXPECT_EQ(std::memcmp(&fast, &ref, sizeof(double)), 0) << x;
+    }
+  }
+  Dataset d;
+  for (int i = 0; i < 6; ++i) d.Add({1.0 * i, 0.5 * i * i}, 2.0 * i);
+  auto two = LinearRegression::Fit(d).value();
+  EXPECT_EQ(two.Predict1D(1.0).status().code(), StatusCode::kInvalidArgument);
+}
+
 Dataset NonlinearSurface(int n, uint64_t seed) {
   Dataset d;
   Rng rng(seed);

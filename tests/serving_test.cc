@@ -1,16 +1,18 @@
 // Tests for the concurrent estimate-serving layer (src/serving/): canonical
-// cache keys, the sharded LRU estimate cache, epoch-based invalidation, the
+// cache keys, the set-associative estimate cache, epoch-based invalidation, the
 // EstimationService single/batch paths, and the federation attach point.
 // The ConcurrentHammer tests double as the tsan targets wired into
 // scripts/check.sh.
 
 #include <gtest/gtest.h>
 
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/hybrid.h"
@@ -20,6 +22,7 @@
 #include "remote/hive_engine.h"
 #include "serving/estimate_cache.h"
 #include "serving/service.h"
+#include "traffic/generator.h"
 #include "util/properties.h"
 #include "util/runtime_metrics.h"
 #include "util/thread_pool.h"
@@ -147,19 +150,6 @@ TEST(CacheOptionsTest, FromPropertiesRejectsInvalidValues) {
   props.SetInt(serving::kCacheCapacityKey, 16);
   props.SetInt(serving::kCacheQuantizeBitsKey, 53);
   EXPECT_FALSE(serving::CacheOptions::FromProperties(props).ok());
-  props.SetInt(serving::kCacheQuantizeBitsKey, 0);
-  props.SetInt(serving::kCacheTouchSampleKey, 0);
-  EXPECT_FALSE(serving::CacheOptions::FromProperties(props).ok());
-}
-
-TEST(CacheOptionsTest, FromPropertiesReadsTouchSample) {
-  Properties empty;
-  EXPECT_EQ(serving::CacheOptions::FromProperties(empty).value().touch_sample,
-            64);
-  Properties props;
-  props.SetInt(serving::kCacheTouchSampleKey, 16);
-  EXPECT_EQ(serving::CacheOptions::FromProperties(props).value().touch_sample,
-            16);
 }
 
 TEST(ServiceOptionsTest, FromPropertiesReadsJobsAndCacheKeys) {
@@ -283,15 +273,15 @@ TEST(EstimateCacheTest, ShardDistributionSpreadsRealisticKeys) {
   EXPECT_GE(shards_hit.size(), 4u);
 }
 
-TEST(EstimateCacheTest, LruEvictsLeastRecentlyUsed) {
+TEST(EstimateCacheTest, ClockEvictsFirstUnreferencedWay) {
   serving::CacheOptions opts;
-  opts.shards = 1;  // single shard so eviction order is fully observable
+  opts.shards = 1;  // one shard of one 3-way set: eviction order is visible
   opts.capacity = 3;
   serving::EstimateCache cache(opts);
   cache.Put("a", 0, 0.0, EstimateWithSeconds(1.0));
   cache.Put("b", 0, 0.0, EstimateWithSeconds(2.0));
   cache.Put("c", 0, 0.0, EstimateWithSeconds(3.0));
-  // Touch "a" so "b" becomes the LRU entry.
+  // Reference "a": the hand passes it (clearing its bit) and takes "b".
   ASSERT_TRUE(cache.Get("a", 0, 0.0).has_value());
   cache.Put("d", 0, 0.0, EstimateWithSeconds(4.0));
   EXPECT_EQ(cache.size(), 3u);
@@ -300,6 +290,82 @@ TEST(EstimateCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Get("c", 0, 0.0).has_value());
   EXPECT_TRUE(cache.Get("d", 0, 0.0).has_value());
   EXPECT_EQ(cache.Stats().evictions, 1);
+}
+
+TEST(EstimateCacheTest, ClockSweepClearsEveryBitThenEvictsAtHand) {
+  serving::CacheOptions opts;
+  opts.shards = 1;
+  opts.capacity = 3;
+  serving::EstimateCache cache(opts);
+  for (const char* key : {"a", "b", "c"}) {
+    cache.Put(key, 0, 0.0, EstimateWithSeconds(1.0));
+  }
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_TRUE(cache.Get(key, 0, 0.0).has_value());
+  }
+  // Every way is referenced: one sweep clears all three bits and comes
+  // back to the way at the hand ("a").
+  cache.Put("d", 0, 0.0, EstimateWithSeconds(4.0));
+  // The sweep left "b" unreferenced, so it is the next victim.
+  cache.Put("e", 0, 0.0, EstimateWithSeconds(5.0));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_FALSE(cache.Get("a", 0, 0.0).has_value());
+  EXPECT_FALSE(cache.Get("b", 0, 0.0).has_value());
+  EXPECT_TRUE(cache.Get("c", 0, 0.0).has_value());
+  EXPECT_TRUE(cache.Get("d", 0, 0.0).has_value());
+  EXPECT_TRUE(cache.Get("e", 0, 0.0).has_value());
+  EXPECT_EQ(cache.Stats().evictions, 2);
+}
+
+TEST(EstimateCacheTest, HitRateTracksExactLru) {
+  // The CLOCK table's hit rate on seeded Zipf(1.1) key streams stays within
+  // one point of an exact LRU of the same total capacity.
+  struct ExactLru {
+    size_t capacity;
+    std::list<int> order;  // front = most recently used
+    std::unordered_map<int, std::list<int>::iterator> index;
+    bool Access(int key) {
+      auto it = index.find(key);
+      if (it != index.end()) {
+        order.splice(order.begin(), order, it->second);
+        return true;
+      }
+      order.push_front(key);
+      index.emplace(key, order.begin());
+      if (order.size() > capacity) {
+        index.erase(order.back());
+        order.pop_back();
+      }
+      return false;
+    }
+  };
+  constexpr int kOps = 50000;
+  for (int universe : {20000, 200000}) {
+    const traffic::ZipfSampler zipf(universe, 1.1);
+    for (int64_t capacity : {1024, 4096, 16384}) {
+      serving::CacheOptions opts;
+      opts.capacity = capacity;
+      serving::EstimateCache cache(opts);
+      ExactLru lru{static_cast<size_t>(capacity), {}, {}};
+      Rng rng(static_cast<uint64_t>(universe + capacity));
+      int table_hits = 0;
+      int lru_hits = 0;
+      for (int i = 0; i < kOps; ++i) {
+        const int k = zipf.Sample(&rng);
+        const std::string key = "zipf-" + std::to_string(k);
+        if (cache.Get(key, 0, 0.0).has_value()) {
+          ++table_hits;
+        } else {
+          cache.Put(key, 0, 0.0, EstimateWithSeconds(k));
+        }
+        lru_hits += lru.Access(k) ? 1 : 0;
+      }
+      EXPECT_GE(static_cast<double>(table_hits) / kOps,
+                static_cast<double>(lru_hits) / kOps - 0.01)
+          << "universe " << universe << ", capacity " << capacity;
+      EXPECT_LE(cache.size(), static_cast<size_t>(capacity));
+    }
+  }
 }
 
 TEST(EstimateCacheTest, EpochMismatchRejectsAndErases) {
@@ -329,6 +395,44 @@ TEST(EstimateCacheTest, TtlExpiresOnDeploymentClock) {
   EXPECT_FALSE(cache.Get("k", 0, 110.5).has_value());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Stats().evictions, 1);
+}
+
+TEST(EstimateCacheTest, ClearDropsEveryEntryAndKeepsStats) {
+  serving::CacheOptions opts;
+  opts.shards = 1;
+  opts.capacity = 16;  // one 16-way set
+  serving::EstimateCache cache(opts);
+  core::HybridEstimate provenance = EstimateWithSeconds(2.0);
+  provenance.candidates.push_back({"SortMergeJoin", 2.0});
+  cache.Put("out-of-line", 0, 0.0, provenance);
+  const auto key = [](const char* prefix, int i) {
+    return prefix + std::to_string(i);
+  };
+  for (int i = 0; i < 15; ++i) {
+    cache.Put(key("old", i), 0, 0.0, EstimateWithSeconds(i));
+  }
+  ASSERT_TRUE(cache.Get(key("old", 0), 0, 0.0).has_value());
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Get("out-of-line", 0, 0.0).has_value());
+  for (int i = 0; i < 15; ++i) {
+    EXPECT_FALSE(cache.Get(key("old", i), 0, 0.0).has_value());
+  }
+  serving::CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1);  // counters survive Clear
+  EXPECT_EQ(stats.misses, 16);
+  EXPECT_EQ(stats.locked_gets, 0);  // wiped ways read as empty
+  // Every way is free again: 16 new keys fit without an eviction.
+  for (int i = 0; i < 16; ++i) {
+    cache.Put(key("new", i), 0, 0.0, EstimateWithSeconds(i));
+  }
+  for (int i = 0; i < 16; ++i) {
+    auto got = cache.Get(key("new", i), 0, 0.0);
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(got->seconds, static_cast<double>(i));
+  }
+  EXPECT_EQ(cache.Stats().evictions, 0);
+  EXPECT_EQ(cache.size(), 16u);
 }
 
 TEST(EstimateCacheTest, ZeroCapacityDisablesCaching) {
@@ -363,8 +467,8 @@ TEST(EstimateCacheTest, WarmHitsAreLockFree) {
   serving::CacheOptions opts;
   opts.shards = 1;
   serving::EstimateCache cache(opts);
-  // A cold miss on an empty shard resolves locklessly too: the probe sees
-  // an empty slot and no unslotted entries exist.
+  // A cold miss on an empty shard resolves locklessly too: no way of the
+  // key's set carries its tag.
   EXPECT_FALSE(cache.Get("k", 0, 0.0).has_value());
   cache.Put("k", 0, 0.0, EstimateWithSeconds(7.0));
   for (int i = 0; i < 8; ++i) {
@@ -382,8 +486,8 @@ TEST(EstimateCacheTest, WarmHitsAreLockFree) {
 
 TEST(EstimateCacheTest, UnpackableEntryFallsBackToLockedPath) {
   // Sub-op results carrying candidate/elimination diagnostics do not fit
-  // the fixed-width seqlock mirror; they must still be served (through the
-  // locked map) with every field intact.
+  // a way's fixed-width image; they must still be served (from their side
+  // entry, under the shard mutex) with every field intact.
   serving::CacheOptions opts;
   opts.shards = 1;
   serving::EstimateCache cache(opts);
@@ -410,7 +514,7 @@ TEST(EstimateCacheTest, OverlongKeyFallsBackToLockedPath) {
   serving::CacheOptions opts;
   opts.shards = 1;
   serving::EstimateCache cache(opts);
-  // Longer than the mirror's 104-byte inline key buffer.
+  // Longer than a way's 104-byte inline key buffer.
   const std::string key(200, 'k');
   cache.Put(key, 0, 0.0, EstimateWithSeconds(2.0));
   auto got = cache.Get(key, 0, 0.0);
@@ -420,17 +524,65 @@ TEST(EstimateCacheTest, OverlongKeyFallsBackToLockedPath) {
   EXPECT_EQ(cache.Stats().lockless_hits, 0);
 }
 
+TEST(EstimateCacheTest, OutOfLineEntryLeavesOtherMissesLockFree) {
+  // A capacity-16 shard is one 16-way set, so the absent key probes the
+  // same set as the out-of-line entry: its tag miss is still definitive.
+  serving::CacheOptions opts;
+  opts.shards = 1;
+  opts.capacity = 16;
+  serving::EstimateCache cache(opts);
+  core::HybridEstimate est = EstimateWithSeconds(3.5);
+  est.candidates.push_back({"SortMergeJoin", 3.5});
+  cache.Put("provenance", 0, 0.0, est);
+  EXPECT_FALSE(cache.Get("absent", 0, 0.0).has_value());
+  serving::CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.lockless_misses, 1);
+  EXPECT_EQ(stats.locked_gets, 0);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(EstimateCacheTest, LargeWorkingSetIsServedLockFree) {
+  // 12,000 entries fill 8 shards of 65,536 ways to 18%: every key keeps a
+  // way, and every hit and miss stays off the shard mutex.
+  serving::CacheOptions opts;
+  opts.shards = 8;
+  opts.capacity = 65536;
+  serving::EstimateCache cache(opts);
+  constexpr int kKeys = 12000;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) {
+    rel::SqlOperator op = SampleJoin(1000000 + i);
+    keys.push_back(serving::CanonicalCacheKey("hive", op, std::nullopt, false,
+                                              false, 0));
+    cache.Put(keys.back(), 0, 0.0, EstimateWithSeconds(i));
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    auto got = cache.Get(keys[i], 0, 0.0);
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(got->seconds, static_cast<double>(i));
+    EXPECT_FALSE(cache.Get(keys[i] + '!', 0, 0.0).has_value());
+  }
+  serving::CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, kKeys);
+  EXPECT_EQ(stats.lockless_hits, kKeys);
+  EXPECT_EQ(stats.lockless_misses, kKeys);
+  EXPECT_EQ(stats.locked_gets, 0);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.entries, kKeys);
+}
+
 TEST(EstimateCacheTest, SeqlockReaderWriterHammer) {
-  // Readers race writers on a handful of keys that all alias into a small
-  // slot array, forcing version retries, slot steals, and republishes. The
-  // self-consistency check (seconds mirrored into nn_seconds) would catch
-  // a torn read; tsan (scripts/check.sh step 3) is the memory-model
-  // oracle.
+  // Readers race writers on 12 keys sharing one 8-way set, so writers
+  // evict and rewrite ways continuously while readers snapshot them,
+  // forcing version retries and reused tags. The self-consistency check
+  // (seconds mirrored into nn_seconds) would catch a torn read; tsan
+  // (scripts/check.sh step 3) is the memory-model oracle.
   serving::CacheOptions opts;
   opts.shards = 1;
   opts.capacity = 8;
   serving::EstimateCache cache(opts);
-  constexpr int kKeys = 6;
+  constexpr int kKeys = 12;
   constexpr int kWriters = 2;
   constexpr int kReaders = 4;
   constexpr int kIters = 400;
