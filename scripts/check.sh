@@ -129,13 +129,23 @@ echo "== [7/7] serving-throughput + plan-search + model-lifecycle + traffic benc
 cmake --preset default
 cmake --build --preset default --target bench_serving_throughput \
   bench_plan_search bench_model_lifecycle bench_traffic -j "$JOBS"
-(cd build && ./bench/bench_serving_throughput)
-python3 scripts/check_bench_regression.py build/BENCH_serving_throughput.json
-(cd build && ./bench/bench_plan_search)
-python3 scripts/check_bench_regression.py build/BENCH_plan_search.json
-(cd build && ./bench/bench_model_lifecycle)
-python3 scripts/check_bench_regression.py build/BENCH_model_lifecycle.json
-(cd build && ./bench/bench_traffic)
-python3 scripts/check_bench_regression.py build/BENCH_traffic.json
+# Every bench runs and is checked even when an earlier one fails, so one
+# failing gate cannot hide the others' results; the step still fails at
+# the end if any bench or its check failed.
+failed_benches=()
+run_bench() {
+  if ! (cd build && "./bench/bench_$1") ||
+     ! python3 scripts/check_bench_regression.py "build/BENCH_$1.json"; then
+    failed_benches+=("$1")
+  fi
+}
+run_bench serving_throughput
+run_bench plan_search
+run_bench model_lifecycle
+run_bench traffic
+if (( ${#failed_benches[@]} > 0 )); then
+  echo "check.sh: bench gates failed: ${failed_benches[*]}" >&2
+  exit 1
+fi
 
 echo "check.sh: all gates passed"

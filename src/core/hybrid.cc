@@ -193,68 +193,65 @@ bool CostingProfile::SelectsLogical(rel::OperatorType type, double now) const {
   return false;
 }
 
-bool CostingProfile::RoutesToLogicalModel(rel::OperatorType type,
-                                          const EstimateContext& ctx) const {
-  return !ctx.breaker_open && !ctx.admission_degraded &&
-         SelectsLogical(type, ctx.now) && has_logical_model(type);
-}
-
 Result<HybridEstimate> CostingProfile::Estimate(
     const rel::SqlOperator& op, const EstimateContext& ctx) const {
   return EstimateImpl(op, ctx, /*logical_hint=*/nullptr);
 }
 
-Status CostingProfile::EstimateBatch(
-    const std::vector<const rel::SqlOperator*>& ops,
-    const std::vector<const EstimateContext*>& ctxs,
-    std::vector<Result<HybridEstimate>>* out) const {
-  if (ops.size() != ctxs.size()) {
-    return Status::InvalidArgument("EstimateBatch ops/ctxs length mismatch");
-  }
+std::vector<Result<HybridEstimate>> CostingProfile::EstimateBatch(
+    std::span<const EstimateRow> rows) const {
   // Group the rows that the scalar path would serve straight from a
   // logical-op model by operator type, and run each group's forward passes
   // as one batched GEMM per layer. Rows the grouping skips (sub-op routed,
-  // breaker-open, no model, invalid) simply get no hint and take the
-  // scalar path inside EstimateImpl.
+  // degraded, no model, invalid) simply get no hint and take the scalar
+  // path inside EstimateImpl.
   struct ModelGroup {
     const LogicalOpModel* model = nullptr;
     std::vector<size_t> rows;
     std::vector<std::vector<double>> features;
     std::vector<LogicalOpEstimate> estimates;
-    bool ok = false;
   };
-  std::map<rel::OperatorType, ModelGroup> groups;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const rel::SqlOperator& op = *ops[i];
-    if (!RoutesToLogicalModel(op.type, *ctxs[i])) continue;
-    if (!op.Validate().ok()) continue;
-    ModelGroup& g = groups[op.type];
-    if (g.model == nullptr) {
-      auto model = logical_model(op.type);
-      if (!model.ok()) continue;
-      g.model = model.value();
+  std::array<ModelGroup, kNumOperatorTypes> groups;
+  bool any_model_row = false;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const rel::SqlOperator& op = *rows[i].op;
+    const EstimateContext& ctx = *rows[i].ctx;
+    const int type_idx = static_cast<int>(op.type);
+    if (ctx.breaker_open || ctx.admission_degraded ||
+        !SelectsLogical(op.type, ctx.now) || type_idx < 0 ||
+        type_idx >= kNumOperatorTypes) {
+      continue;
     }
+    auto model = logical_.find(op.type);
+    if (model == logical_.end() || !op.Validate().ok()) continue;
+    ModelGroup& g = groups[static_cast<size_t>(type_idx)];
+    g.model = &model->second;
     g.rows.push_back(i);
     g.features.push_back(op.LogicalOpFeatures());
+    any_model_row = true;
   }
-  std::vector<const LogicalOpEstimate*> hints(ops.size(), nullptr);
-  for (auto& [type, g] : groups) {
+  std::vector<const LogicalOpEstimate*> hints;
+  if (any_model_row) hints.assign(rows.size(), nullptr);
+  for (ModelGroup& g : groups) {
     // A batch failure leaves the group hintless: the scalar path reproduces
     // the same per-row error with full fidelity.
-    g.ok = g.model->EstimateBatch(g.features, &g.estimates).ok();
-    if (!g.ok) continue;
+    if (g.model == nullptr ||
+        !g.model->EstimateBatch(g.features, &g.estimates).ok()) {
+      continue;
+    }
     for (size_t r = 0; r < g.rows.size(); ++r) {
       hints[g.rows[r]] = &g.estimates[r];
     }
   }
-  out->clear();
-  out->reserve(ops.size());
-  // Strict op order: last-known-good refreshes land in the same sequence
+  std::vector<Result<HybridEstimate>> out;
+  out.reserve(rows.size());
+  // Strict row order: last-known-good refreshes land in the same sequence
   // the scalar loop would produce.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    out->push_back(EstimateImpl(*ops[i], *ctxs[i], hints[i]));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.push_back(EstimateImpl(*rows[i].op, *rows[i].ctx,
+                               hints.empty() ? nullptr : hints[i]));
   }
-  return Status::OK();
+  return out;
 }
 
 Result<HybridEstimate> CostingProfile::EstimateImpl(
@@ -545,30 +542,67 @@ Result<HybridEstimate> CostEstimator::Estimate(
   return p->Estimate(op, ctx);
 }
 
-Status CostEstimator::EstimateBatch(
-    const std::string& system_name,
-    const std::vector<const rel::SqlOperator*>& ops,
-    const std::vector<const EstimateContext*>& ctxs,
-    std::vector<Result<HybridEstimate>>* out) const {
-  if (ops.size() != ctxs.size()) {
-    return Status::InvalidArgument("EstimateBatch ops/ctxs length mismatch");
-  }
-  ISPHERE_ASSIGN_OR_RETURN(const CostingProfile* p, GetProfile(system_name));
-  // Same per-call health consult as the scalar path; degraded copies live
-  // here so every context pointer handed down stays valid for the batch.
-  std::vector<EstimateContext> degraded_storage;
-  degraded_storage.reserve(ops.size());
-  std::vector<const EstimateContext*> resolved(ctxs);
-  for (size_t i = 0; i < resolved.size(); ++i) {
-    const EstimateContext& ctx = *resolved[i];
+std::vector<Result<HybridEstimate>> CostEstimator::EstimateBatch(
+    std::span<const EstimateRow> rows) const {
+  const size_t n = rows.size();
+  // Every slot is overwritten below. The placeholder's message fits the
+  // string's inline buffer, so pre-filling allocates nothing per row.
+  std::vector<Result<HybridEstimate>> out(
+      n, Result<HybridEstimate>(Status::Internal("not estimated")));
+  // Resolve each row's profile (a run of rows on one system shares the
+  // lookup) and, as Estimate does, its breaker state. Degraded context
+  // copies live in `degraded`, reserved once so the pointers handed down
+  // stay valid for the batch.
+  std::vector<const CostingProfile*> profile_of(n, nullptr);
+  std::vector<EstimateRow> resolved(rows.begin(), rows.end());
+  std::vector<EstimateContext> degraded;
+  const std::string* memo_system = nullptr;
+  const CostingProfile* memo_profile = nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    const EstimateRow& row = rows[i];
+    if (memo_system == nullptr || *memo_system != *row.system) {
+      auto it = profiles_.find(*row.system);
+      memo_profile = it == profiles_.end() ? nullptr : &it->second;
+      memo_system = row.system;
+    }
+    if (memo_profile == nullptr) {
+      out[i] = GetProfile(*row.system).status();
+      continue;
+    }
+    profile_of[i] = memo_profile;
+    const EstimateContext& ctx = *row.ctx;
     if (ctx.health != nullptr && !ctx.breaker_open &&
-        ctx.health->IsOpen(system_name, ctx.now)) {
-      degraded_storage.push_back(ctx);
-      degraded_storage.back().breaker_open = true;
-      resolved[i] = &degraded_storage.back();
+        ctx.health->IsOpen(*row.system, ctx.now)) {
+      if (degraded.empty()) degraded.reserve(n);
+      degraded.push_back(ctx);
+      degraded.back().breaker_open = true;
+      resolved[i].ctx = &degraded.back();
     }
   }
-  return p->EstimateBatch(ops, resolved, out);
+  // Hand each profile its rows in row order, profiles in order of first
+  // appearance; a row is cleared from profile_of once taken.
+  std::vector<EstimateRow> batch;
+  std::vector<size_t> origin;
+  batch.reserve(n);
+  origin.reserve(n);
+  for (size_t first = 0; first < n; ++first) {
+    const CostingProfile* p = profile_of[first];
+    if (p == nullptr) continue;
+    batch.clear();
+    origin.clear();
+    for (size_t i = first; i < n; ++i) {
+      if (profile_of[i] != p) continue;
+      batch.push_back(resolved[i]);
+      origin.push_back(i);
+      profile_of[i] = nullptr;
+    }
+    std::vector<Result<HybridEstimate>> results = p->EstimateBatch(batch);
+    if (origin.size() == n) return results;  // one profile took every row
+    for (size_t k = 0; k < origin.size(); ++k) {
+      out[origin[k]] = std::move(results[k]);
+    }
+  }
+  return out;
 }
 
 Status CostEstimator::LogActual(const std::string& system_name,

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,14 @@ struct HybridEstimate {
   std::vector<AlgorithmEstimate> candidates;
 };
 
+/// One row of a batched estimate: the arguments of one
+/// CostEstimator::Estimate call. The pointees must outlive the batch call.
+struct EstimateRow {
+  const std::string* system = nullptr;
+  const rel::SqlOperator* op = nullptr;
+  const EstimateContext* ctx = nullptr;
+};
+
 /// A remote system's costing profile.
 class CostingProfile {
  public:
@@ -119,25 +128,16 @@ class CostingProfile {
   [[nodiscard]] Result<HybridEstimate> Estimate(
       const rel::SqlOperator& op, const EstimateContext& ctx = {}) const;
 
-  /// Whether Estimate under `ctx` would serve this operator type from a
-  /// trained logical-op model — the batchable path. Breaker-open contexts
-  /// return false (the degradation ladder decides per call), as do types
-  /// the routing sends to sub-op or that lack a trained model.
-  bool RoutesToLogicalModel(rel::OperatorType type,
-                            const EstimateContext& ctx) const;
-
-  /// Batched Estimate: ops[i] is costed under ctxs[i] (equal lengths,
-  /// InvalidArgument otherwise). Rows that RoutesToLogicalModel lower
-  /// their network forward passes into one LogicalOpModel::EstimateBatch
-  /// per operator type (one GEMM per layer for the whole group); every
-  /// other row — sub-op, degraded, invalid — takes the scalar path
-  /// unchanged. (*out)[i] is bit-identical to Estimate(*ops[i], *ctxs[i]),
-  /// and the last-known-good cells are refreshed in op order exactly as
-  /// the equivalent scalar loop would.
-  [[nodiscard]] Status EstimateBatch(
-      const std::vector<const rel::SqlOperator*>& ops,
-      const std::vector<const EstimateContext*>& ctxs,
-      std::vector<Result<HybridEstimate>>* out) const;
+  /// Batched Estimate over rows of this profile's system (rows[i].system
+  /// is not read): result i is bit-identical to Estimate(*rows[i].op,
+  /// *rows[i].ctx). Rows the scalar path would serve straight from a
+  /// trained logical-op model run their network forward passes as one
+  /// LogicalOpModel::EstimateBatch per operator type (one GEMM per layer
+  /// for the whole group); every other row — sub-op, degraded, invalid —
+  /// takes the scalar path unchanged. The last-known-good cells are
+  /// refreshed in row order exactly as the equivalent scalar loop would.
+  [[nodiscard]] std::vector<Result<HybridEstimate>> EstimateBatch(
+      std::span<const EstimateRow> rows) const;
 
   /// Logging phase: records an actual remote execution into the active
   /// logical-op model (no-op result when the profile has none for the
@@ -173,9 +173,9 @@ class CostingProfile {
  private:
   CostingProfile() = default;
 
-  /// The approach-routing switch shared by Estimate and
-  /// RoutesToLogicalModel: whether `type` selects the logical path at
-  /// `now`, before model-availability fallback and the breaker ladder.
+  /// The approach-routing switch shared by Estimate and EstimateBatch:
+  /// whether `type` selects the logical path at `now`, before
+  /// model-availability fallback and the breaker ladder.
   bool SelectsLogical(rel::OperatorType type, double now) const;
 
   /// The full Estimate body. When `logical_hint` is non-null it holds the
@@ -225,16 +225,15 @@ class CostEstimator {
       const std::string& system_name, const rel::SqlOperator& op,
       const EstimateContext& ctx = {}) const;
 
-  /// Batched Estimate against one system: resolves the profile once and
-  /// applies the same per-call health consult as Estimate, then lowers the
-  /// batch through CostingProfile::EstimateBatch (one GEMM per operator
-  /// type for all model-served rows). (*out)[i] is bit-identical to
-  /// Estimate(system_name, *ops[i], *ctxs[i]).
-  [[nodiscard]] Status EstimateBatch(
-      const std::string& system_name,
-      const std::vector<const rel::SqlOperator*>& ops,
-      const std::vector<const EstimateContext*>& ctxs,
-      std::vector<Result<HybridEstimate>>* out) const;
+  /// Batched Estimate over rows for any mix of systems — the one place a
+  /// batch of estimates is lowered (DESIGN.md §14). Each row's profile and
+  /// breaker state are resolved as Estimate resolves them, and each
+  /// profile's rows, in row order, go through one
+  /// CostingProfile::EstimateBatch. Result i is bit-identical to
+  /// Estimate(*rows[i].system, *rows[i].op, *rows[i].ctx), errors included:
+  /// an unregistered system is that row's NotFound.
+  [[nodiscard]] std::vector<Result<HybridEstimate>> EstimateBatch(
+      std::span<const EstimateRow> rows) const;
 
   /// Feedback entry points.
   [[nodiscard]] Status LogActual(const std::string& system_name, const rel::SqlOperator& op,

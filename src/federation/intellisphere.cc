@@ -1,6 +1,5 @@
 #include "federation/intellisphere.h"
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -103,8 +102,13 @@ std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
   // Master-engine requests never leave the process: the analytic local
   // model is evaluated inline (it is not cacheable state, and the serving
   // layer deliberately wraps only remote profiles).
+  std::vector<size_t> positions;
+  positions.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].system != kTeradataSystemName) continue;
+    if (requests[i].system != kTeradataSystemName) {
+      positions.push_back(i);
+      continue;
+    }
     auto seconds = local_model_.EstimateSeconds(requests[i].op);
     if (seconds.ok()) {
       core::HybridEstimate est;
@@ -114,61 +118,39 @@ std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
       out[i] = seconds.status();
     }
   }
+  if (positions.empty()) return out;
 
+  std::vector<Result<core::HybridEstimate>> results;
   if (serving_ != nullptr) {
     std::vector<serving::EstimateRequest> remote;
-    std::vector<size_t> positions;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (requests[i].system == kTeradataSystemName) continue;
+    remote.reserve(positions.size());
+    for (size_t i : positions) {
       serving::EstimateRequest request;
       request.system = requests[i].system;
       request.op = requests[i].op;
       request.now = ctx.now;
       request.policy_override = ctx.policy_override;
       remote.push_back(std::move(request));
-      positions.push_back(i);
     }
-    if (!remote.empty()) {
-      // With an admission controller attached, the remote batch passes its
-      // serve / serve-degraded / shed ladder first; shed batches surface
-      // as per-request ResourceExhausted / DeadlineExceeded, which aborts
-      // the plan search (BatchCostFn contract) — planning fails fast under
-      // overload instead of queueing behind the pool.
-      std::vector<Result<core::HybridEstimate>> results =
-          admission_ != nullptr ? admission_->EstimateBatch(remote, ctx)
-                                : serving_->EstimateBatch(remote, ctx);
-      for (size_t j = 0; j < positions.size() && j < results.size(); ++j) {
-        out[positions[j]] = std::move(results[j]);
-      }
-    }
-    return out;
-  }
-
-  // No serving layer: group per system and lower each group through
-  // CostEstimator::EstimateBatch (bit-identical to the scalar path).
-  std::map<std::string, std::vector<size_t>> by_system;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].system == kTeradataSystemName) continue;
-    by_system[requests[i].system].push_back(i);
-  }
-  for (const auto& [system, positions] : by_system) {
-    std::vector<const rel::SqlOperator*> ops;
-    std::vector<const core::EstimateContext*> ctxs;
-    ops.reserve(positions.size());
-    ctxs.reserve(positions.size());
+    // With an admission controller attached, the remote batch passes its
+    // serve / serve-degraded / shed ladder first; shed batches surface as
+    // per-request ResourceExhausted / DeadlineExceeded, which aborts the
+    // plan search (BatchCostFn contract) — planning fails fast under
+    // overload instead of queueing behind the pool.
+    results = admission_ != nullptr ? admission_->EstimateBatch(remote, ctx)
+                                    : serving_->EstimateBatch(remote, ctx);
+  } else {
+    // No serving layer: one estimator batch over every remote request
+    // (bit-identical to the scalar path).
+    std::vector<core::EstimateRow> rows;
+    rows.reserve(positions.size());
     for (size_t i : positions) {
-      ops.push_back(&requests[i].op);
-      ctxs.push_back(&ctx);
+      rows.push_back({&requests[i].system, &requests[i].op, &ctx});
     }
-    std::vector<Result<core::HybridEstimate>> results;
-    Status batch = estimator_.EstimateBatch(system, ops, ctxs, &results);
-    if (!batch.ok()) {
-      for (size_t i : positions) out[i] = batch;
-      continue;
-    }
-    for (size_t j = 0; j < positions.size() && j < results.size(); ++j) {
-      out[positions[j]] = std::move(results[j]);
-    }
+    results = estimator_.EstimateBatch(rows);
+  }
+  for (size_t j = 0; j < positions.size() && j < results.size(); ++j) {
+    out[positions[j]] = std::move(results[j]);
   }
   return out;
 }

@@ -111,8 +111,8 @@ class IntelliSphere {
   /// request order. Master-engine ("teradata") requests are evaluated
   /// inline on the analytic local model; remote requests go through the
   /// attached EstimationService::EstimateBatch when present (dedup, cache,
-  /// batched GEMM), or are grouped per system through
-  /// CostEstimator::EstimateBatch otherwise — both documented
+  /// batched GEMM), or through one CostEstimator::EstimateBatch call
+  /// otherwise — both documented
   /// bit-identical to the scalar Estimate path. The returned estimates'
   /// approach strings for Teradata are conventionally "local" (set by the
   /// search via its ApproachLabel).

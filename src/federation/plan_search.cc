@@ -235,9 +235,18 @@ class Searcher {
                                                   << static_cast<unsigned>(
                                                       p.left);
     }
+    // Every successful search evaluates every predicate (the full mask
+    // holds them all), so each endpoint's distinct count is resolved once
+    // here and a bad one fails before any costing.
+    join_denoms_.reserve(spec.joins.size());
+    for (const QuerySpec::JoinPredicate& p : spec.joins) {
+      ISPHERE_ASSIGN_OR_RETURN(int64_t dl, EndpointDistinct(p.left, p.column));
+      ISPHERE_ASSIGN_OR_RETURN(int64_t dr,
+                               EndpointDistinct(p.right, p.column));
+      join_denoms_.push_back(static_cast<double>(std::max(dl, dr)));
+    }
     dp_.assign((size_t{1} << n) * sites_.size(), DpEntry{});
-    mask_stats_.assign(size_t{1} << n, MaskStats{});
-    mask_stats_ready_.assign(size_t{1} << n, 0);
+    mask_stats_.assign(size_t{1} << n, std::nullopt);
     return Status::OK();
   }
 
@@ -298,8 +307,8 @@ class Searcher {
   /// predicate internal to the subset, with the same operand order as
   /// rel::EstimateJoinCardinality so two-relation specs reproduce it
   /// bit for bit.
-  Result<MaskStats> StatsFor(uint64_t mask) {
-    if (mask_stats_ready_[mask]) return mask_stats_[mask];
+  MaskStats StatsFor(uint64_t mask) {
+    if (mask_stats_[mask]) return *mask_stats_[mask];
     MaskStats stats;
     if (std::popcount(mask) == 1) {
       const RelationInfo& info =
@@ -318,16 +327,13 @@ class Searcher {
         acc *= static_cast<double>(info.rows);
         width += info.proj;
       }
-      for (const QuerySpec::JoinPredicate& p : input_.spec->joins) {
+      const std::vector<QuerySpec::JoinPredicate>& joins = input_.spec->joins;
+      for (size_t j = 0; j < joins.size(); ++j) {
+        const QuerySpec::JoinPredicate& p = joins[j];
         const uint64_t l = uint64_t{1} << static_cast<unsigned>(p.left);
         const uint64_t r = uint64_t{1} << static_cast<unsigned>(p.right);
         if (!(l & mask) || !(r & mask)) continue;
-        ISPHERE_ASSIGN_OR_RETURN(int64_t dl,
-                                 EndpointDistinct(p.left, p.column));
-        ISPHERE_ASSIGN_OR_RETURN(int64_t dr,
-                                 EndpointDistinct(p.right, p.column));
-        const double denom = static_cast<double>(std::max(dl, dr));
-        acc = acc / denom * p.extra_selectivity;
+        acc = acc / join_denoms_[j] * p.extra_selectivity;
       }
       // Clamp before llround: a pathological spec (huge cross products)
       // must saturate, not overflow into UB.
@@ -338,7 +344,6 @@ class Searcher {
       stats.proj = width;
     }
     mask_stats_[mask] = stats;
-    mask_stats_ready_[mask] = 1;
     return stats;
   }
 
@@ -659,8 +664,8 @@ class Searcher {
         const uint64_t rest = mask ^ sub;
         if (!Connected(sub) || !Connected(rest)) continue;
         if (!HasCrossPredicate(sub, rest)) continue;
-        ISPHERE_ASSIGN_OR_RETURN(MaskStats sub_stats, StatsFor(sub));
-        ISPHERE_ASSIGN_OR_RETURN(MaskStats rest_stats, StatsFor(rest));
+        const MaskStats sub_stats = StatsFor(sub);
+        const MaskStats rest_stats = StatsFor(rest);
         // Orient so the right side is the smaller relation (engine
         // planners and formulas assume S is the build/broadcast side);
         // ties keep the canonical side on the left, matching the legacy
@@ -671,7 +676,7 @@ class Searcher {
           std::swap(left_mask, right_mask);
           std::swap(left_stats, right_stats);
         }
-        ISPHERE_ASSIGN_OR_RETURN(MaskStats out_stats, StatsFor(mask));
+        const MaskStats out_stats = StatsFor(mask);
         rel::JoinQuery q;
         q.left = {left_stats.rows, left_stats.width};
         q.right = {right_stats.rows, right_stats.width};
@@ -787,7 +792,7 @@ class Searcher {
     const uint64_t full = (uint64_t{1} << relations_.size()) - 1;
 
     if (!spec.aggregate.has_value()) {
-      ISPHERE_ASSIGN_OR_RETURN(MaskStats stats, StatsFor(full));
+      const MaskStats stats = StatsFor(full);
       for (int site = 0; site < NumSites(); ++site) {
         const DpEntry entry = Entry(full, site);
         if (entry.subplan < 0) continue;
@@ -802,7 +807,7 @@ class Searcher {
     }
 
     const QuerySpec::Aggregate& agg = *spec.aggregate;
-    ISPHERE_ASSIGN_OR_RETURN(MaskStats in_stats, StatsFor(full));
+    const MaskStats in_stats = StatsFor(full);
     // Group cardinality over the final relation set: the group column's
     // distinct count (from the owning relation, post-filter), capped by
     // the input cardinality.
@@ -911,6 +916,9 @@ class Searcher {
   Counter* dropped_counter_;
   std::vector<RelationInfo> relations_;
   std::vector<uint64_t> adjacency_;
+  /// Per join predicate, in spec order: max of its endpoints' distinct
+  /// counts, the containment denominator of its selectivity.
+  std::vector<double> join_denoms_;
   /// Execution sites (the master and every relation's location) in name
   /// order; a site id indexes this list.
   std::vector<std::string> sites_;
@@ -918,8 +926,8 @@ class Searcher {
   /// dp_[mask * sites_.size() + site]: cheapest way to have `mask`'s join
   /// result on `site`.
   std::vector<DpEntry> dp_;
-  std::vector<MaskStats> mask_stats_;
-  std::vector<char> mask_stats_ready_;
+  /// StatsFor's memo, by mask; empty until the mask is first asked for.
+  std::vector<std::optional<MaskStats>> mask_stats_;
   /// Every base table and queued placement, in the order they were made.
   std::vector<Subplan> subplans_;
   /// The distinct operators of the batch being built, an open-addressed

@@ -259,66 +259,55 @@ bool AdmissionController::ShouldYieldBackground(double now) const {
              static_cast<double>(options_.max_queue);
 }
 
-Result<core::HybridEstimate> AdmissionController::Estimate(
-    const EstimateRequest& request, const core::EstimateContext& ctx) const {
-  const AdmissionDecision decision = Admit(1, request.now, ctx);
-  RecordDecision(ctx, 1, decision);
-  TraceSpan span = ctx.StartSpan("admission");
-  if (span.enabled()) {
-    span.SetString("tenant", std::string(ctx.tenant))
+Status AdmissionController::Gate(size_t size, double now,
+                                 const core::EstimateContext& ctx,
+                                 TraceSpan* span,
+                                 core::EstimateContext* served) const {
+  const AdmissionDecision decision = Admit(size, now, ctx);
+  RecordDecision(ctx, size, decision);
+  *span = ctx.StartSpan("admission");
+  if (span->enabled()) {
+    span->SetString("tenant", std::string(ctx.tenant))
         .SetString("priority", core::RequestPriorityName(ctx.priority))
         .SetString("outcome", AdmissionOutcomeName(decision.outcome))
         .SetDouble("queue_depth", decision.queue_depth)
-        .SetInt("size", 1);
+        .SetInt("size", static_cast<int64_t>(size));
   }
-  switch (decision.outcome) {
-    case AdmissionOutcome::kShedLoad:
-    case AdmissionOutcome::kShedDeadline:
-      return ShedStatus(decision.outcome);
-    case AdmissionOutcome::kServeDegraded: {
-      core::EstimateContext degraded = ctx.Under(span);
-      degraded.admission_degraded = true;
-      return service_->Estimate(request, degraded);
-    }
-    case AdmissionOutcome::kServe:
-      break;
+  if (decision.outcome == AdmissionOutcome::kShedLoad ||
+      decision.outcome == AdmissionOutcome::kShedDeadline) {
+    return ShedStatus(decision.outcome);
   }
-  // Rung one: forward with the caller's context untouched (modulo span
+  // Rung one forwards the caller's context untouched (modulo span
   // nesting), so admitted-at-zero-load results are bit-identical to a
-  // direct service call.
-  return service_->Estimate(request, ctx.Under(span));
+  // direct service call; rung two marks it admission-degraded.
+  *served = ctx.Under(*span);
+  if (decision.outcome == AdmissionOutcome::kServeDegraded) {
+    served->admission_degraded = true;
+  }
+  return Status::OK();
+}
+
+Result<core::HybridEstimate> AdmissionController::Estimate(
+    const EstimateRequest& request, const core::EstimateContext& ctx) const {
+  TraceSpan span;
+  core::EstimateContext served;
+  ISPHERE_RETURN_NOT_OK(Gate(1, request.now, ctx, &span, &served));
+  return service_->Estimate(request, served);
 }
 
 std::vector<Result<core::HybridEstimate>> AdmissionController::EstimateBatch(
     std::span<const EstimateRequest> requests,
     const core::EstimateContext& ctx) const {
   if (requests.empty()) return {};
-  const double now = requests.front().now;
-  const AdmissionDecision decision = Admit(requests.size(), now, ctx);
-  RecordDecision(ctx, requests.size(), decision);
-  TraceSpan span = ctx.StartSpan("admission");
-  if (span.enabled()) {
-    span.SetString("tenant", std::string(ctx.tenant))
-        .SetString("priority", core::RequestPriorityName(ctx.priority))
-        .SetString("outcome", AdmissionOutcomeName(decision.outcome))
-        .SetDouble("queue_depth", decision.queue_depth)
-        .SetInt("size", static_cast<int64_t>(requests.size()));
+  TraceSpan span;
+  core::EstimateContext served;
+  const Status shed =
+      Gate(requests.size(), requests.front().now, ctx, &span, &served);
+  if (!shed.ok()) {
+    return std::vector<Result<core::HybridEstimate>>(
+        requests.size(), Result<core::HybridEstimate>(shed));
   }
-  switch (decision.outcome) {
-    case AdmissionOutcome::kShedLoad:
-    case AdmissionOutcome::kShedDeadline:
-      return std::vector<Result<core::HybridEstimate>>(
-          requests.size(),
-          Result<core::HybridEstimate>(ShedStatus(decision.outcome)));
-    case AdmissionOutcome::kServeDegraded: {
-      core::EstimateContext degraded = ctx.Under(span);
-      degraded.admission_degraded = true;
-      return service_->EstimateBatch(requests, degraded);
-    }
-    case AdmissionOutcome::kServe:
-      break;
-  }
-  return service_->EstimateBatch(requests, ctx.Under(span));
+  return service_->EstimateBatch(requests, served);
 }
 
 AdmissionStats AdmissionController::Stats() const {

@@ -196,6 +196,15 @@ class AdmissionController {
 
   double QueueDepthLocked(double now) const REQUIRES(mu_);
 
+  /// The step Estimate and EstimateBatch share: one Admit decision for
+  /// `size` requests at `now`, recorded in the serving.admission.*
+  /// counters and an `admission` span opened into `*span`. Returns the
+  /// shed status, or OK with `*served` set to the context the admitted
+  /// work runs under (nested under the span, admission-degraded on rung
+  /// two).
+  Status Gate(size_t size, double now, const core::EstimateContext& ctx,
+              TraceSpan* span, core::EstimateContext* served) const;
+
   const EstimationService* service_;
   AdmissionOptions options_;
   /// Admission is a hidden side effect of the logically-const serve path

@@ -352,13 +352,11 @@ void EstimateCache::Reference(Set& set, int way) {
 
 void EstimateCache::CountGet(bool hit, bool lockless,
                              const CacheCounters& counters) {
+  std::atomic<int64_t>& outcome =
+      lockless ? (hit ? lockless_hits_ : lockless_misses_)
+               : (hit ? locked_hits_ : locked_misses_);
   // lint:relaxed-ok(stat counter; Stats reads are point-in-time by contract)
-  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  if (lockless) {
-    std::atomic<int64_t>& split = hit ? lockless_hits_ : lockless_misses_;
-    // lint:relaxed-ok(stat counter; no data is published through it)
-    split.fetch_add(1, std::memory_order_relaxed);
-  }
+  outcome.fetch_add(1, std::memory_order_relaxed);
   Counter* counter = hit ? counters.hits : counters.misses;
   if (counter != nullptr) counter->Increment();
 }
@@ -403,8 +401,6 @@ std::optional<core::HybridEstimate> EstimateCache::Get(
   }
 
   // ---- Locked probe -------------------------------------------------------
-  // lint:relaxed-ok(stat counter; no data is published through it)
-  locked_gets_.fetch_add(1, std::memory_order_relaxed);
   bool stale = false;
   bool expired = false;
   bool served_expired = false;
@@ -531,14 +527,16 @@ CacheStats EstimateCache::Stats() const {
     return counter.load(std::memory_order_relaxed);
   };
   CacheStats stats;
-  stats.hits = read(hits_);
-  stats.misses = read(misses_);
+  stats.lockless_hits = read(lockless_hits_);
+  stats.lockless_misses = read(lockless_misses_);
+  const int64_t locked_hits = read(locked_hits_);
+  const int64_t locked_misses = read(locked_misses_);
+  stats.hits = stats.lockless_hits + locked_hits;
+  stats.misses = stats.lockless_misses + locked_misses;
+  stats.locked_gets = locked_hits + locked_misses;
   stats.evictions = read(evictions_);
   stats.stale_epoch = read(stale_epoch_);
   stats.stale_served = read(stale_served_);
-  stats.lockless_hits = read(lockless_hits_);
-  stats.lockless_misses = read(lockless_misses_);
-  stats.locked_gets = read(locked_gets_);
   stats.entries = static_cast<int64_t>(size());
   return stats;
 }

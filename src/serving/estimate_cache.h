@@ -288,7 +288,7 @@ class EstimateCache {
   static void Retire(Shard& shard, Set& set, size_t si, int way)
       REQUIRES(shard.mu);
   static void Reference(Set& set, int way);
-  /// Bumps hits_ or misses_ (and the lockless split) for one Get.
+  /// Counts one Get in exactly one of the four outcome counters below.
   void CountGet(bool hit, bool lockless, const CacheCounters& counters);
 
   CacheOptions options_;
@@ -296,14 +296,15 @@ class EstimateCache {
   /// unique_ptrs because Shard (mutex) is immovable.
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
+  /// Get outcomes, one read-modify-write per Get; Stats derives hits,
+  /// misses and locked_gets as sums.
+  std::atomic<int64_t> lockless_hits_{0};
+  std::atomic<int64_t> lockless_misses_{0};
+  std::atomic<int64_t> locked_hits_{0};
+  std::atomic<int64_t> locked_misses_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> stale_epoch_{0};
   std::atomic<int64_t> stale_served_{0};
-  std::atomic<int64_t> lockless_hits_{0};
-  std::atomic<int64_t> lockless_misses_{0};
-  std::atomic<int64_t> locked_gets_{0};
 };
 
 }  // namespace intellisphere::serving

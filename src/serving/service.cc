@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <string_view>
 #include <utility>
 
@@ -51,6 +50,33 @@ CacheCounters CountersFor(const core::EstimateContext& ctx) {
   return GlobalServingInstruments().AsCacheCounters();
 }
 
+/// The deadline gate's answer (DESIGN.md §17): a request whose deadline
+/// already passed on the deployment clock is rejected before the cache is
+/// touched — no probe, no fill — so expired work can neither publish into
+/// nor be answered from shared state.
+Status DeadlineExpired() {
+  return Status::DeadlineExceeded("estimate deadline expired before serving");
+}
+
+/// The fallback reason of a TTL-expired entry served under allow_stale; it
+/// names whichever cause applies (breaker wins over admission overload).
+const char* ServedStaleReason(bool breaker_open) {
+  return breaker_open ? "breaker_open:served_stale"
+                      : "admission_overload:served_stale";
+}
+
+/// Whether a computed answer may fill the cache. Degraded results
+/// (non-empty fell_back_reason) are never cached: once the breaker closes,
+/// callers should get the real estimate again, not a memoized fallback.
+/// Admission-degraded requests never fill the cache either, even when their
+/// answer happens to be full fidelity (sub-op profiles): overload outcomes
+/// must not become durable state.
+bool Cacheable(const Result<core::HybridEstimate>& result,
+               const core::EstimateContext& ctx) {
+  return result.ok() && result.value().fell_back_reason.empty() &&
+         !ctx.admission_degraded;
+}
+
 }  // namespace
 
 Result<ServiceOptions> ServiceOptions::FromProperties(
@@ -64,23 +90,6 @@ Result<ServiceOptions> ServiceOptions::FromProperties(
     }
     opts.jobs = static_cast<int>(jobs);
   }
-  if (props.Contains(kServingBatchMinGroupSizeKey)) {
-    ISPHERE_ASSIGN_OR_RETURN(int64_t size,
-                             props.GetInt(kServingBatchMinGroupSizeKey));
-    if (size < 1) {
-      return Status::InvalidArgument(
-          "serving.batch.min_group_size must be >= 1");
-    }
-    opts.batch_min_group_size = static_cast<int>(size);
-  }
-  if (props.Contains(kServingBatchChunkRowsKey)) {
-    ISPHERE_ASSIGN_OR_RETURN(int64_t rows,
-                             props.GetInt(kServingBatchChunkRowsKey));
-    if (rows < 1) {
-      return Status::InvalidArgument("serving.batch.chunk_rows must be >= 1");
-    }
-    opts.batch_chunk_rows = static_cast<int>(rows);
-  }
   return opts;
 }
 
@@ -93,25 +102,10 @@ EstimationService::EstimationService(const core::CostEstimator* estimator,
   if (options_.jobs > 1) pool_ = std::make_unique<ThreadPool>(options_.jobs);
 }
 
-std::string EstimationService::KeyFor(const EstimateRequest& request,
-                                      const core::EstimateContext& ctx) const {
-  std::string key;
-  KeyForTo(request, ctx, &key);
-  return key;
-}
-
-void EstimationService::KeyForTo(const EstimateRequest& request,
-                                 const core::EstimateContext& ctx,
-                                 std::string* out) const {
-  auto profile = estimator_->GetProfile(request.system);
-  KeyWithProfileTo(request, ctx, profile.ok() ? profile.value() : nullptr,
-                   out);
-}
-
-void EstimationService::KeyWithProfileTo(const EstimateRequest& request,
-                                         const core::EstimateContext& ctx,
-                                         const core::CostingProfile* p,
-                                         std::string* out) const {
+void EstimationService::KeyTo(const EstimateRequest& request,
+                              const core::EstimateContext& ctx,
+                              const core::CostingProfile* p,
+                              std::string* out) const {
   if (p == nullptr) {
     out->clear();
     return;
@@ -146,51 +140,35 @@ core::EstimateContext EstimationService::RequestContext(
 
 Result<core::HybridEstimate> EstimationService::Estimate(
     const EstimateRequest& request, const core::EstimateContext& ctx) const {
-  // Deadline gate (DESIGN.md §17): a request whose deadline already passed
-  // on the deployment clock is rejected before the cache is touched — no
-  // probe, no fill — so expired work can neither publish into nor be
-  // answered from shared state.
-  if (ctx.DeadlineExpiredAt(request.now)) {
-    return Status::DeadlineExceeded("estimate deadline expired before serving");
-  }
+  if (ctx.DeadlineExpiredAt(request.now)) return DeadlineExpired();
   const CacheCounters counters = CountersFor(ctx);
   // The epoch is captured *before* the cache probe and the computation, so
   // a retrain racing this call can only make the stored entry stale, never
   // let a pre-retrain value masquerade as fresh.
   const uint64_t epoch = estimator_->model_epoch();
-  const std::string key = KeyFor(request, ctx);
+  auto profile = estimator_->GetProfile(request.system);
+  std::string key;
+  KeyTo(request, ctx, profile.ok() ? profile.value() : nullptr, &key);
   const remote::HealthRegistry* health =
       ctx.health != nullptr ? ctx.health : options_.health;
   const bool breaker_open =
       health != nullptr && health->IsOpen(request.system, request.now);
   // A TTL-expired entry beats recomputing when the backend is unreachable
   // (breaker open) or the serving layer itself is overloaded (admission
-  // degraded); the flag names whichever cause applies (breaker wins).
+  // degraded).
   const bool allow_stale = breaker_open || ctx.admission_degraded;
   if (!key.empty()) {
     bool served_stale = false;
     if (auto hit = cache_.Get(key, epoch, request.now, counters,
                               allow_stale, &served_stale)) {
-      if (served_stale) {
-        core::HybridEstimate est = *std::move(hit);
-        est.fell_back_reason = breaker_open
-                                   ? "breaker_open:served_stale"
-                                   : "admission_overload:served_stale";
-        return est;
-      }
+      if (served_stale) hit->fell_back_reason = ServedStaleReason(breaker_open);
       return *std::move(hit);
     }
   }
   auto result =
       estimator_->Estimate(request.system, request.op,
                            RequestContext(request, ctx));
-  // Degraded results (non-empty fell_back_reason) are never cached: once
-  // the breaker closes, callers should get the real estimate again, not a
-  // memoized fallback. Admission-degraded requests never fill the cache
-  // either, even when their answer happens to be full fidelity (sub-op
-  // profiles): overload outcomes must not become durable state.
-  if (result.ok() && !key.empty() &&
-      result.value().fell_back_reason.empty() && !ctx.admission_degraded) {
+  if (!key.empty() && Cacheable(result, ctx)) {
     cache_.Put(key, epoch, request.now, result.value(), counters);
   }
   return result;
@@ -221,23 +199,19 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
     /// The key's bytes in `keys`; empty for uncacheable requests.
     size_t key_offset = 0;
     size_t key_size = 0;
-    /// Captured from the pass-1 memo so pass 2 can group by model without
-    /// re-resolving the profile (null = unknown system).
-    const core::CostingProfile* profile = nullptr;
-    bool breaker_open = false;
-    /// Answered by a cache hit in pass 1: computed[g] already holds the
-    /// value; pass 2 skips the group, the fan-out only hands it on.
+    /// Answered in pass 1, by a cache hit or (expired deadline) an error:
+    /// computed[g] already holds the answer, pass 2 skips the group and
+    /// pass 3 never fills the cache from it.
+    bool answered = false;
+    /// Answered by a cache hit: counts as a served hit in the span.
     bool from_cache = false;
-    /// Answered with an error in pass 1 (expired deadline): keyless, never
-    /// computed, never cached.
-    bool preanswered = false;
   };
   std::vector<MissGroup> groups;
   std::string keys;
   const auto key_of = [&keys](const MissGroup& g) {
     return std::string_view(keys).substr(g.key_offset, g.key_size);
   };
-  // One answer slot per group: cache hits land here in pass 1, computed
+  // One answer slot per group: pass-1 answers land here first, computed
   // misses in pass 2, and the final fan-out hands computed[group_of[i]] to
   // each request — no per-slot prefill churn.
   std::vector<Result<core::HybridEstimate>> computed;
@@ -274,18 +248,12 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   // there is one.
   size_t unanswered = 0;
   for (size_t i = 0; i < n; ++i) {
-    // Deadline gate, mirrored from Estimate(): an expired request gets a
-    // per-request DeadlineExceeded with no cache probe, no computation,
-    // and (keyless group) no cache fill.
+    // Deadline gate, as in Estimate(): an expired request gets its own
+    // keyless, answered group — no cache probe, no computation, no fill.
     if (ctx.DeadlineExpiredAt(requests[i].now)) {
       group_of[i] = static_cast<uint32_t>(groups.size());
-      MissGroup shed;
-      shed.first_index = i;
-      shed.last_index = i;
-      shed.preanswered = true;
-      groups.push_back(shed);
-      computed.emplace_back(
-          Status::DeadlineExceeded("estimate deadline expired before serving"));
+      groups.push_back({i, i, 0, 0, /*answered=*/true, /*from_cache=*/false});
+      computed.emplace_back(DeadlineExpired());
       continue;
     }
     if (memo_system == nullptr || *memo_system != requests[i].system) {
@@ -295,7 +263,7 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
                           health->IsOpen(requests[i].system, requests[i].now);
       memo_system = &requests[i].system;
     }
-    KeyWithProfileTo(requests[i], bctx, memo_profile, &scratch);
+    KeyTo(requests[i], bctx, memo_profile, &scratch);
     std::optional<core::HybridEstimate> hit;
     if (!scratch.empty()) {
       const uint64_t key_hash = std::hash<std::string_view>{}(scratch);
@@ -322,25 +290,16 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
                            ctx.admission_degraded,
                        &served_stale);
       if (hit && served_stale) {
-        hit->fell_back_reason = memo_breaker_open
-                                    ? "breaker_open:served_stale"
-                                    : "admission_overload:served_stale";
+        hit->fell_back_reason = ServedStaleReason(memo_breaker_open);
       }
     }
-    MissGroup group;
-    group.first_index = i;
-    group.last_index = i;
-    group.key_offset = keys.size();
-    group.key_size = scratch.size();
-    group.profile = memo_profile;
-    group.breaker_open = memo_breaker_open;
-    group.from_cache = hit.has_value();
     // Canonical keys of one batch have similar lengths: reserving room
     // for as many as `groups` reserved usually sizes the arena once.
     if (keys.empty()) keys.reserve(groups.capacity() * scratch.size());
-    keys += scratch;
     group_of[i] = static_cast<uint32_t>(groups.size());
-    groups.push_back(group);
+    groups.push_back(
+        {i, i, keys.size(), scratch.size(), hit.has_value(), hit.has_value()});
+    keys += scratch;
     if (hit) {
       computed.emplace_back(*std::move(hit));
     } else {
@@ -352,7 +311,6 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   // Fan every group's answer out to its requests in request order; each
   // group's last request takes the answer by move. Emits the span's
   // attributes.
-  int64_t batched_groups = 0;
   const auto fan_out = [&] {
     std::vector<Result<core::HybridEstimate>> results;
     results.reserve(n);
@@ -378,8 +336,7 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
           .SetInt("hits", hits)
           .SetInt("misses", misses)
           .SetInt("unique_misses", unique_misses)
-          .SetInt("deduped", misses - unique_misses)
-          .SetInt("batched", batched_groups);
+          .SetInt("deduped", misses - unique_misses);
     }
     return results;
   };
@@ -387,121 +344,46 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   // fill.
   if (unanswered == 0) return fan_out();
 
-  // Pass 2: compute the unique misses. Distinct-key groups routed to the
-  // same (system, logical-operator model) are fused into batched work
-  // units — one CostEstimator::EstimateBatch call lowers the whole unit's
-  // network forward passes into a single GEMM per layer (DESIGN.md §14).
-  // Everything else (unknown systems, sub-op routes, open breakers, groups
-  // smaller than batch_min_group_size) keeps the scalar path. Units are
-  // fanned out over the pool (inline when jobs = 1 or there is at most one
-  // unit). The estimator read path is const and touches no shared mutable
-  // state; the trace sink and registries are thread-safe by contract
-  // (DESIGN.md §9).
-  const size_t num_groups = groups.size();
-  struct WorkUnit {
-    bool batched = false;
-    std::vector<size_t> gs;  ///< group ids computed by this unit
-  };
-  std::vector<WorkUnit> units;
-  units.reserve(num_groups);
-  {
-    // (system, operator type) identifies the model: the pass-1 memo maps
-    // one system to one profile, and the profile holds one logical model
-    // per operator type.
-    std::map<std::pair<std::string_view, rel::OperatorType>,
-             std::vector<size_t>>
-        model_groups;
-    std::vector<size_t> scalar_groups;
-    for (size_t g = 0; g < num_groups; ++g) {
-      // Already answered in pass 1 (cache hit or expired deadline).
-      if (groups[g].from_cache || groups[g].preanswered) continue;
-      const EstimateRequest& rep = requests[groups[g].first_index];
-      const core::CostingProfile* p = groups[g].profile;
-      if (p != nullptr && !groups[g].breaker_open &&
-          p->RoutesToLogicalModel(rep.op.type, RequestContext(rep, bctx))) {
-        model_groups[{rep.system, rep.op.type}].push_back(g);
-      } else {
-        scalar_groups.push_back(g);
-      }
-    }
-    const size_t min_group =
-        static_cast<size_t>(std::max(1, options_.batch_min_group_size));
-    const size_t chunk_rows =
-        static_cast<size_t>(std::max(1, options_.batch_chunk_rows));
-    for (auto& [model, gs] : model_groups) {
-      if (gs.size() < min_group) {
-        scalar_groups.insert(scalar_groups.end(), gs.begin(), gs.end());
-        continue;
-      }
-      for (size_t begin = 0; begin < gs.size(); begin += chunk_rows) {
-        const size_t end = std::min(begin + chunk_rows, gs.size());
-        units.push_back(WorkUnit{
-            true, std::vector<size_t>(gs.begin() + begin, gs.begin() + end)});
-      }
-    }
-    std::sort(scalar_groups.begin(), scalar_groups.end());
-    for (size_t g : scalar_groups) {
-      units.push_back(WorkUnit{false, {g}});
-    }
-  }
-
-  const auto compute_scalar = [&](size_t g) {
+  // Pass 2: compute the unique misses through CostEstimator::EstimateBatch,
+  // which alone decides which rows share a GEMM (DESIGN.md §14). With a
+  // pool the misses split into at most `jobs` contiguous slices, one call
+  // each; otherwise one call takes them all on the caller's thread. The
+  // estimator read path is const and touches no shared mutable state; the
+  // trace sink and registries are thread-safe by contract (DESIGN.md §9).
+  std::vector<uint32_t> miss_groups;
+  std::vector<core::EstimateContext> miss_ctxs;
+  std::vector<core::EstimateRow> rows;
+  miss_groups.reserve(unanswered);
+  miss_ctxs.reserve(unanswered);  // pointer stability for rows[k].ctx
+  rows.reserve(unanswered);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].answered) continue;
     const EstimateRequest& request = requests[groups[g].first_index];
-    computed[g] = estimator_->Estimate(request.system, request.op,
-                                       RequestContext(request, bctx));
-  };
-  const size_t num_units = units.size();
-  ThreadPool* pool =
-      (pool_ != nullptr && num_units > 1) ? pool_.get() : nullptr;
-  // Workers write disjoint computed[g] slots, so no unit-level results are
-  // collected; RunIndexed is only the fan-out.
-  (void)RunIndexed(pool, num_units, [&](size_t u) -> bool {
-    const WorkUnit& unit = units[u];
-    if (!unit.batched) {
-      compute_scalar(unit.gs.front());
-      return true;
-    }
-    const std::string& system =
-        requests[groups[unit.gs.front()].first_index].system;
-    std::vector<const rel::SqlOperator*> ops;
-    std::vector<core::EstimateContext> ctx_storage;
-    std::vector<const core::EstimateContext*> ctxs;
-    ops.reserve(unit.gs.size());
-    ctx_storage.reserve(unit.gs.size());  // pointer stability for ctxs
-    ctxs.reserve(unit.gs.size());
-    for (size_t g : unit.gs) {
-      const EstimateRequest& request = requests[groups[g].first_index];
-      ops.push_back(&request.op);
-      ctx_storage.push_back(RequestContext(request, bctx));
-      ctxs.push_back(&ctx_storage.back());
-    }
-    std::vector<Result<core::HybridEstimate>> outs;
-    const Status st = estimator_->EstimateBatch(system, ops, ctxs, &outs);
-    if (!st.ok()) {
-      // Batch-level failure: recompute every member through the scalar
-      // path so per-request errors surface exactly as the unbatched path
-      // would report them.
-      for (size_t g : unit.gs) compute_scalar(g);
-      return true;
-    }
-    for (size_t k = 0; k < unit.gs.size(); ++k) {
-      computed[unit.gs[k]] = std::move(outs[k]);
+    miss_groups.push_back(static_cast<uint32_t>(g));
+    miss_ctxs.push_back(RequestContext(request, bctx));
+    rows.push_back({&request.system, &request.op, &miss_ctxs.back()});
+  }
+  const size_t slices =
+      pool_ != nullptr ? std::min<size_t>(options_.jobs, rows.size()) : 1;
+  // Workers write disjoint computed[g] slots, so no slice-level results
+  // are collected; RunIndexed is only the fan-out.
+  (void)RunIndexed(pool_.get(), slices, [&](size_t s) {
+    const size_t begin = rows.size() * s / slices;
+    const size_t end = rows.size() * (s + 1) / slices;
+    std::vector<Result<core::HybridEstimate>> out =
+        estimator_->EstimateBatch(
+            std::span<const core::EstimateRow>(rows).subspan(begin,
+                                                             end - begin));
+    for (size_t k = 0; k < out.size(); ++k) {
+      computed[miss_groups[begin + k]] = std::move(out[k]);
     }
     return true;
   });
-  for (const WorkUnit& unit : units) {
-    if (unit.batched) batched_groups += static_cast<int64_t>(unit.gs.size());
-  }
 
-  // Pass 3: fill the cache from freshly computed groups (degraded, shed,
-  // and admission-degraded results are never cached, see Estimate()), then
-  // fan the answers out.
-  for (size_t g = 0; g < num_groups; ++g) {
-    // Answered in pass 1: a hit needs no refill, a shed must never fill.
-    if (groups[g].from_cache || groups[g].preanswered) continue;
-    if (computed[g].ok() && groups[g].key_size != 0 &&
-        computed[g].value().fell_back_reason.empty() &&
-        !ctx.admission_degraded) {
+  // Pass 3: fill the cache from the groups pass 2 computed, then fan the
+  // answers out.
+  for (uint32_t g : miss_groups) {
+    if (groups[g].key_size != 0 && Cacheable(computed[g], ctx)) {
       scratch.assign(key_of(groups[g]));
       cache_.Put(scratch, epoch, requests[groups[g].first_index].now,
                  computed[g].value(), counters);

@@ -40,11 +40,6 @@ namespace intellisphere::serving {
 /// Properties key for the service's miss-computation parallelism
 /// (documented in docs/CONFIG.md).
 inline constexpr char kServingJobsKey[] = "serving.jobs";
-/// Batch-miss grouping knobs (DESIGN.md §14, documented in docs/CONFIG.md).
-inline constexpr char kServingBatchMinGroupSizeKey[] =
-    "serving.batch.min_group_size";
-inline constexpr char kServingBatchChunkRowsKey[] =
-    "serving.batch.chunk_rows";
 
 /// One estimate request: which system, which operator, at what deployment
 /// time, under which (optional) choice-policy override. The request's
@@ -58,8 +53,9 @@ struct EstimateRequest {
 
 struct ServiceOptions {
   CacheOptions cache;
-  /// Worker threads for batch cache misses; 0 = HardwareConcurrency(),
-  /// 1 = compute misses inline on the caller's thread.
+  /// Worker threads for batch cache misses, which split into at most
+  /// `jobs` contiguous slices; 0 = HardwareConcurrency(), 1 = compute
+  /// misses inline on the caller's thread.
   int jobs = 0;
   /// Circuit-breaker registry consulted per request (DESIGN.md §12). When
   /// the target system's breaker is open, a TTL-expired cache entry is
@@ -69,18 +65,9 @@ struct ServiceOptions {
   /// wiring concern, so not read from Properties. Must outlive the
   /// service; null disables breaker awareness.
   const remote::HealthRegistry* health = nullptr;
-  /// Distinct-key misses routed to the same (system, logical-operator
-  /// model) are computed through CostEstimator::EstimateBatch — one GEMM
-  /// per network layer for the whole group — when at least this many
-  /// distinct keys share the model. Smaller groups stay scalar (the batch
-  /// assembly overhead outweighs one fused forward pass). Must be >= 1.
-  int batch_min_group_size = 2;
-  /// Upper bound on rows per batched estimator call; larger model groups
-  /// are chunked so pool workers share the work. Must be >= 1.
-  int batch_chunk_rows = 256;
 
-  /// Reads serving.jobs, serving.batch.*, and the serving.cache.* keys;
-  /// absent keys keep their defaults.
+  /// Reads serving.jobs and the serving.cache.* keys; absent keys keep
+  /// their defaults.
   [[nodiscard]] static Result<ServiceOptions> FromProperties(
       const Properties& props);
 };
@@ -107,21 +94,17 @@ class EstimationService {
 
   /// Batch path: deduplicates requests with identical canonical keys — one
   /// cache probe and at most one computation per distinct key, with the
-  /// first occurrence's probe answering every duplicate — then groups the
-  /// distinct-key misses by
-  /// (system, logical-operator model) and computes each group through
-  /// CostEstimator::EstimateBatch — one fused GEMM per network layer for
-  /// the whole group (DESIGN.md §14) — falling back to scalar computation
-  /// for small groups, non-logical routes, open breakers, and batch-level
-  /// failures (so per-request errors surface exactly as the scalar path
-  /// would). Units are fanned out over the service's pool (inline when
-  /// jobs = 1). Results are returned in request order, bit-identical to
-  /// the single-request path; an estimator error for one request does not
-  /// fail the batch. Requests whose deadline already passed get a
-  /// per-request DeadlineExceeded with no cache traffic, exactly like the
-  /// scalar path. Emits a `serving.batch` span with
-  /// size/hits/misses/unique_misses/deduped/batched attributes when the
-  /// context has a trace sink.
+  /// first occurrence's probe answering every duplicate — then computes
+  /// the distinct-key misses through CostEstimator::EstimateBatch (one
+  /// fused GEMM per network layer for each model's rows, DESIGN.md §14):
+  /// one call inline when jobs = 1, else one call per contiguous slice of
+  /// the misses on the service's pool (at most `jobs` slices). Results are
+  /// returned in request order, bit-identical to the single-request path;
+  /// an estimator error for one request does not fail the batch. Requests
+  /// whose deadline already passed get a per-request DeadlineExceeded with
+  /// no cache traffic, exactly like the scalar path. Emits a
+  /// `serving.batch` span with size/hits/misses/unique_misses/deduped
+  /// attributes when the context has a trace sink.
   [[nodiscard]] std::vector<Result<core::HybridEstimate>> EstimateBatch(
       std::span<const EstimateRequest> requests,
       const core::EstimateContext& ctx = {}) const;
@@ -147,23 +130,11 @@ class EstimationService {
   const core::CostEstimator* estimator() const { return estimator_; }
 
  private:
-  /// Canonical key for a request, or empty when the system has no profile
-  /// (uncacheable; the compute path will surface the NotFound).
-  std::string KeyFor(const EstimateRequest& request,
-                     const core::EstimateContext& ctx) const;
-
-  /// Buffer-reusing variant: rebuilds the key into `*out` (empty when
-  /// uncacheable) without allocating on the batch fast path.
-  void KeyForTo(const EstimateRequest& request,
-                const core::EstimateContext& ctx, std::string* out) const;
-
-  /// Core of KeyForTo with the profile already resolved (`nullptr` =
-  /// uncacheable), letting EstimateBatch memoize the per-system profile
-  /// lookup across consecutive requests.
-  void KeyWithProfileTo(const EstimateRequest& request,
-                        const core::EstimateContext& ctx,
-                        const core::CostingProfile* profile,
-                        std::string* out) const;
+  /// Rebuilds the canonical key for a request of `profile`'s system into
+  /// `*out`, reusing its buffer; empty when `profile` is null (unknown
+  /// system: uncacheable, and the compute path surfaces the NotFound).
+  void KeyTo(const EstimateRequest& request, const core::EstimateContext& ctx,
+             const core::CostingProfile* profile, std::string* out) const;
 
   /// The per-request context handed to the estimator: the batch context
   /// with the request's clock and effective policy override.

@@ -1160,6 +1160,31 @@ TEST(PlanSearchDifferentialTest, CostOnlyMatchesProvenanceOnSyntheticSpecs) {
   }
 }
 
+TEST(PlanSearchTest, NonPositiveDistinctCountFailsBeforeAnyCosting) {
+  // A filter that keeps no rows leaves its join columns no distinct
+  // values. The search resolves every predicate's distinct counts before
+  // it costs anything, so the error returns before the cost hook runs.
+  const std::vector<rel::TableDef> tables = SynthTables();
+  QuerySpec spec = ChainSpec(tables);
+  spec.relations[1].filter_selectivity = 0.0;
+  PlanSearchInput input = SynthInput(spec, tables);
+  int cost_calls = 0;
+  input.cost = [&cost_calls](const std::vector<PlanCostRequest>& requests,
+                             const core::EstimateContext&) {
+    ++cost_calls;
+    std::vector<Result<core::HybridEstimate>> results;
+    for (const PlanCostRequest& r : requests) {
+      results.push_back(SynthCostOne(r.system, r.op));
+    }
+    return results;
+  };
+  const Result<QueryPlan> plan = SearchPlan(input, PlannerOptions{}, {});
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.status().message(), "non-positive distinct count");
+  EXPECT_EQ(cost_calls, 0);
+}
+
 TEST(PlanSearchTest, CandidatesSharingARequestCarryTheSameProvenance) {
   // The aggregation on the master is queued once per site the join result
   // can lie on, and all those placements share one costing request: every

@@ -19,11 +19,13 @@
 #include "core/trainer.h"
 #include "federation/intellisphere.h"
 #include "relational/workload.h"
+#include "remote/health.h"
 #include "remote/hive_engine.h"
 #include "serving/estimate_cache.h"
 #include "serving/service.h"
 #include "traffic/generator.h"
 #include "util/properties.h"
+#include "util/rng.h"
 #include "util/runtime_metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -159,28 +161,10 @@ TEST(ServiceOptionsTest, FromPropertiesReadsJobsAndCacheKeys) {
   auto opts = serving::ServiceOptions::FromProperties(props).value();
   EXPECT_EQ(opts.jobs, 3);
   EXPECT_EQ(opts.cache.capacity, 64);
-  EXPECT_EQ(opts.batch_min_group_size, 2);  // defaults
-  EXPECT_EQ(opts.batch_chunk_rows, 256);
 
   Properties bad;
   bad.SetInt(serving::kServingJobsKey, -2);
   EXPECT_FALSE(serving::ServiceOptions::FromProperties(bad).ok());
-}
-
-TEST(ServiceOptionsTest, FromPropertiesReadsBatchKeys) {
-  Properties props;
-  props.SetInt(serving::kServingBatchMinGroupSizeKey, 4);
-  props.SetInt(serving::kServingBatchChunkRowsKey, 64);
-  auto opts = serving::ServiceOptions::FromProperties(props).value();
-  EXPECT_EQ(opts.batch_min_group_size, 4);
-  EXPECT_EQ(opts.batch_chunk_rows, 64);
-
-  Properties bad;
-  bad.SetInt(serving::kServingBatchMinGroupSizeKey, 0);
-  EXPECT_FALSE(serving::ServiceOptions::FromProperties(bad).ok());
-  Properties bad2;
-  bad2.SetInt(serving::kServingBatchChunkRowsKey, 0);
-  EXPECT_FALSE(serving::ServiceOptions::FromProperties(bad2).ok());
 }
 
 // --- Canonical key ---------------------------------------------------------
@@ -938,8 +922,8 @@ TEST(ServingFederationTest, AttachRejectsForeignEstimator) {
 
 TEST(ServingBatchedInferenceTest, MixedModelBatchBitIdenticalToScalar) {
   // A cold batch mixing join and agg requests (with duplicates) exercises
-  // the full batched pipeline: probe-once dedup, per-(system, model)
-  // grouping, one fused GEMM forward pass per group, and request-order
+  // the full batched pipeline: probe-once dedup, one estimator batch that
+  // runs one fused GEMM forward pass per operator model, and request-order
   // fan-out. Every answer must be bit-identical to the scalar path.
   auto hive = remote::HiveEngine::CreateDefault("hive", 353);
   core::CostEstimator estimator;
@@ -953,7 +937,6 @@ TEST(ServingBatchedInferenceTest, MixedModelBatchBitIdenticalToScalar) {
 
   serving::ServiceOptions opts;
   opts.jobs = 1;
-  opts.batch_min_group_size = 2;
   serving::EstimationService service(&estimator, opts);
 
   std::vector<serving::EstimateRequest> requests;
@@ -1019,41 +1002,201 @@ TEST(ServingBatchedInferenceTest, MixedModelBatchBitIdenticalToScalar) {
   EXPECT_EQ(service.cache_stats().misses, 12);
 }
 
-TEST(ServingBatchedInferenceTest, MinGroupSizeKeepsSmallGroupsScalar) {
-  // With the threshold above the group sizes, everything runs scalar —
-  // and the answers must not change (bit-identity is path-independent).
-  auto hive = remote::HiveEngine::CreateDefault("hive", 354);
-  core::CostEstimator estimator;
-  std::map<rel::OperatorType, core::LogicalOpModel> models;
-  models.emplace(rel::OperatorType::kAggregation, MakeAggModel(hive.get()));
-  ASSERT_TRUE(estimator
-                  .RegisterSystem("hive", core::CostingProfile::LogicalOpOnly(
-                                              std::move(models)))
-                  .ok());
-  std::vector<serving::EstimateRequest> requests;
-  for (int i = 0; i < 4; ++i) {
-    serving::EstimateRequest req;
-    req.system = "hive";
-    req.op = SampleAgg(200000 + i * 100000);
-    requests.push_back(req);
+/// A batched answer equals the scalar one: bit-identical (fallback reason
+/// included) on success, the same code and message on error.
+void ExpectSameAnswer(const Result<core::HybridEstimate>& batched,
+                      const Result<core::HybridEstimate>& scalar) {
+  ASSERT_EQ(batched.ok(), scalar.ok())
+      << batched.status().ToString() << " vs " << scalar.status().ToString();
+  if (!scalar.ok()) {
+    EXPECT_EQ(batched.status().code(), scalar.status().code());
+    EXPECT_EQ(batched.status().message(), scalar.status().message());
+    return;
   }
+  ExpectBitIdentical(batched.value(), scalar.value());
+  EXPECT_EQ(batched.value().fell_back_reason, scalar.value().fell_back_reason);
+}
 
-  serving::ServiceOptions batched_opts;
-  batched_opts.jobs = 1;
-  batched_opts.batch_min_group_size = 2;
-  serving::EstimationService batched_svc(&estimator, batched_opts);
-  serving::ServiceOptions scalar_opts;
-  scalar_opts.jobs = 1;
-  scalar_opts.batch_min_group_size = 100;  // never batch
-  serving::EstimationService scalar_svc(&estimator, scalar_opts);
+TEST(ServingBatchedInferenceTest, GeneratedBatchesMatchScalarEstimate) {
+  // One system per way a row can be lowered: "mlp" serves joins and
+  // aggregations from MLPs (LogicalOpOnly), "openbox" is sub-op only,
+  // "mixed" routes aggregations to an MLP and joins to sub-op
+  // (PerOperator), "down" is an MLP system whose breaker is open, and
+  // "ghost" is not registered.
+  auto hive = remote::HiveEngine::CreateDefault("hive", 356);
+  const core::LogicalOpModel join_model = MakeJoinModel(hive.get());
+  const core::LogicalOpModel agg_model = MakeAggModel(hive.get());
+  constexpr rel::OperatorType kJoin = rel::OperatorType::kJoin;
+  constexpr rel::OperatorType kAgg = rel::OperatorType::kAggregation;
+  core::CostEstimator estimator;
+  ASSERT_TRUE(estimator
+                  .RegisterSystem("mlp", core::CostingProfile::LogicalOpOnly(
+                                             {{kJoin, join_model},
+                                              {kAgg, agg_model}}))
+                  .ok());
+  ASSERT_TRUE(estimator
+                  .RegisterSystem("openbox",
+                                  core::CostingProfile::SubOpOnly(
+                                      MakeSubOpEstimator(hive.get())))
+                  .ok());
+  auto mixed = core::CostingProfile::PerOperator(
+      MakeSubOpEstimator(hive.get()), {{kAgg, agg_model}},
+      {{kAgg, core::CostingApproach::kLogicalOp}});
+  ASSERT_TRUE(mixed.ok());
+  ASSERT_TRUE(estimator.RegisterSystem("mixed", std::move(mixed).value()).ok());
+  ASSERT_TRUE(estimator
+                  .RegisterSystem("down", core::CostingProfile::LogicalOpOnly(
+                                              {{kAgg, agg_model}}))
+                  .ok());
+  remote::HealthRegistry health(remote::BreakerOptions{1, 1e9, 1});
+  EXPECT_TRUE(health.breaker("down").RecordFailure(0.0));
 
-  auto batched = batched_svc.EstimateBatch(requests);
-  auto scalar = scalar_svc.EstimateBatch(requests);
-  ASSERT_EQ(batched.size(), scalar.size());
-  for (size_t i = 0; i < batched.size(); ++i) {
-    ASSERT_TRUE(batched[i].ok());
-    ASSERT_TRUE(scalar[i].ok());
-    ExpectBitIdentical(batched[i].value(), scalar[i].value());
+  // Seeded batches over a small operator pool, so systems mix and keys
+  // repeat within a batch. Every third batch asks for provenance, every
+  // fourth has a deadline that its later rows are past, and every fifth
+  // row overrides the choice policy.
+  const std::vector<std::string> systems = {"mlp", "openbox", "mixed",
+                                            "down", "ghost"};
+  std::vector<rel::SqlOperator> ops;
+  for (int k = 0; k < 4; ++k) {
+    ops.push_back(SampleJoin(1000000 + k * 700000));
+    ops.push_back(SampleAgg(150000 + k * 250000));
+  }
+  struct Batch {
+    core::EstimateContext ctx;
+    std::vector<serving::EstimateRequest> requests;
+  };
+  Rng rng(20);
+  std::vector<Batch> batches(24);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    Batch& batch = batches[b];
+    if (b % 3 == 0) batch.ctx.detail = core::EstimateDetail::kProvenance;
+    if (b % 4 == 1) batch.ctx.deadline_seconds = 5.0;
+    const int64_t size = rng.UniformInt(1, 24);
+    for (int64_t r = 0; r < size; ++r) {
+      serving::EstimateRequest request;
+      request.system = systems[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(systems.size()) - 1))];
+      request.op = ops[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(ops.size()) - 1))];
+      request.now = static_cast<double>(rng.UniformInt(0, 9));
+      if (r % 5 == 4) request.policy_override = core::ChoicePolicy::kWorstCase;
+      batch.requests.push_back(std::move(request));
+    }
+  }
+  // The scalar estimator context of one request, as the service builds it.
+  const auto scalar_ctx = [&health](const serving::EstimateRequest& request,
+                                    const core::EstimateContext& ctx) {
+    core::EstimateContext at = ctx;
+    at.now = request.now;
+    at.health = &health;
+    if (request.policy_override) at.policy_override = request.policy_override;
+    return at;
+  };
+
+  // The estimator batch itself, on every row (it has no deadline gate).
+  std::map<std::string, int> seen;
+  for (const Batch& batch : batches) {
+    std::vector<core::EstimateContext> ctxs;
+    ctxs.reserve(batch.requests.size());
+    std::vector<core::EstimateRow> rows;
+    for (const serving::EstimateRequest& request : batch.requests) {
+      ctxs.push_back(scalar_ctx(request, batch.ctx));
+      rows.push_back({&request.system, &request.op, &ctxs.back()});
+    }
+    const std::vector<Result<core::HybridEstimate>> batched =
+        estimator.EstimateBatch(rows);
+    ASSERT_EQ(batched.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Result<core::HybridEstimate> scalar =
+          estimator.Estimate(*rows[i].system, *rows[i].op, *rows[i].ctx);
+      ExpectSameAnswer(batched[i], scalar);
+      if (!scalar.ok()) {
+        ++seen[StatusCodeName(scalar.status().code())];
+      } else if (!scalar.value().fell_back_reason.empty()) {
+        ++seen[scalar.value().fell_back_reason];
+      } else {
+        ++seen[core::CostingApproachName(scalar.value().approach_used)];
+      }
+    }
+  }
+  // The generator reaches every lowering: both approaches, the breaker
+  // ladder, and per-row errors from unknown systems and missing models.
+  EXPECT_GT(seen["logical_op"], 0);
+  EXPECT_GT(seen["sub_op"], 0);
+  EXPECT_GT(seen["breaker_open:stale_model"], 0);
+  EXPECT_GT(seen[StatusCodeName(StatusCode::kNotFound)], 5);
+
+  // Last-known-good refreshes follow row order within each profile. On
+  // "flaky", whose breaker closes at now = 5, a degraded row serves what
+  // the latest earlier full-fidelity row of its operator type left; twin
+  // estimators, one batched and one scalar, must agree row for row.
+  core::CostEstimator batched_twin;
+  core::CostEstimator scalar_twin;
+  for (core::CostEstimator* twin : {&batched_twin, &scalar_twin}) {
+    ASSERT_TRUE(twin->RegisterSystem("flaky",
+                                     core::CostingProfile::LogicalOpOnly(
+                                         {{kAgg, agg_model}}))
+                    .ok());
+    ASSERT_TRUE(twin->RegisterSystem(
+                        "mlp", core::CostingProfile::LogicalOpOnly(
+                                   {{kJoin, join_model}, {kAgg, agg_model}}))
+                    .ok());
+  }
+  remote::HealthRegistry flaky_health(remote::BreakerOptions{1, 5.0, 1});
+  EXPECT_TRUE(flaky_health.breaker("flaky").RecordFailure(0.0));
+  const std::vector<std::string> twin_systems = {"flaky", "mlp"};
+  for (const Batch& batch : batches) {
+    std::vector<core::EstimateContext> ctxs;
+    ctxs.reserve(batch.requests.size());
+    std::vector<core::EstimateRow> rows;
+    for (size_t i = 0; i < batch.requests.size(); ++i) {
+      ctxs.push_back(scalar_ctx(batch.requests[i], batch.ctx));
+      ctxs.back().health = &flaky_health;
+      rows.push_back({&twin_systems[i % 2], &batch.requests[i].op,
+                      &ctxs.back()});
+    }
+    const std::vector<Result<core::HybridEstimate>> batched =
+        batched_twin.EstimateBatch(rows);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Result<core::HybridEstimate> scalar =
+          scalar_twin.Estimate(*rows[i].system, *rows[i].op, *rows[i].ctx);
+      ExpectSameAnswer(batched[i], scalar);
+      if (scalar.ok()) ++seen[scalar.value().fell_back_reason];
+    }
+  }
+  EXPECT_GT(seen["breaker_open:last_known_good"], 0);
+
+  // The service's batch path, inline and on a 3-worker pool: cold and warm
+  // slots alike equal the scalar estimate, and rows past their deadline
+  // get the scalar path's DeadlineExceeded.
+  for (int jobs : {1, 3}) {
+    SCOPED_TRACE(jobs);
+    serving::ServiceOptions opts;
+    opts.jobs = jobs;
+    opts.health = &health;
+    serving::EstimationService service(&estimator, opts);
+    int expired = 0;
+    for (const Batch& batch : batches) {
+      const std::vector<Result<core::HybridEstimate>> batched =
+          service.EstimateBatch(batch.requests, batch.ctx);
+      ASSERT_EQ(batched.size(), batch.requests.size());
+      for (size_t i = 0; i < batched.size(); ++i) {
+        const serving::EstimateRequest& request = batch.requests[i];
+        if (batch.ctx.DeadlineExpiredAt(request.now)) {
+          ++expired;
+          ExpectSameAnswer(batched[i], service.Estimate(request, batch.ctx));
+          EXPECT_EQ(batched[i].status().code(),
+                    StatusCode::kDeadlineExceeded);
+          continue;
+        }
+        ExpectSameAnswer(batched[i],
+                         estimator.Estimate(request.system, request.op,
+                                            scalar_ctx(request, batch.ctx)));
+      }
+    }
+    EXPECT_GT(expired, 0);
+    EXPECT_GT(service.cache_stats().hits, 0);
   }
 }
 
