@@ -7,6 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench/bench_common.h"
 #include "core/hybrid.h"
 #include "core/trainer.h"
@@ -14,6 +17,7 @@
 #include "federation/intellisphere.h"
 #include "relational/workload.h"
 #include "remote/hive_engine.h"
+#include "util/rng.h"
 #include "util/runtime_metrics.h"
 #include "util/trace.h"
 
@@ -32,6 +36,7 @@ struct Fixtures {
   rel::JoinQuery in_range;
   rel::JoinQuery out_of_range;
   rel::SqlOperator join_op;
+  std::vector<rel::JoinQuery> varied_joins;
 
   Fixtures() {
     hive = remote::HiveEngine::CreateDefault("hive", 2101);
@@ -71,6 +76,42 @@ struct Fixtures {
     auto lo = Unwrap(rel::SyntheticTableDef(40000000, 500), "table");
     out_of_range = Unwrap(rel::MakeJoinQuery(lo, r, 32, 32, 0.5), "query");
     join_op = rel::SqlOperator::MakeJoin(in_range);
+    varied_joins = VariedJoins();
+  }
+
+  /// A seeded pool of 4,096 joins shaped like the planner's: perfbench's
+  /// table sizes and widths, filtered, projected to 4-32 B, with a tenth
+  /// skewed and a quarter bucketed, so successive estimates take different
+  /// algorithms, regimes and record sizes.
+  static std::vector<rel::JoinQuery> VariedJoins() {
+    static const int64_t kRows[] = {8000000, 20000000, 1000000, 400000,
+                                    2000000, 4000000,  200000};
+    static const int64_t kRowBytes[] = {250, 100, 500, 40, 100, 70, 1000};
+    Rng rng(2101);
+    const auto table = [&rng] {
+      const int64_t t = rng.UniformInt(0, 6);
+      const double filter = rng.Uniform(0.02, 1.0);
+      return Unwrap(rel::SyntheticTableDef(
+                        std::max<int64_t>(1, static_cast<int64_t>(
+                                                 filter * kRows[t])),
+                        kRowBytes[t]),
+                    "table");
+    };
+    std::vector<rel::JoinQuery> joins;
+    joins.reserve(4096);
+    while (joins.size() < 4096) {
+      const rel::TableDef left = table();
+      const rel::TableDef right = table();
+      rel::JoinQuery q = Unwrap(
+          rel::MakeJoinQuery(left, right, rng.UniformInt(4, 32),
+                             rng.UniformInt(4, 32), rng.Uniform(0.05, 1.0)),
+          "query");
+      if (rng.Uniform(0.0, 1.0) < 0.1) q.hot_key_fraction = 0.4;
+      q.right_bucketed_on_key = rng.Uniform(0.0, 1.0) < 0.25;
+      q.left_bucketed_on_key = rng.Uniform(0.0, 1.0) < 0.25;
+      joins.push_back(q);
+    }
+    return joins;
   }
 };
 
@@ -102,6 +143,19 @@ void BM_SubOpJoinEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubOpJoinEstimate);
+
+void BM_SubOpJoinEstimateVaried(benchmark::State& state) {
+  // The varied pool: BM_SubOpJoinEstimate's one repeated query keeps every
+  // lookup and branch of the formulas hot, which the planner's joins do
+  // not.
+  const std::vector<rel::JoinQuery>& joins = F().varied_joins;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(F().subop->EstimateJoin(joins[i]).value().seconds);
+    i = (i + 1) % joins.size();
+  }
+}
+BENCHMARK(BM_SubOpJoinEstimateVaried);
 
 void BM_SubOpSingleFormula(benchmark::State& state) {
   for (auto _ : state) {

@@ -62,7 +62,9 @@ echo "== [3/7] thread pool + parallel pipeline + observability + serving + resil
 # hammers the sharded estimate cache and EstimationService from concurrent
 # workers — including the seqlock reader/writer hammer
 # (SeqlockReaderWriterHammer) that races the lock-free read path against
-# writers evicting and rewriting the ways of one set — resilience_test drives circuit
+# writers evicting and rewriting the ways of one set, and two threads'
+# overlapping batches prefetching, probing and filling one small table
+# (OverlappingBatchesOnOneSmallTableHammer) — resilience_test drives circuit
 # breakers and degraded serving under concurrent faulty traffic, and
 # lifecycle_test races estimate serving against background retrains and
 # the epoch-bumped model swap (ConcurrentServeDuringRetrainHammer), and

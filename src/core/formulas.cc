@@ -524,6 +524,8 @@ Result<SubOpEstimate> GatherCandidates(const FormulaVec& formulas,
                                        const EstimateContext& ctx) {
   SubOpEstimate est;
   const bool provenance = ctx.provenance();
+  // One allocation for every survivor instead of one per growth step.
+  est.candidates.reserve(formulas.size());
   for (const auto& f : formulas) {
     if (!f->Applicable(q, catalog.info())) {
       ++est.eliminated_count;

@@ -1,5 +1,6 @@
 #include "core/hybrid.h"
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -549,22 +550,29 @@ std::vector<Result<HybridEstimate>> CostEstimator::EstimateBatch(
   // string's inline buffer, so pre-filling allocates nothing per row.
   std::vector<Result<HybridEstimate>> out(
       n, Result<HybridEstimate>(Status::Internal("not estimated")));
-  // Resolve each row's profile (a run of rows on one system shares the
-  // lookup) and, as Estimate does, its breaker state. Degraded context
-  // copies live in `degraded`, reserved once so the pointers handed down
-  // stay valid for the batch.
+  // Resolve each row's profile and, as Estimate does, its breaker state.
+  // Profiles are memoized per distinct system (the first kMemoSize of
+  // them; past that the last entry is replaced), so interleaved systems
+  // cost one find each. Degraded context copies live in `degraded`,
+  // reserved once so the pointers handed down stay valid for the batch.
   std::vector<const CostingProfile*> profile_of(n, nullptr);
   std::vector<EstimateRow> resolved(rows.begin(), rows.end());
   std::vector<EstimateContext> degraded;
-  const std::string* memo_system = nullptr;
-  const CostingProfile* memo_profile = nullptr;
+  constexpr size_t kMemoSize = 4;
+  std::array<std::pair<const std::string*, const CostingProfile*>, kMemoSize>
+      memo;
+  size_t memo_size = 0;
   for (size_t i = 0; i < n; ++i) {
     const EstimateRow& row = rows[i];
-    if (memo_system == nullptr || *memo_system != *row.system) {
+    size_t m = 0;
+    while (m < memo_size && *memo[m].first != *row.system) ++m;
+    if (m == memo_size) {
+      if (memo_size < kMemoSize) ++memo_size;
+      m = memo_size - 1;
       auto it = profiles_.find(*row.system);
-      memo_profile = it == profiles_.end() ? nullptr : &it->second;
-      memo_system = row.system;
+      memo[m] = {row.system, it == profiles_.end() ? nullptr : &it->second};
     }
+    const CostingProfile* memo_profile = memo[m].second;
     if (memo_profile == nullptr) {
       out[i] = GetProfile(*row.system).status();
       continue;

@@ -65,15 +65,6 @@ bool IsBasicSubOp(SubOpKind kind) {
   }
 }
 
-Result<double> SubOpModel::PerRecordSeconds(int64_t record_bytes,
-                                            bool fits_in_memory) const {
-  const ml::LinearRegression& lr =
-      (two_regime_ && !fits_in_memory) ? spill_line_ : line_;
-  ISPHERE_ASSIGN_OR_RETURN(
-      double v, lr.Predict1D(static_cast<double>(record_bytes)));
-  return std::max(0.0, v);
-}
-
 void SubOpModel::Save(const std::string& prefix, Properties* props) const {
   props->SetBool(prefix + "two_regime", two_regime_);
   line_.Save(prefix + "fit_", props);
@@ -82,16 +73,15 @@ void SubOpModel::Save(const std::string& prefix, Properties* props) const {
 
 Result<SubOpModel> SubOpModel::Load(const std::string& prefix,
                                     const Properties& props) {
-  SubOpModel m;
-  ISPHERE_ASSIGN_OR_RETURN(m.two_regime_,
+  ISPHERE_ASSIGN_OR_RETURN(bool two_regime,
                            props.GetBool(prefix + "two_regime"));
-  ISPHERE_ASSIGN_OR_RETURN(m.line_,
+  ISPHERE_ASSIGN_OR_RETURN(ml::LinearRegression line,
                            ml::LinearRegression::Load(prefix + "fit_", props));
-  if (m.two_regime_) {
-    ISPHERE_ASSIGN_OR_RETURN(
-        m.spill_line_, ml::LinearRegression::Load(prefix + "spill_", props));
-  }
-  return m;
+  if (!two_regime) return SubOpModel(std::move(line));
+  ISPHERE_ASSIGN_OR_RETURN(
+      ml::LinearRegression spill_line,
+      ml::LinearRegression::Load(prefix + "spill_", props));
+  return SubOpModel(std::move(line), std::move(spill_line));
 }
 
 int64_t OpenboxInfo::NumBlocks(int64_t bytes) const {
@@ -154,32 +144,22 @@ Result<OpenboxInfo> OpenboxInfo::Load(const std::string& prefix,
 }
 
 void SubOpCatalog::Put(SubOpKind kind, SubOpModel model) {
-  models_[kind] = std::move(model);
-}
-
-bool SubOpCatalog::Contains(SubOpKind kind) const {
-  return models_.count(kind) > 0;
+  models_.at(static_cast<size_t>(kind)) = std::move(model);
 }
 
 Result<const SubOpModel*> SubOpCatalog::Get(SubOpKind kind) const {
-  auto it = models_.find(kind);
-  if (it == models_.end()) {
+  const SubOpModel* m = Find(kind);
+  if (m == nullptr) {
     return Status::NotFound(std::string("sub-op model '") +
                             SubOpKindName(kind) + "'");
   }
-  return &it->second;
+  return m;
 }
 
-Result<double> SubOpCatalog::Cost(SubOpKind kind, int64_t record_bytes,
-                                  bool fits_in_memory) const {
-  auto m = Get(kind);
-  if (!m.ok()) {
-    if (!IsBasicSubOp(kind)) {
-      return DefaultSpecificCost(kind, record_bytes);
-    }
-    return m.status();
-  }
-  return m.value()->PerRecordSeconds(record_bytes, fits_in_memory);
+Result<double> SubOpCatalog::Missing(SubOpKind kind, int64_t record_bytes) {
+  if (!IsBasicSubOp(kind)) return DefaultSpecificCost(kind, record_bytes);
+  return Status::NotFound(std::string("sub-op model '") + SubOpKindName(kind) +
+                          "'");
 }
 
 Result<double> SubOpCatalog::DefaultSpecificCost(SubOpKind kind,
@@ -229,9 +209,11 @@ bool SubOpCatalog::HasAllBasic() const {
 
 void SubOpCatalog::Save(const std::string& prefix, Properties* props) const {
   info_.Save(prefix + "info_", props);
-  for (const auto& [kind, model] : models_) {
+  for (SubOpKind kind : kAllKinds) {
+    const SubOpModel* model = Find(kind);
+    if (model == nullptr) continue;
     props->SetBool(prefix + std::string("has_") + SubOpKindName(kind), true);
-    model.Save(prefix + SubOpKindName(kind) + "_", props);
+    model->Save(prefix + SubOpKindName(kind) + "_", props);
   }
 }
 

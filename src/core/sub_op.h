@@ -13,7 +13,11 @@
 #ifndef INTELLISPHERE_CORE_SUB_OP_H_
 #define INTELLISPHERE_CORE_SUB_OP_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +44,8 @@ enum class SubOpKind {
   kHashProbe,  ///< hP: probe a hash table
   kRecMerge,   ///< m: merge two records
 };
+inline constexpr size_t kNumSubOpKinds =
+    static_cast<size_t>(SubOpKind::kRecMerge) + 1;
 
 const char* SubOpKindName(SubOpKind kind);
 
@@ -49,20 +55,36 @@ bool IsBasicSubOp(SubOpKind kind);
 
 /// A calibrated sub-op: per-record seconds as a linear function of record
 /// size. Hash build carries a second regime line used when the build input
-/// does not fit in task memory (Fig 13(f)).
+/// does not fit in task memory (Fig 13(f)). A model is immutable: each line
+/// is resolved to its (intercept, slope) pair once, when the model is built,
+/// so a cost is one multiply-add on the formulas' hot path.
 class SubOpModel {
  public:
   SubOpModel() = default;
-  explicit SubOpModel(ml::LinearRegression line) : line_(std::move(line)) {}
+  explicit SubOpModel(ml::LinearRegression line)
+      : line_(std::move(line)), fit_(ResolvedLine::Of(line_)) {}
   SubOpModel(ml::LinearRegression fit_line, ml::LinearRegression spill_line)
       : line_(std::move(fit_line)),
         spill_line_(std::move(spill_line)),
-        two_regime_(true) {}
+        two_regime_(true),
+        fit_(ResolvedLine::Of(line_)),
+        spill_(ResolvedLine::Of(spill_line_)) {}
 
-  /// Per-record cost in seconds. `fits_in_memory` selects the regime for
-  /// two-regime models and is ignored otherwise. Never negative.
-  [[nodiscard]] Result<double> PerRecordSeconds(int64_t record_bytes,
-                                                bool fits_in_memory = true) const;
+  /// Per-record cost in seconds: the selected line's Predict1D, clamped at
+  /// 0, bit for bit. `fits_in_memory` selects the regime for two-regime
+  /// models and is ignored otherwise. InvalidArgument when that line is not
+  /// one-feature, as Predict1D.
+  [[nodiscard]] Result<double> PerRecordSeconds(
+      int64_t record_bytes, bool fits_in_memory = true) const {
+    const ResolvedLine& l = (two_regime_ && !fits_in_memory) ? spill_ : fit_;
+    if (!l.one_feature) {
+      return Status::InvalidArgument("predict width mismatch");
+    }
+    // Predict1D's arithmetic, in its order.
+    double s = l.intercept;
+    s += l.slope * static_cast<double>(record_bytes);
+    return std::max(0.0, s);
+  }
 
   bool two_regime() const { return two_regime_; }
   const ml::LinearRegression& line() const { return line_; }
@@ -73,9 +95,22 @@ class SubOpModel {
                                                const Properties& props);
 
  private:
+  /// A 1-D line's coefficients; one_feature is false for any other width.
+  struct ResolvedLine {
+    double intercept = 0.0;
+    double slope = 0.0;
+    bool one_feature = false;
+    static ResolvedLine Of(const ml::LinearRegression& lr) {
+      if (lr.num_features() != 1) return {};
+      return {lr.intercept(), lr.weights()[0], true};
+    }
+  };
+
   ml::LinearRegression line_;
   ml::LinearRegression spill_line_;
   bool two_regime_ = false;
+  ResolvedLine fit_;
+  ResolvedLine spill_;
 };
 
 /// Openbox structural knowledge injected by technical experts when the
@@ -116,7 +151,7 @@ class SubOpCatalog {
   explicit SubOpCatalog(OpenboxInfo info) : info_(info) {}
 
   void Put(SubOpKind kind, SubOpModel model);
-  bool Contains(SubOpKind kind) const;
+  bool Contains(SubOpKind kind) const { return Find(kind) != nullptr; }
   [[nodiscard]] Result<const SubOpModel*> Get(SubOpKind kind) const;
 
   /// Per-record seconds of a sub-op at the given record size. When a
@@ -125,7 +160,11 @@ class SubOpCatalog {
   /// ... IntelliSphere can provide rough default values for them". Missing
   /// Basic sub-ops remain a NotFound error.
   [[nodiscard]] Result<double> Cost(SubOpKind kind, int64_t record_bytes,
-                                    bool fits_in_memory = true) const;
+                                    bool fits_in_memory = true) const {
+    const SubOpModel* m = Find(kind);
+    if (m == nullptr) return Missing(kind, record_bytes);
+    return m->PerRecordSeconds(record_bytes, fits_in_memory);
+  }
 
   /// The rough built-in default for a Specific sub-op, in seconds per
   /// record; InvalidArgument for Basic sub-ops (they are mandatory).
@@ -144,8 +183,20 @@ class SubOpCatalog {
                                                  const Properties& props);
 
  private:
+  /// The model of `kind`, or null when it has none (or `kind` is not a
+  /// Figure-5 sub-op).
+  const SubOpModel* Find(SubOpKind kind) const {
+    const size_t i = static_cast<size_t>(kind);
+    return i < models_.size() && models_[i].has_value() ? &*models_[i]
+                                                        : nullptr;
+  }
+  /// Cost's answer for a kind without a model: the Specific default, else
+  /// NotFound.
+  static Result<double> Missing(SubOpKind kind, int64_t record_bytes);
+
   OpenboxInfo info_;
-  std::map<SubOpKind, SubOpModel> models_;
+  /// Indexed by SubOpKind.
+  std::array<std::optional<SubOpModel>, kNumSubOpKinds> models_;
 };
 
 /// Calibration grid and bookkeeping.

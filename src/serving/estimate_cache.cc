@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <utility>
@@ -43,8 +44,15 @@ struct KeyWriter {
 /// bytes = 71) is the widest. static_asserted against the writer below.
 constexpr size_t kMaxKeyPayload = 96;
 
-uint64_t HashKey(const std::string& key) {
-  return static_cast<uint64_t>(std::hash<std::string>{}(key));
+constexpr uintptr_t kLineBytes = 64;
+
+/// Prefetches every cache line of [begin, end), for write when `write`.
+template <bool write>
+void PrefetchLines(const void* begin, const void* end) {
+  for (uintptr_t line = reinterpret_cast<uintptr_t>(begin) & ~(kLineBytes - 1);
+       line < reinterpret_cast<uintptr_t>(end); line += kLineBytes) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line), write ? 1 : 0);
+  }
 }
 
 }  // namespace
@@ -178,7 +186,11 @@ EstimateCache::EstimateCache(CacheOptions options)
   }
 }
 
-bool EstimateCache::Packable(const std::string& key,
+uint64_t EstimateCache::Hash(std::string_view key) {
+  return static_cast<uint64_t>(std::hash<std::string_view>{}(key));
+}
+
+bool EstimateCache::Packable(std::string_view key,
                              const core::HybridEstimate& v) {
   // Variable-length provenance (sub-op candidate lists, degradation
   // reasons) and oversized keys go out of line.
@@ -187,7 +199,7 @@ bool EstimateCache::Packable(const std::string& key,
          v.candidates.empty();
 }
 
-void EstimateCache::Pack(const std::string& key, uint64_t hash, uint64_t epoch,
+void EstimateCache::Pack(std::string_view key, uint64_t hash, uint64_t epoch,
                          double stored_now, const core::HybridEstimate& v,
                          bool out_of_line, PackedEstimate* out) {
   *out = PackedEstimate{};
@@ -274,7 +286,7 @@ EstimateCache::Route EstimateCache::RouteOf(uint64_t hash) const {
 }
 
 EstimateCache::Probe EstimateCache::Scan(const Set& set, const Route& r,
-                                         uint64_t hash, const std::string& key,
+                                         uint64_t hash, std::string_view key,
                                          int* way, PackedEstimate* out) const {
   for (int w = *way; w < ways_; ++w) {
     // The acquire pairs with the writer's release of the tag, which comes
@@ -294,7 +306,7 @@ EstimateCache::Probe EstimateCache::Scan(const Set& set, const Route& r,
 }
 
 int EstimateCache::FindLocked(Shard& shard, const Set& set, const Route& r,
-                              uint64_t hash, const std::string& key,
+                              uint64_t hash, std::string_view key,
                               PackedEstimate* out) const {
   // Writers are excluded, so no snapshot tears here.
   for (int w = 0;; ++w) {
@@ -321,7 +333,8 @@ int EstimateCache::FreeWay(Shard& shard, Set& set, size_t si,
   // CLOCK (second chance): from the hand, clear reference bits up to the
   // first unreferenced way. After one full sweep the way at the hand goes,
   // even if a hit has set its bit again meanwhile.
-  uint8_t& hand = shard.hands[si];
+  // lint:relaxed-ok(hand: written under the mutex; lock-free reads are hints)
+  uint8_t hand = set.hand.load(std::memory_order_relaxed);
   for (int step = 0; step < ways_; ++step) {
     // lint:relaxed-ok(CLOCK reference bit: a lost update only changes the victim)
     if (set.referenced[hand].load(std::memory_order_relaxed) == 0) break;
@@ -330,7 +343,9 @@ int EstimateCache::FreeWay(Shard& shard, Set& set, size_t si,
     hand = static_cast<uint8_t>((hand + 1) % ways_);
   }
   const int victim = hand;
-  hand = static_cast<uint8_t>((hand + 1) % ways_);
+  const auto next = static_cast<uint8_t>((hand + 1) % ways_);
+  // lint:relaxed-ok(hand, see above)
+  set.hand.store(next, std::memory_order_relaxed);
   Retire(shard, set, si, victim);
   *evicted = true;
   return victim;
@@ -350,26 +365,49 @@ void EstimateCache::Reference(Set& set, int way) {
   }
 }
 
-void EstimateCache::CountGet(bool hit, bool lockless,
-                             const CacheCounters& counters) {
-  std::atomic<int64_t>& outcome =
-      lockless ? (hit ? lockless_hits_ : lockless_misses_)
-               : (hit ? locked_hits_ : locked_misses_);
+void EstimateCache::Count(std::atomic<int64_t>& stat, Counter* counter) {
   // lint:relaxed-ok(stat counter; Stats reads are point-in-time by contract)
-  outcome.fetch_add(1, std::memory_order_relaxed);
-  Counter* counter = hit ? counters.hits : counters.misses;
+  stat.fetch_add(1, std::memory_order_relaxed);
   if (counter != nullptr) counter->Increment();
 }
 
+void EstimateCache::CountGet(bool hit, bool lockless,
+                             const CacheCounters& counters) {
+  Count(lockless ? (hit ? lockless_hits_ : lockless_misses_)
+                 : (hit ? locked_hits_ : locked_misses_),
+        hit ? counters.hits : counters.misses);
+}
+
+void EstimateCache::PrefetchFill(const Set& set) const {
+  int way = -1;
+  for (int w = 0; w < ways_ && way < 0; ++w) {
+    if (set.tags[w].load(std::memory_order_acquire) == 0) way = w;
+  }
+  // lint:relaxed-ok(fill hint; Put re-derives its way under the shard mutex)
+  if (way < 0) way = set.hand.load(std::memory_order_relaxed);
+  PrefetchLines</*write=*/true>(&set.ways[way], &set.ways[way] + 1);
+}
+
 int EstimateCache::ShardOf(const std::string& key) const {
-  return static_cast<int>(RouteOf(HashKey(key)).shard);
+  return static_cast<int>(RouteOf(Hash(key)).shard);
+}
+
+void EstimateCache::Prefetch(uint64_t hash) const {
+  const Route r = RouteOf(hash);
+  const Shard& shard = *shards_[r.shard];
+  if (shard.set_count == 0) return;
+  const Set* set = shard.sets[r.set].load(std::memory_order_acquire);
+  // The tag line and the line after it, which holds the reference bits and
+  // the hand (a lock-free miss reads the hand to prefetch its fill way).
+  if (set != nullptr) PrefetchLines</*write=*/false>(set->tags, &set->hand + 1);
 }
 
 std::optional<core::HybridEstimate> EstimateCache::Get(
-    const std::string& key, uint64_t epoch, double now,
+    const HashedKey& key_ref, uint64_t epoch, double now,
     const CacheCounters& counters, bool allow_stale, bool* served_stale) {
   if (served_stale != nullptr) *served_stale = false;
-  const uint64_t hash = HashKey(key);
+  const std::string_view key = key_ref.bytes;
+  const uint64_t hash = key_ref.hash;
   const Route r = RouteOf(hash);
   Shard& shard = *shards_[r.shard];
 
@@ -389,6 +427,8 @@ std::optional<core::HybridEstimate> EstimateCache::Get(
                                      : Scan(*set, r, hash, key, &way, &packed);
   std::optional<core::HybridEstimate> found;
   if (probe == Probe::kAbsent) {
+    // A miss is usually filled next: start the RFO on its likely way now.
+    if (set != nullptr) PrefetchFill(*set);
     CountGet(false, true, counters);
     return found;
   }
@@ -433,29 +473,20 @@ std::optional<core::HybridEstimate> EstimateCache::Get(
   }
   CountGet(found.has_value(), false, counters);
   if (served_expired) {
-    // lint:relaxed-ok(stat counter; no data is published through it)
-    stale_served_.fetch_add(1, std::memory_order_relaxed);
-    if (counters.stale_served != nullptr) counters.stale_served->Increment();
+    Count(stale_served_, counters.stale_served);
     if (served_stale != nullptr) *served_stale = true;
   }
-  if (stale) {
-    // lint:relaxed-ok(stat counter; no data is published through it)
-    stale_epoch_.fetch_add(1, std::memory_order_relaxed);
-    if (counters.stale_epoch != nullptr) counters.stale_epoch->Increment();
-  }
-  if (expired) {
-    // lint:relaxed-ok(stat counter; no data is published through it)
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (counters.evictions != nullptr) counters.evictions->Increment();
-  }
+  if (stale) Count(stale_epoch_, counters.stale_epoch);
+  if (expired) Count(evictions_, counters.evictions);
   return found;
 }
 
-void EstimateCache::Put(const std::string& key, uint64_t epoch, double now,
+void EstimateCache::Put(const HashedKey& key_ref, uint64_t epoch, double now,
                         const core::HybridEstimate& value,
                         const CacheCounters& counters) {
   if (options_.capacity == 0) return;
-  const uint64_t hash = HashKey(key);
+  const std::string_view key = key_ref.bytes;
+  const uint64_t hash = key_ref.hash;
   const Route r = RouteOf(hash);
   Shard& shard = *shards_[r.shard];
   const bool out_of_line = !Packable(key, value);
@@ -472,7 +503,9 @@ void EstimateCache::Put(const std::string& key, uint64_t epoch, double now,
     PackedEstimate old;
     // Same key: refresh its way in place (e.g. recomputed after an epoch
     // bump); its tag stays, and readers retry or lock while the version is
-    // odd. New key: untag the victim first, publish the new tag last.
+    // odd. New key: untag the victim first, publish the new tag last. The
+    // way is derived here, under the mutex, whatever a Get prefetched: the
+    // set may have changed since (DESIGN.md §14).
     int way = FindLocked(shard, *set, r, hash, key, &old);
     if (way < 0) {
       way = FreeWay(shard, *set, r.set, &evicted);
@@ -480,18 +513,14 @@ void EstimateCache::Put(const std::string& key, uint64_t epoch, double now,
       set->referenced[way].store(0, std::memory_order_relaxed);
     }
     if (out_of_line) {
-      shard.side[SideIndex(r.set, way)] = SideEntry{key, value};
+      shard.side[SideIndex(r.set, way)] = SideEntry{std::string(key), value};
     } else if (!shard.side.empty()) {
       shard.side.erase(SideIndex(r.set, way));
     }
     WriteWay(set->ways[way], &packed);
     set->tags[way].store(r.tag, std::memory_order_release);
   }
-  if (evicted) {
-    // lint:relaxed-ok(stat counter; no data is published through it)
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (counters.evictions != nullptr) counters.evictions->Increment();
-  }
+  if (evicted) Count(evictions_, counters.evictions);
 }
 
 void EstimateCache::Clear() {

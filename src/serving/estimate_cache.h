@@ -33,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -140,6 +141,23 @@ class EstimateCache {
  public:
   explicit EstimateCache(CacheOptions options);
 
+  /// A key with the hash that routes it (Hash(bytes)). A caller that hashes
+  /// a key for its own purposes (the batch dedup) carries the hash through
+  /// Prefetch, Get and Put instead of hashing again. `bytes` must outlive
+  /// the call it is passed to.
+  struct HashedKey {
+    std::string_view bytes;
+    uint64_t hash = 0;
+  };
+  static uint64_t Hash(std::string_view key);
+  static HashedKey KeyOf(std::string_view key) { return {key, Hash(key)}; }
+
+  /// A hint, with no effect on contents or statistics: starts loading the
+  /// tag line (and the CLOCK line) of the set `hash` routes to, so a Get of
+  /// that key issued a little later finds them in cache. The batch path
+  /// calls it for every distinct key before probing the first.
+  void Prefetch(uint64_t hash) const;
+
   /// Looks up `key`. Returns the cached estimate only when the entry's
   /// model epoch equals `epoch` and its TTL (if configured) has not lapsed
   /// at deployment time `now`; otherwise erases the dead entry and counts
@@ -151,18 +169,34 @@ class EstimateCache {
   /// `*served_stale` when non-null, and *kept* in the cache so repeated
   /// degraded lookups keep answering. Epoch-stale entries are never served:
   /// a pre-retrain value is wrong, not merely old.
-  std::optional<core::HybridEstimate> Get(const std::string& key,
+  ///
+  /// A lock-free miss also prefetches, for write, the way a following Put
+  /// of the key would most likely fill (a hint only, DESIGN.md §14).
+  std::optional<core::HybridEstimate> Get(const HashedKey& key,
                                           uint64_t epoch, double now,
                                           const CacheCounters& counters = {},
                                           bool allow_stale = false,
                                           bool* served_stale = nullptr);
+  std::optional<core::HybridEstimate> Get(const std::string& key,
+                                          uint64_t epoch, double now,
+                                          const CacheCounters& counters = {},
+                                          bool allow_stale = false,
+                                          bool* served_stale = nullptr) {
+    return Get(KeyOf(key), epoch, now, counters, allow_stale, served_stale);
+  }
 
   /// Inserts (or refreshes) `key` with a value computed at model `epoch`
   /// and deployment time `now`. A new key takes an empty way of its set or
-  /// evicts the set's CLOCK victim. No-op when capacity is 0.
-  void Put(const std::string& key, uint64_t epoch, double now,
+  /// evicts the set's CLOCK victim, chosen under the shard mutex whatever
+  /// an earlier Get prefetched. No-op when capacity is 0.
+  void Put(const HashedKey& key, uint64_t epoch, double now,
            const core::HybridEstimate& value,
            const CacheCounters& counters = {});
+  void Put(const std::string& key, uint64_t epoch, double now,
+           const core::HybridEstimate& value,
+           const CacheCounters& counters = {}) {
+    Put(KeyOf(key), epoch, now, value, counters);
+  }
 
   /// Drops every entry (stats counters are kept).
   void Clear();
@@ -213,10 +247,13 @@ class EstimateCache {
   };
   /// One set, allocated on its first insert. tags[w] == 0 marks way w
   /// empty; a live entry's tag is nonzero. `referenced` holds the CLOCK
-  /// reference bits, which hits set without the mutex.
+  /// reference bits, which hits set without the mutex. `hand` is the CLOCK
+  /// hand: written only under the shard mutex, read without it only as a
+  /// fill hint.
   struct alignas(64) Set {
     std::atomic<uint32_t> tags[kMaxWays] = {};
     std::atomic<uint8_t> referenced[kMaxWays] = {};
+    std::atomic<uint8_t> hand{0};
     Way ways[kMaxWays];
   };
   /// The key and value of an entry too large for its way's image.
@@ -227,8 +264,7 @@ class EstimateCache {
   struct Shard {
     explicit Shard(size_t set_count)
         : set_count(set_count),
-          sets(std::make_unique<std::atomic<Set*>[]>(set_count)),
-          hands(set_count, 0) {}
+          sets(std::make_unique<std::atomic<Set*>[]>(set_count)) {}
     mutable Mutex mu;
     const size_t set_count;
     /// Set i once its first insert published it; a null set reads as
@@ -236,7 +272,6 @@ class EstimateCache {
     /// the cache, so a reader's pointer stays valid.
     const std::unique_ptr<std::atomic<Set*>[]> sets;
     std::vector<std::unique_ptr<Set>> owned GUARDED_BY(mu);
-    std::vector<uint8_t> hands GUARDED_BY(mu);  ///< CLOCK hand per set
     /// Out-of-line entries, keyed by SideIndex(set, way).
     std::unordered_map<size_t, SideEntry> side GUARDED_BY(mu);
     int64_t live GUARDED_BY(mu) = 0;
@@ -250,8 +285,8 @@ class EstimateCache {
   /// Outcome of scanning a set for a key.
   enum class Probe { kAbsent, kInline, kOutOfLine, kTorn };
 
-  static bool Packable(const std::string& key, const core::HybridEstimate& v);
-  static void Pack(const std::string& key, uint64_t hash, uint64_t epoch,
+  static bool Packable(std::string_view key, const core::HybridEstimate& v);
+  static void Pack(std::string_view key, uint64_t hash, uint64_t epoch,
                    double stored_now, const core::HybridEstimate& v,
                    bool out_of_line, PackedEstimate* out);
   static void Unpack(const PackedEstimate& p, core::HybridEstimate* v);
@@ -274,11 +309,14 @@ class EstimateCache {
   /// with its key in a side entry. kTorn: a writer held way *way through
   /// both snapshot attempts. kAbsent: no remaining way holds the key.
   Probe Scan(const Set& set, const Route& r, uint64_t hash,
-             const std::string& key, int* way, PackedEstimate* out) const;
+             std::string_view key, int* way, PackedEstimate* out) const;
   /// The way of `set` holding `key` (its image in *out), or -1.
   int FindLocked(Shard& shard, const Set& set, const Route& r, uint64_t hash,
-                 const std::string& key, PackedEstimate* out) const
+                 std::string_view key, PackedEstimate* out) const
       REQUIRES(shard.mu);
+  /// Prefetches for write the way FreeWay would pick now: the first empty
+  /// way, else the one at the hand (ignoring reference bits).
+  void PrefetchFill(const Set& set) const;
   /// A way for a new key: the first empty one, else the CLOCK victim, whose
   /// entry is retired (*evicted set).
   int FreeWay(Shard& shard, Set& set, size_t si, bool* evicted) const
@@ -288,6 +326,8 @@ class EstimateCache {
   static void Retire(Shard& shard, Set& set, size_t si, int way)
       REQUIRES(shard.mu);
   static void Reference(Set& set, int way);
+  /// Bumps one internal statistic and its registry counter (when non-null).
+  static void Count(std::atomic<int64_t>& stat, Counter* counter);
   /// Counts one Get in exactly one of the four outcome counters below.
   void CountGet(bool hit, bool lockless, const CacheCounters& counters);
 

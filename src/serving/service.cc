@@ -1,9 +1,9 @@
 #include "serving/service.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
-#include <functional>
 #include <string_view>
 #include <utility>
 
@@ -184,24 +184,28 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
 
   const size_t n = requests.size();
 
-  // Pass 1: group the requests by canonical key, probing the cache once
-  // per distinct key — the first occurrence's probe decides for every
-  // duplicate in the batch (the canonical key covers everything that can
-  // change the answer). One group per distinct key; misses are computed
-  // exactly once in pass 2. Requests whose key cannot be built (unknown
-  // system) each get their own keyless group so errors stay per-request.
-  // The scratch buffer keeps the duplicate path allocation-free, and the
-  // distinct keys share one arena string.
+  // Pass 1: group the requests by canonical key. Each request's key is
+  // built and hashed once, and that one hash serves the dedup here, the
+  // prefetch and probe below and the fill in pass 3. One group per distinct
+  // key; misses are computed exactly once in pass 2. Requests whose key
+  // cannot be built (unknown system) each get their own keyless group so
+  // errors stay per-request. The scratch buffer keeps the duplicate path
+  // allocation-free, and the distinct keys share one arena string.
   struct MissGroup {
     size_t first_index = 0;
     /// The group's last request, which takes the answer by move.
     size_t last_index = 0;
-    /// The key's bytes in `keys`; empty for uncacheable requests.
+    /// The key's bytes in `keys` and their EstimateCache::Hash; empty for
+    /// uncacheable requests.
     size_t key_offset = 0;
     size_t key_size = 0;
-    /// Answered in pass 1, by a cache hit or (expired deadline) an error:
-    /// computed[g] already holds the answer, pass 2 skips the group and
-    /// pass 3 never fills the cache from it.
+    uint64_t key_hash = 0;
+    /// Whether the first request's system had an open breaker (memoized
+    /// per system, see below): a TTL-expired entry may then be served.
+    bool breaker_open = false;
+    /// Answered before pass 2, by a cache hit or (expired deadline) an
+    /// error: computed[g] already holds the answer, pass 2 skips the group
+    /// and pass 3 never fills the cache from it.
     bool answered = false;
     /// Answered by a cache hit: counts as a served hit in the span.
     bool from_cache = false;
@@ -209,7 +213,8 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   std::vector<MissGroup> groups;
   std::string keys;
   const auto key_of = [&keys](const MissGroup& g) {
-    return std::string_view(keys).substr(g.key_offset, g.key_size);
+    return EstimateCache::HashedKey{
+        std::string_view(keys).substr(g.key_offset, g.key_size), g.key_hash};
   };
   // One answer slot per group: pass-1 answers land here first, computed
   // misses in pass 2, and the final fan-out hands computed[group_of[i]] to
@@ -233,45 +238,54 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   std::vector<DedupSlot> dedup(std::bit_ceil(std::max<size_t>(2 * n, 2)));
   const size_t dedup_mask = dedup.size() - 1;
   std::string scratch;
-  // Per-batch memo of the last (system -> profile, breaker state)
-  // resolution: batches overwhelmingly target one system, and the
-  // estimator may not be mutated mid-batch (class contract), so the
-  // pointer stays valid for the batch. The breaker memo tolerates
-  // intra-batch `now` variance — it gates a degradation decision (flagged
-  // in the result), never a correctness one.
+  // Per-batch memo of each distinct system's (profile, breaker state),
+  // filled on the system's first request: a batch names a handful of
+  // systems, interleaved, and the estimator may not be mutated mid-batch
+  // (class contract), so the pointers stay valid for the batch. Past
+  // kMemoSize systems the last entry is replaced. The breaker memo
+  // tolerates intra-batch `now` variance — it gates a degradation decision
+  // (flagged in the result), never a correctness one.
   const remote::HealthRegistry* health =
       ctx.health != nullptr ? ctx.health : options_.health;
-  const std::string* memo_system = nullptr;
-  const core::CostingProfile* memo_profile = nullptr;
-  bool memo_breaker_open = false;
-  // Groups pass 1 left unanswered: pass 2 and the cache fill run only when
-  // there is one.
-  size_t unanswered = 0;
+  struct SystemMemo {
+    const std::string* system = nullptr;
+    const core::CostingProfile* profile = nullptr;
+    bool breaker_open = false;
+  };
+  constexpr size_t kMemoSize = 4;
+  std::array<SystemMemo, kMemoSize> memo;
+  size_t memo_size = 0;
+  const auto system_of = [&](const EstimateRequest& r) -> const SystemMemo& {
+    for (size_t m = 0; m < memo_size; ++m) {
+      if (*memo[m].system == r.system) return memo[m];
+    }
+    SystemMemo& entry =
+        memo[memo_size < kMemoSize ? memo_size++ : kMemoSize - 1];
+    auto profile = estimator_->GetProfile(r.system);
+    entry = {&r.system, profile.ok() ? profile.value() : nullptr,
+             health != nullptr && health->IsOpen(r.system, r.now)};
+    return entry;
+  };
   for (size_t i = 0; i < n; ++i) {
     // Deadline gate, as in Estimate(): an expired request gets its own
     // keyless, answered group — no cache probe, no computation, no fill.
     if (ctx.DeadlineExpiredAt(requests[i].now)) {
       group_of[i] = static_cast<uint32_t>(groups.size());
-      groups.push_back({i, i, 0, 0, /*answered=*/true, /*from_cache=*/false});
+      groups.push_back({i, i, 0, 0, 0, false, /*answered=*/true,
+                        /*from_cache=*/false});
       computed.emplace_back(DeadlineExpired());
       continue;
     }
-    if (memo_system == nullptr || *memo_system != requests[i].system) {
-      auto profile = estimator_->GetProfile(requests[i].system);
-      memo_profile = profile.ok() ? profile.value() : nullptr;
-      memo_breaker_open = health != nullptr &&
-                          health->IsOpen(requests[i].system, requests[i].now);
-      memo_system = &requests[i].system;
-    }
-    KeyTo(requests[i], bctx, memo_profile, &scratch);
-    std::optional<core::HybridEstimate> hit;
+    const SystemMemo& system = system_of(requests[i]);
+    KeyTo(requests[i], bctx, system.profile, &scratch);
+    uint64_t key_hash = 0;
     if (!scratch.empty()) {
-      const uint64_t key_hash = std::hash<std::string_view>{}(scratch);
+      key_hash = EstimateCache::Hash(scratch);
       size_t slot = key_hash & dedup_mask;
       size_t dup_group = SIZE_MAX;
       while (dedup[slot].group_plus_1 != 0) {
         if (dedup[slot].hash == key_hash &&
-            key_of(groups[dedup[slot].group_plus_1 - 1]) == scratch) {
+            key_of(groups[dedup[slot].group_plus_1 - 1]).bytes == scratch) {
           dup_group = dedup[slot].group_plus_1 - 1;
           break;
         }
@@ -284,26 +298,43 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
         continue;
       }
       dedup[slot] = {key_hash, static_cast<uint32_t>(groups.size() + 1)};
-      bool served_stale = false;
-      hit = cache_.Get(scratch, epoch, requests[i].now, counters,
-                       /*allow_stale=*/memo_breaker_open ||
-                           ctx.admission_degraded,
-                       &served_stale);
-      if (hit && served_stale) {
-        hit->fell_back_reason = ServedStaleReason(memo_breaker_open);
-      }
+      // Start loading the key's set now, so the probes below overlap their
+      // memory traffic instead of paying it one key at a time.
+      cache_.Prefetch(key_hash);
     }
     // Canonical keys of one batch have similar lengths: reserving room
     // for as many as `groups` reserved usually sizes the arena once.
     if (keys.empty()) keys.reserve(groups.capacity() * scratch.size());
     group_of[i] = static_cast<uint32_t>(groups.size());
-    groups.push_back(
-        {i, i, keys.size(), scratch.size(), hit.has_value(), hit.has_value()});
+    groups.push_back({i, i, keys.size(), scratch.size(), key_hash,
+                      system.breaker_open, false, false});
     keys += scratch;
+    computed.emplace_back(Status::Internal("unfilled"));
+  }
+  // Probe the cache once per distinct key, in first-occurrence order: the
+  // first occurrence's probe decides for every duplicate in the batch (the
+  // canonical key covers everything that can change the answer). Pass 2
+  // and the cache fill run only when a group is left unanswered.
+  size_t unanswered = 0;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    MissGroup& group = groups[g];
+    if (group.answered) continue;
+    std::optional<core::HybridEstimate> hit;
+    if (group.key_size != 0) {
+      bool served_stale = false;
+      hit = cache_.Get(key_of(group), epoch, requests[group.first_index].now,
+                       counters,
+                       /*allow_stale=*/group.breaker_open ||
+                           ctx.admission_degraded,
+                       &served_stale);
+      if (hit && served_stale) {
+        hit->fell_back_reason = ServedStaleReason(group.breaker_open);
+      }
+    }
     if (hit) {
-      computed.emplace_back(*std::move(hit));
+      group.answered = group.from_cache = true;
+      computed[g] = *std::move(hit);
     } else {
-      computed.emplace_back(Status::Internal("unfilled"));
       ++unanswered;
     }
   }
@@ -384,8 +415,7 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   // answers out.
   for (uint32_t g : miss_groups) {
     if (groups[g].key_size != 0 && Cacheable(computed[g], ctx)) {
-      scratch.assign(key_of(groups[g]));
-      cache_.Put(scratch, epoch, requests[groups[g].first_index].now,
+      cache_.Put(key_of(groups[g]), epoch, requests[groups[g].first_index].now,
                  computed[g].value(), counters);
     }
   }

@@ -4,12 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/formulas.h"
 #include "core/sub_op.h"
 #include "relational/workload.h"
 #include "remote/blackbox.h"
 #include "remote/hive_engine.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace intellisphere::core {
 namespace {
@@ -312,6 +319,209 @@ TEST(SubOpCatalogTest, MissingBasicBlocksEstimator) {
   EXPECT_EQ(
       SubOpCostEstimator::ForHive(std::move(catalog)).status().code(),
       StatusCode::kFailedPrecondition);
+}
+
+// --- Resolved cost lines ----------------------------------------------------
+//
+// A SubOpModel resolves its lines to (intercept, slope) when it is built, and
+// SubOpCatalog indexes its models by kind. The costs must stay bit-identical
+// to Predict1D clamped at 0 on the model's own lines, and to the Specific
+// defaults for kinds without a model. These tests fail on a dropped
+// max(0, ·) (half the lines below are negative at small sizes), on swapped
+// fit/spill regimes (hash build's two lines differ), and on an off-by-one
+// kind index (every kind's line is distinct, and the persisted key names
+// which kind a line belongs to).
+
+ml::LinearRegression LineThrough(double x0, double y0, double x1, double y1) {
+  return ml::LinearRegression::Fit1D({x0, x1}, {y0, y1}).value();
+}
+
+/// Kind k's fit line: distinct per kind, negative at small record sizes for
+/// every other kind.
+ml::LinearRegression FitLineOf(SubOpKind kind) {
+  const double k = static_cast<double>(kind);
+  const double y_small = (static_cast<int>(kind) % 2 == 0 ? -2e-6 : 1e-6) *
+                         (k + 1.0);
+  return LineThrough(100, y_small, 1000, (k + 2.0) * 3e-6);
+}
+
+/// Hash build's spill line: steeper than its fit line, negative below
+/// ~200 B.
+ml::LinearRegression SpillLine() { return LineThrough(100, -5e-6, 1000, 4e-5); }
+
+/// Every kind of `kinds` with its FitLineOf line; hash build two-regime.
+SubOpCatalog LineCatalog(const std::vector<SubOpKind>& kinds) {
+  SubOpCatalog catalog;
+  for (SubOpKind kind : kinds) {
+    catalog.Put(kind, kind == SubOpKind::kHashBuild
+                          ? SubOpModel(FitLineOf(kind), SpillLine())
+                          : SubOpModel(FitLineOf(kind)));
+  }
+  return catalog;
+}
+
+/// 0, 1, a seeded log-uniform sweep over [1, 2^22], and sizes around 10^6.
+std::vector<int64_t> SweepRecordSizes() {
+  std::vector<int64_t> sizes = {0, 1, 2, 999999, 1000000, 1000001, 1 << 24};
+  Rng rng(1317);
+  for (int i = 0; i < 256; ++i) {
+    sizes.push_back(static_cast<int64_t>(std::exp2(rng.Uniform(0.0, 22.0))));
+  }
+  return sizes;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The cost as computed before lines were resolved: Predict1D clamped at 0.
+double Predicted(const ml::LinearRegression& line, int64_t record_bytes) {
+  return std::max(0.0,
+                  line.Predict1D(static_cast<double>(record_bytes)).value());
+}
+
+TEST(SubOpCostLineTest, EveryKindAndRegimeIsBitIdenticalToPredict1D) {
+  const SubOpCatalog catalog = LineCatalog(AllSubOpKinds());
+  int clamped = 0;
+  for (SubOpKind kind : AllSubOpKinds()) {
+    SCOPED_TRACE(SubOpKindName(kind));
+    const SubOpModel* model = catalog.Get(kind).value();
+    for (int64_t bytes : SweepRecordSizes()) {
+      for (bool fits : {true, false}) {
+        const bool spill = kind == SubOpKind::kHashBuild && !fits;
+        // The line this kind was built with, and the model's own copy.
+        const double built = Predicted(spill ? SpillLine() : FitLineOf(kind),
+                                       bytes);
+        const double own = Predicted(
+            spill ? model->spill_line() : model->line(), bytes);
+        const double cost = catalog.Cost(kind, bytes, fits).value();
+        const double per_record =
+            model->PerRecordSeconds(bytes, fits).value();
+        EXPECT_TRUE(SameBits(cost, built)) << bytes << " " << fits;
+        EXPECT_TRUE(SameBits(cost, own)) << bytes << " " << fits;
+        EXPECT_TRUE(SameBits(per_record, own)) << bytes << " " << fits;
+        if ((spill ? SpillLine() : FitLineOf(kind))
+                .Predict1D(static_cast<double>(bytes))
+                .value() < 0.0) {
+          ++clamped;
+        }
+      }
+    }
+  }
+  EXPECT_GT(clamped, 0);  // the clamp at 0 is exercised
+}
+
+TEST(SubOpCostLineTest, MissingSpecificKindsCostTheirDefaults) {
+  std::vector<SubOpKind> basic;
+  for (SubOpKind kind : AllSubOpKinds()) {
+    if (IsBasicSubOp(kind)) basic.push_back(kind);
+  }
+  const SubOpCatalog catalog = LineCatalog(basic);
+  for (SubOpKind kind : AllSubOpKinds()) {
+    if (IsBasicSubOp(kind)) continue;
+    SCOPED_TRACE(SubOpKindName(kind));
+    for (int64_t bytes : SweepRecordSizes()) {
+      const double fallback =
+          SubOpCatalog::DefaultSpecificCost(kind, bytes).value();
+      EXPECT_TRUE(SameBits(catalog.Cost(kind, bytes, true).value(), fallback));
+      EXPECT_TRUE(
+          SameBits(catalog.Cost(kind, bytes, false).value(), fallback));
+    }
+  }
+}
+
+TEST(SubOpCostLineTest, MissingBasicKindIsNotFound) {
+  std::vector<SubOpKind> kinds;
+  for (SubOpKind kind : AllSubOpKinds()) {
+    if (kind != SubOpKind::kReadDfs) kinds.push_back(kind);
+  }
+  const SubOpCatalog catalog = LineCatalog(kinds);
+  const Status cost = catalog.Cost(SubOpKind::kReadDfs, 100).status();
+  EXPECT_EQ(cost.code(), StatusCode::kNotFound);
+  EXPECT_EQ(cost.message(), "sub-op model 'read_dfs'");
+  EXPECT_EQ(catalog.Get(SubOpKind::kReadDfs).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(catalog.Contains(SubOpKind::kReadDfs));
+  EXPECT_FALSE(catalog.HasAllBasic());
+}
+
+TEST(SubOpCostLineTest, NonOneFeatureLineFailsWhenCalled) {
+  Properties props;
+  props.SetDoubleList("w_weights", {1e-6, 2e-6});
+  props.SetDouble("w_intercept", 1e-6);
+  const ml::LinearRegression wide =
+      ml::LinearRegression::Load("w_", props).value();
+  const auto expect_mismatch = [](const Result<double>& r) {
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), "predict width mismatch");
+  };
+  // Built without complaint; fails only when a cost is asked of it.
+  const SubOpModel one_regime(wide);
+  expect_mismatch(one_regime.PerRecordSeconds(100, true));
+  expect_mismatch(one_regime.PerRecordSeconds(100, false));
+  expect_mismatch(SubOpModel().PerRecordSeconds(100));
+  // A two-regime model fails only in the regime whose line is wide.
+  const SubOpModel wide_spill(FitLineOf(SubOpKind::kHashBuild), wide);
+  EXPECT_TRUE(wide_spill.PerRecordSeconds(100, true).ok());
+  expect_mismatch(wide_spill.PerRecordSeconds(100, false));
+  SubOpCatalog catalog = LineCatalog(AllSubOpKinds());
+  catalog.Put(SubOpKind::kHashBuild, wide_spill);
+  EXPECT_TRUE(catalog.Cost(SubOpKind::kHashBuild, 100, true).ok());
+  expect_mismatch(catalog.Cost(SubOpKind::kHashBuild, 100, false));
+}
+
+/// The persisted form written when the catalog kept its models in a
+/// kind-keyed map: the openbox info, then per modelled kind its has_ flag,
+/// regime flag and lines.
+Properties MapEraFormat(const SubOpCatalog& catalog,
+                        const std::string& prefix) {
+  Properties props;
+  catalog.info().Save(prefix + "info_", &props);
+  for (SubOpKind kind : AllSubOpKinds()) {
+    auto model = catalog.Get(kind);
+    if (!model.ok()) continue;
+    const std::string name = SubOpKindName(kind);
+    props.SetBool(prefix + "has_" + name, true);
+    props.SetBool(prefix + name + "_two_regime", model.value()->two_regime());
+    model.value()->line().Save(prefix + name + "_fit_", &props);
+    if (model.value()->two_regime()) {
+      model.value()->spill_line().Save(prefix + name + "_spill_", &props);
+    }
+  }
+  return props;
+}
+
+void ExpectByteIdenticalRoundTrip(const SubOpCatalog& catalog) {
+  Properties saved;
+  catalog.Save("cp_", &saved);
+  EXPECT_EQ(saved.Serialize(), MapEraFormat(catalog, "cp_").Serialize());
+  const SubOpCatalog loaded =
+      SubOpCatalog::Load("cp_", Properties::Parse(saved.Serialize()).value())
+          .value();
+  Properties resaved;
+  loaded.Save("cp_", &resaved);
+  EXPECT_EQ(resaved.Serialize(), saved.Serialize());
+  for (SubOpKind kind : AllSubOpKinds()) {
+    ASSERT_EQ(loaded.Contains(kind), catalog.Contains(kind));
+    for (int64_t bytes : SweepRecordSizes()) {
+      for (bool fits : {true, false}) {
+        EXPECT_TRUE(SameBits(loaded.Cost(kind, bytes, fits).value(),
+                             catalog.Cost(kind, bytes, fits).value()))
+            << SubOpKindName(kind) << " " << bytes;
+      }
+    }
+  }
+}
+
+TEST_F(SubOpCalibrationTest, SaveLoadIsByteIdenticalInMapEraKeyOrder) {
+  ExpectByteIdenticalRoundTrip(run_->catalog);
+}
+
+TEST(SubOpCostLineTest, SaveLoadIsByteIdenticalWithKindsMissing) {
+  ExpectByteIdenticalRoundTrip(LineCatalog(
+      {SubOpKind::kReadDfs, SubOpKind::kWriteDfs, SubOpKind::kReadLocal,
+       SubOpKind::kWriteLocal, SubOpKind::kShuffle, SubOpKind::kBroadcast,
+       SubOpKind::kHashBuild, SubOpKind::kRecMerge}));
 }
 
 TEST(SubOpCalibrationErrorsTest, BlackboxRefusesCalibration) {

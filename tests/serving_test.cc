@@ -609,6 +609,132 @@ TEST(EstimateCacheTest, SeqlockReaderWriterHammer) {
   EXPECT_GT(stats.hits + stats.misses, 0);
 }
 
+// --- Prefetch hints vs the fill under the shard mutex ----------------------
+//
+// A lock-free miss prefetches the way its fill will most likely take, but
+// Put re-derives that way under the shard mutex. In each case below the
+// set changes between a Get and the Put of the same key, so a fill that
+// trusted the Get's prediction would overwrite a live entry, evict a key it
+// should keep, miscount the entries or leave the key in two ways.
+
+/// One shard of one 4-way set: every key lands in the same set.
+serving::EstimateCache OneFourWaySet() {
+  serving::CacheOptions opts;
+  opts.shards = 1;
+  opts.capacity = 4;
+  return serving::EstimateCache(opts);
+}
+
+void ExpectCounts(const serving::EstimateCache& cache, int64_t hits,
+                  int64_t misses, int64_t evictions, int64_t entries) {
+  const serving::CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.misses, misses);
+  EXPECT_EQ(stats.evictions, evictions);
+  EXPECT_EQ(stats.entries, entries);
+  EXPECT_LE(stats.entries, cache.options().capacity);
+}
+
+void ExpectServes(serving::EstimateCache& cache, const std::string& key,
+                  uint64_t epoch, double seconds) {
+  auto got = cache.Get(key, epoch, 0.0);
+  ASSERT_TRUE(got.has_value()) << key;
+  EXPECT_EQ(got->seconds, seconds) << key;
+}
+
+/// Every key sits in at most one way, and the cache holds no entry beyond
+/// `keys`: at an epoch no entry carries, a first probe of a key retires its
+/// only copy, so a second probe finds nothing (a second copy would count a
+/// second stale_epoch). Empties the cache.
+void ExpectOneWayEachAndNothingElse(serving::EstimateCache& cache,
+                                    const std::vector<std::string>& keys,
+                                    uint64_t fresh_epoch) {
+  for (const std::string& key : keys) {
+    const int64_t stale_before = cache.Stats().stale_epoch;
+    EXPECT_FALSE(cache.Get(key, fresh_epoch, 0.0).has_value());
+    EXPECT_FALSE(cache.Get(key, fresh_epoch, 0.0).has_value());
+    EXPECT_EQ(cache.Stats().stale_epoch - stale_before, 1) << key;
+  }
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(EstimateCacheFillTest, AnotherKeyFilledThePredictedWay) {
+  serving::EstimateCache cache = OneFourWaySet();
+  // The first insert publishes the set (a miss on an unpublished set
+  // predicts nothing) and takes way 0.
+  cache.Put("k0", 0, 0.0, EstimateWithSeconds(0.0));
+  const auto a = serving::EstimateCache::KeyOf("a");
+  EXPECT_FALSE(cache.Get(a, 0, 0.0).has_value());  // predicts way 1
+  cache.Put("b", 0, 0.0, EstimateWithSeconds(2.0));  // takes way 1
+  cache.Put(a, 0, 0.0, EstimateWithSeconds(1.0));
+  ExpectServes(cache, "a", 0, 1.0);
+  ExpectServes(cache, "b", 0, 2.0);
+  ExpectServes(cache, "k0", 0, 0.0);
+  ExpectCounts(cache, /*hits=*/3, /*misses=*/1, /*evictions=*/0,
+               /*entries=*/3);
+  ExpectOneWayEachAndNothingElse(cache, {"a", "b", "k0"}, 1);
+}
+
+TEST(EstimateCacheFillTest, HandMovedPastThePredictedVictim) {
+  serving::EstimateCache cache = OneFourWaySet();
+  for (const char* key : {"k0", "k1", "k2", "k3"}) {
+    cache.Put(key, 0, 0.0, EstimateWithSeconds(0.0));
+  }
+  const auto a = serving::EstimateCache::KeyOf("a");
+  EXPECT_FALSE(cache.Get(a, 0, 0.0).has_value());  // predicts the hand, k0
+  cache.Put("x", 0, 0.0, EstimateWithSeconds(9.0));  // evicts k0 first
+  cache.Put(a, 0, 0.0, EstimateWithSeconds(1.0));    // so a evicts k1
+  ExpectServes(cache, "a", 0, 1.0);
+  ExpectServes(cache, "x", 0, 9.0);
+  ExpectServes(cache, "k2", 0, 0.0);
+  ExpectServes(cache, "k3", 0, 0.0);
+  EXPECT_FALSE(cache.Get("k0", 0, 0.0).has_value());
+  EXPECT_FALSE(cache.Get("k1", 0, 0.0).has_value());
+  ExpectCounts(cache, /*hits=*/4, /*misses=*/3, /*evictions=*/2,
+               /*entries=*/4);
+  ExpectOneWayEachAndNothingElse(cache, {"a", "x", "k2", "k3"}, 1);
+}
+
+TEST(EstimateCacheFillTest, ClearRanBetweenProbeAndFill) {
+  serving::EstimateCache cache = OneFourWaySet();
+  cache.Put("k0", 0, 0.0, EstimateWithSeconds(0.0));
+  cache.Put("k1", 0, 0.0, EstimateWithSeconds(0.0));
+  const auto a = serving::EstimateCache::KeyOf("a");
+  EXPECT_FALSE(cache.Get(a, 0, 0.0).has_value());  // predicts way 2
+  cache.Clear();
+  for (const char* key : {"b", "c", "d"}) {  // ways 0, 1 and 2
+    cache.Put(key, 0, 0.0, EstimateWithSeconds(2.0));
+  }
+  cache.Put(a, 0, 0.0, EstimateWithSeconds(1.0));  // the last free way
+  ExpectServes(cache, "a", 0, 1.0);
+  for (const char* key : {"b", "c", "d"}) ExpectServes(cache, key, 0, 2.0);
+  EXPECT_FALSE(cache.Get("k0", 0, 0.0).has_value());
+  EXPECT_FALSE(cache.Get("k1", 0, 0.0).has_value());
+  ExpectCounts(cache, /*hits=*/4, /*misses=*/3, /*evictions=*/0,
+               /*entries=*/4);
+  ExpectOneWayEachAndNothingElse(cache, {"a", "b", "c", "d"}, 1);
+}
+
+TEST(EstimateCacheFillTest, KeyRefreshedElsewhereAfterEpochBump) {
+  // Caller A misses k at epoch 1 while way 1 is free. Before A fills, b
+  // takes way 1, caller B fills k into way 2 and, after an epoch bump,
+  // refreshes it there. A's fill must refresh k in way 2 too.
+  serving::EstimateCache cache = OneFourWaySet();
+  cache.Put("a", 1, 0.0, EstimateWithSeconds(1.0));  // way 0
+  const auto k = serving::EstimateCache::KeyOf("k");
+  EXPECT_FALSE(cache.Get(k, 1, 0.0).has_value());  // A: predicts way 1
+  cache.Put("b", 1, 0.0, EstimateWithSeconds(2.0));  // way 1
+  cache.Put("k", 1, 0.0, EstimateWithSeconds(3.0));  // B: way 2
+  cache.Put("k", 2, 0.0, EstimateWithSeconds(4.0));  // B: refresh in place
+  cache.Put(k, 2, 0.0, EstimateWithSeconds(5.0));    // A
+  ExpectServes(cache, "k", 2, 5.0);
+  ExpectServes(cache, "a", 1, 1.0);
+  ExpectServes(cache, "b", 1, 2.0);
+  ExpectCounts(cache, /*hits=*/3, /*misses=*/1, /*evictions=*/0,
+               /*entries=*/3);
+  ExpectOneWayEachAndNothingElse(cache, {"a", "b", "k"}, 3);
+}
+
 // --- EstimationService -----------------------------------------------------
 
 class EstimationServiceTest : public ::testing::Test {
@@ -1169,11 +1295,24 @@ TEST(ServingBatchedInferenceTest, GeneratedBatchesMatchScalarEstimate) {
 
   // The service's batch path, inline and on a 3-worker pool: cold and warm
   // slots alike equal the scalar estimate, and rows past their deadline
-  // get the scalar path's DeadlineExceeded.
-  for (int jobs : {1, 3}) {
-    SCOPED_TRACE(jobs);
+  // get the scalar path's DeadlineExceeded. The third service has two
+  // shards of one 16-way set each, so a batch's fills land in the ways its
+  // own earlier fills were predicted to take, and evict each other.
+  struct ServiceCase {
+    int jobs;
+    int shards;
+    int64_t capacity;
+  };
+  const serving::CacheOptions dflt;
+  for (const ServiceCase& c : {ServiceCase{1, dflt.shards, dflt.capacity},
+                               ServiceCase{3, dflt.shards, dflt.capacity},
+                               ServiceCase{1, 2, 32}}) {
+    SCOPED_TRACE(testing::Message() << "jobs " << c.jobs << ", capacity "
+                                    << c.capacity);
     serving::ServiceOptions opts;
-    opts.jobs = jobs;
+    opts.jobs = c.jobs;
+    opts.cache.shards = c.shards;
+    opts.cache.capacity = c.capacity;
     opts.health = &health;
     serving::EstimationService service(&estimator, opts);
     int expired = 0;
@@ -1181,6 +1320,7 @@ TEST(ServingBatchedInferenceTest, GeneratedBatchesMatchScalarEstimate) {
       const std::vector<Result<core::HybridEstimate>> batched =
           service.EstimateBatch(batch.requests, batch.ctx);
       ASSERT_EQ(batched.size(), batch.requests.size());
+      EXPECT_LE(service.cache_stats().entries, c.capacity);
       for (size_t i = 0; i < batched.size(); ++i) {
         const serving::EstimateRequest& request = batch.requests[i];
         if (batch.ctx.DeadlineExpiredAt(request.now)) {
@@ -1196,7 +1336,14 @@ TEST(ServingBatchedInferenceTest, GeneratedBatchesMatchScalarEstimate) {
       }
     }
     EXPECT_GT(expired, 0);
-    EXPECT_GT(service.cache_stats().hits, 0);
+    const serving::CacheStats stats = service.cache_stats();
+    EXPECT_GT(stats.hits, 0);
+    if (c.capacity == 32) {
+      // The small table really is contended, and its entries stay exact:
+      // once full, each fill replaces exactly one entry.
+      EXPECT_GT(stats.evictions, 0);
+      EXPECT_EQ(stats.entries, c.capacity);
+    }
   }
 }
 
@@ -1243,6 +1390,75 @@ TEST_F(EstimationServiceTest, ConcurrentHammerOnSharedService) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<int64_t>(kTasks * kIters * 3));
   EXPECT_GT(stats.hits, 0);
+}
+
+TEST_F(EstimationServiceTest, OverlappingBatchesOnOneSmallTableHammer) {
+  // Two threads send overlapping batches into one 16-way set: each batch
+  // prefetches, probes and fills ways that the other thread's batches are
+  // probing, evicting and rewriting, so most fills find their predicted
+  // way taken. The tripwire is SeqlockReaderWriterHammer's: every answer
+  // must equal the uncached estimate, field for field, which a torn read
+  // would break. Run under tsan by scripts/check.sh (step 3).
+  serving::ServiceOptions opts;
+  opts.jobs = 1;
+  opts.cache.shards = 1;
+  opts.cache.capacity = 16;
+  serving::EstimationService service(&estimator_, opts);
+  constexpr int kOps = 24;  // more keys than the set has ways
+  std::vector<serving::EstimateRequest> pool_requests;
+  std::vector<core::HybridEstimate> uncached;
+  for (int k = 0; k < kOps; ++k) {
+    pool_requests.push_back(
+        Request(k % 3 == 2 ? SampleAgg(100000 + k * 20000)
+                           : SampleJoin(1000000 + k * 50000)));
+    auto est = estimator_.Estimate("hive", pool_requests.back().op);
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    uncached.push_back(std::move(est).value());
+  }
+  constexpr int kThreads = 2;
+  constexpr int kBatches = 300;
+  constexpr int kBatchSize = 8;
+  // Request j of batch b on thread t; the two threads' batches overlap.
+  const auto op_of = [](size_t t, int b, int j) {
+    return static_cast<size_t>((b * 5 + j * 7 + static_cast<int>(t) * 3) %
+                               kOps);
+  };
+  int64_t probes = 0;  // one per distinct key of each batch
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (int b = 0; b < kBatches; ++b) {
+      std::set<size_t> distinct;
+      for (int j = 0; j < kBatchSize; ++j) distinct.insert(op_of(t, b, j));
+      probes += static_cast<int64_t>(distinct.size());
+    }
+  }
+  ThreadPool pool(kThreads);
+  std::vector<Status> outcomes =
+      RunIndexed(&pool, kThreads, [&](size_t t) -> Status {
+        for (int b = 0; b < kBatches; ++b) {
+          std::vector<serving::EstimateRequest> batch;
+          for (int j = 0; j < kBatchSize; ++j) {
+            batch.push_back(pool_requests[op_of(t, b, j)]);
+          }
+          const auto results = service.EstimateBatch(batch);
+          for (int j = 0; j < kBatchSize; ++j) {
+            if (!results[j].ok()) return results[j].status();
+            const core::HybridEstimate& got = results[j].value();
+            const core::HybridEstimate& want = uncached[op_of(t, b, j)];
+            if (got.seconds != want.seconds ||
+                got.algorithm != want.algorithm ||
+                got.approach_used != want.approach_used ||
+                got.eliminated_count != want.eliminated_count) {
+              return Status::Internal("torn or foreign answer");
+            }
+          }
+        }
+        return Status::OK();
+      });
+  for (const Status& s : outcomes) EXPECT_TRUE(s.ok()) << s.ToString();
+  const serving::CacheStats stats = service.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, probes);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LE(stats.entries, opts.cache.capacity);
 }
 
 }  // namespace
