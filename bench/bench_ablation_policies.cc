@@ -75,8 +75,11 @@ void Run() {
   Section("Ablation: candidate spread per query (first 5 queries)");
   CsvTable t({"query", "algorithm", "estimate_seconds"});
   est.set_policy(core::ChoicePolicy::kWorstCase);
+  // Only a provenance estimate lists its candidates.
+  core::EstimateContext provenance;
+  provenance.detail = core::EstimateDetail::kProvenance;
   for (size_t i = 0; i < 5 && i < queries.size(); ++i) {
-    auto se = Unwrap(est.EstimateJoin(queries[i]), "estimate");
+    auto se = Unwrap(est.EstimateJoin(queries[i], provenance), "estimate");
     for (const auto& c : se.candidates) {
       t.AddTextRow({FormatNumber(static_cast<double>(i)), c.algorithm,
                     FormatNumber(c.seconds)});

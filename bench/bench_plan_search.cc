@@ -2,8 +2,10 @@
 // for four-relation specs (join chain + GROUP BY across three engines)
 // with the DP's batched costing routed through the serving layer.
 //
-//  * A cold pass populates the EstimationService cache (every remote
-//    (operator, system) placement is a distinct key).
+//  * A cold pass plans kSpecs distinct specs and populates the
+//    EstimationService cache (every remote (operator, system) placement is
+//    a distinct key). The service computes misses inline (jobs = 1), so no
+//    worker pool starts inside the timed window.
 //  * Warm passes re-plan the same specs: the DP emits the same batches, so
 //    every remote estimate answers from the cache. The measured cache-hit
 //    fraction must be nonzero (hard floor 0.5 — warm passes dominate), and
@@ -81,6 +83,9 @@ using bench::Check;
 using bench::Unwrap;
 
 constexpr uint64_t kSeed = 7575;
+/// Distinct specs the cold pass plans: enough that its window is tens of
+/// milliseconds rather than a few plans' worth.
+constexpr int kSpecs = 192;
 constexpr int kWarmPasses = 20;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -117,21 +122,25 @@ void RegisterTables(fed::IntelliSphere* sphere) {
   Check(sphere->RegisterTable(d), "register d");
 }
 
-/// The measured workload: four-relation specs differing in projection
-/// width and join selectivity, so the cold pass populates distinct cache
-/// keys while warm passes replay them exactly.
+/// The measured workload: kSpecs four-relation specs differing in the
+/// first relation's projection width, the third relation's filter, join
+/// selectivity and aggregate count. Every operator of a spec touches the
+/// first or the third relation, so each spec's operators are its own: the
+/// cold pass misses on every remote placement, while warm passes replay
+/// the specs exactly.
 std::vector<fed::QuerySpec> Workload() {
   std::vector<fed::QuerySpec> specs;
-  for (int variant = 0; variant < 4; ++variant) {
+  for (int variant = 0; variant < kSpecs; ++variant) {
     fed::QuerySpec spec;
-    spec.relations = {{"T8000000_250", 1.0, 32 + 8 * variant},
+    spec.relations = {{"T8000000_250", 1.0, 32 + variant},
                       {"T2000000_100", 1.0, 24},
-                      {"T500000_40", 1.0, 16},
+                      {"T500000_40", 1.0 - (variant + 1) / 1024.0, 16},
                       {"T100000_100", 1.0, 8}};
-    spec.joins = {{0, 1, "a1", variant % 2 == 0 ? 0.5 : 1.0},
+    spec.joins = {{0, 1, "a1", (variant / 16) % 2 == 0 ? 0.5 : 1.0},
                   {1, 2, "a10", 1.0},
                   {2, 3, "a5", 1.0}};
-    spec.aggregate = fed::QuerySpec::Aggregate{0, "a100", 1 + variant % 2};
+    spec.aggregate =
+        fed::QuerySpec::Aggregate{0, "a100", 1 + (variant / 32) % 2};
     spec.result_to_master = true;
     specs.push_back(std::move(spec));
   }
@@ -165,7 +174,13 @@ int main() {
       "register spark");
   RegisterTables(&sphere);
 
-  serving::EstimationService service(&sphere.cost_estimator());
+  // Misses are computed inline, as perfbench does; the cache holds every
+  // key of the workload, so warm passes never miss.
+  serving::ServiceOptions service_options;
+  service_options.jobs = 1;
+  service_options.cache.capacity = 16384;
+  serving::EstimationService service(&sphere.cost_estimator(),
+                                     service_options);
   bench::Check(sphere.AttachEstimationService(&service), "attach serving");
 
   const std::vector<fed::QuerySpec> specs = Workload();

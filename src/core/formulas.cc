@@ -255,7 +255,7 @@ Result<double> EstimateSortAgg(const AggQuery& q, const SubOpCatalog& cat) {
 
 class ShuffleJoinFormula : public JoinFormula {
  public:
-  std::string name() const override { return "shuffle_join"; }
+  const char* name() const override { return "shuffle_join"; }
   const char* applicability_rule() const override {
     return "requires an equi-join with hot-key fraction below the skew "
            "threshold";
@@ -271,7 +271,7 @@ class ShuffleJoinFormula : public JoinFormula {
 
 class BroadcastJoinFormula : public JoinFormula {
  public:
-  std::string name() const override { return "broadcast_join"; }
+  const char* name() const override { return "broadcast_join"; }
   const char* applicability_rule() const override {
     return "requires an equi-join with the right side under the broadcast "
            "threshold";
@@ -289,7 +289,7 @@ class BroadcastJoinFormula : public JoinFormula {
 
 class BucketMapJoinFormula : public JoinFormula {
  public:
-  std::string name() const override { return "bucket_map_join"; }
+  const char* name() const override { return "bucket_map_join"; }
   const char* applicability_rule() const override {
     return "requires an equi-join with the right side bucketed on the join "
            "key";
@@ -307,7 +307,7 @@ class BucketMapJoinFormula : public JoinFormula {
 
 class SortMergeBucketJoinFormula : public JoinFormula {
  public:
-  std::string name() const override { return "sort_merge_bucket_join"; }
+  const char* name() const override { return "sort_merge_bucket_join"; }
   const char* applicability_rule() const override {
     return "requires an equi-join with both sides bucketed on the join key";
   }
@@ -323,7 +323,7 @@ class SortMergeBucketJoinFormula : public JoinFormula {
 
 class SkewJoinFormula : public JoinFormula {
  public:
-  std::string name() const override { return "skew_join"; }
+  const char* name() const override { return "skew_join"; }
   const char* applicability_rule() const override {
     return "requires an equi-join with hot-key fraction at or above the "
            "skew threshold";
@@ -356,7 +356,7 @@ Result<double> EstimateMapOnlyScan(const rel::ScanQuery& q,
 
 class MapOnlyScanFormula : public ScanFormula {
  public:
-  std::string name() const override { return "map_only_scan"; }
+  const char* name() const override { return "map_only_scan"; }
   const char* applicability_rule() const override {
     return "always applicable";
   }
@@ -371,7 +371,7 @@ class MapOnlyScanFormula : public ScanFormula {
 
 class HashAggFormula : public AggFormula {
  public:
-  std::string name() const override { return "hash_aggregation"; }
+  const char* name() const override { return "hash_aggregation"; }
   const char* applicability_rule() const override {
     return "requires the group table to fit in task memory";
   }
@@ -387,7 +387,7 @@ class HashAggFormula : public AggFormula {
 
 class SortAggFormula : public AggFormula {
  public:
-  std::string name() const override { return "sort_aggregation"; }
+  const char* name() const override { return "sort_aggregation"; }
   const char* applicability_rule() const override {
     return "applies when the group table exceeds task memory";
   }
@@ -468,64 +468,28 @@ Result<SubOpCostEstimator> SubOpCostEstimator::ForHive(SubOpCatalog catalog,
                             HiveAggFormulas(), HiveScanFormulas(), policy);
 }
 
-Result<SubOpEstimate> SubOpCostEstimator::Resolve(SubOpEstimate est,
-                                                  ChoicePolicy policy) const {
-  const std::vector<AlgorithmEstimate>& candidates = est.candidates;
-  if (candidates.empty()) {
-    std::string msg = "no physical algorithm is applicable to this operator";
-    // With provenance collected, fold the per-algorithm kill reasons into
-    // the status so planners can report *why* a host was eliminated.
-    for (const auto& e : est.eliminated) {
-      msg += "; " + e.algorithm + ": " + e.reason;
-    }
-    return Status::FailedPrecondition(msg);
-  }
-  est.policy_used = policy;
-  switch (policy) {
-    case ChoicePolicy::kWorstCase: {
-      auto it = std::max_element(candidates.begin(), candidates.end(),
-                                 [](const auto& a, const auto& b) {
-                                   return a.seconds < b.seconds;
-                                 });
-      est.seconds = it->seconds;
-      est.chosen_algorithm = it->algorithm;
-      break;
-    }
-    case ChoicePolicy::kAverage: {
-      double sum = 0.0;
-      for (const auto& c : candidates) sum += c.seconds;
-      est.seconds = sum / static_cast<double>(candidates.size());
-      est.chosen_algorithm =
-          candidates.size() == 1 ? candidates[0].algorithm : "";
-      break;
-    }
-    case ChoicePolicy::kInHouseComparable: {
-      auto it = std::min_element(candidates.begin(), candidates.end(),
-                                 [](const auto& a, const auto& b) {
-                                   return a.seconds < b.seconds;
-                                 });
-      est.seconds = it->seconds;
-      est.chosen_algorithm = it->algorithm;
-      break;
-    }
-  }
-  return est;
-}
-
 namespace {
 
-/// The shared applicability-filter + estimate loop. Gathers survivors into
-/// est.candidates and eliminations into est.eliminated (reasons only under
-/// provenance), emitting one formula span per survivor when tracing.
+/// The shared applicability-filter + estimate loop, resolving `policy` in
+/// the same pass over the survivors. Worst case keeps the first maximum and
+/// in-house comparable the first minimum (std::max_element's and
+/// std::min_element's comparisons, so ties and NaNs resolve as they do);
+/// average sums the survivors in order. Eliminations (with reasons) and
+/// survivors are listed only under provenance, with one formula span per
+/// survivor when tracing.
 template <typename Query, typename FormulaVec>
-Result<SubOpEstimate> GatherCandidates(const FormulaVec& formulas,
-                                       const Query& q,
-                                       const SubOpCatalog& catalog,
-                                       const EstimateContext& ctx) {
+Result<SubOpEstimate> EstimateWith(const FormulaVec& formulas, const Query& q,
+                                   const SubOpCatalog& catalog,
+                                   ChoicePolicy policy,
+                                   const EstimateContext& ctx) {
   SubOpEstimate est;
+  est.policy_used = policy;
   const bool provenance = ctx.provenance();
   // One allocation for every survivor instead of one per growth step.
-  est.candidates.reserve(formulas.size());
+  if (provenance) est.candidates.reserve(formulas.size());
+  size_t survivors = 0;
+  double sum = 0.0;
+  const char* chosen = nullptr;
   for (const auto& f : formulas) {
     if (!f->Applicable(q, catalog.info())) {
       ++est.eliminated_count;
@@ -540,8 +504,41 @@ Result<SubOpEstimate> GatherCandidates(const FormulaVec& formulas,
           .SetString("algorithm", f->name())
           .SetDouble("seconds", s);
     }
-    est.candidates.push_back({f->name(), s});
+    if (provenance) est.candidates.push_back({f->name(), s});
+    const bool first = survivors++ == 0;
+    switch (policy) {
+      case ChoicePolicy::kWorstCase:
+        if (first || est.seconds < s) {
+          est.seconds = s;
+          chosen = f->name();
+        }
+        break;
+      case ChoicePolicy::kAverage:
+        sum += s;
+        chosen = f->name();
+        break;
+      case ChoicePolicy::kInHouseComparable:
+        if (first || s < est.seconds) {
+          est.seconds = s;
+          chosen = f->name();
+        }
+        break;
+    }
   }
+  if (survivors == 0) {
+    std::string msg = "no physical algorithm is applicable to this operator";
+    // With provenance collected, fold the per-algorithm kill reasons into
+    // the status so planners can report *why* a host was eliminated.
+    for (const auto& e : est.eliminated) {
+      msg += "; " + e.algorithm + ": " + e.reason;
+    }
+    return Status::FailedPrecondition(msg);
+  }
+  if (policy == ChoicePolicy::kAverage) {
+    est.seconds = sum / static_cast<double>(survivors);
+    if (survivors > 1) chosen = "";
+  }
+  if (chosen != nullptr) est.chosen_algorithm = chosen;
   return est;
 }
 
@@ -550,25 +547,22 @@ Result<SubOpEstimate> GatherCandidates(const FormulaVec& formulas,
 Result<SubOpEstimate> SubOpCostEstimator::EstimateJoin(
     const rel::JoinQuery& q, const EstimateContext& ctx) const {
   ISPHERE_RETURN_NOT_OK(q.Validate());
-  ISPHERE_ASSIGN_OR_RETURN(SubOpEstimate est,
-                           GatherCandidates(join_formulas_, q, catalog_, ctx));
-  return Resolve(std::move(est), ctx.policy_override.value_or(policy_));
+  return EstimateWith(join_formulas_, q, catalog_,
+                      ctx.policy_override.value_or(policy_), ctx);
 }
 
 Result<SubOpEstimate> SubOpCostEstimator::EstimateAgg(
     const rel::AggQuery& q, const EstimateContext& ctx) const {
   ISPHERE_RETURN_NOT_OK(q.Validate());
-  ISPHERE_ASSIGN_OR_RETURN(SubOpEstimate est,
-                           GatherCandidates(agg_formulas_, q, catalog_, ctx));
-  return Resolve(std::move(est), ctx.policy_override.value_or(policy_));
+  return EstimateWith(agg_formulas_, q, catalog_,
+                      ctx.policy_override.value_or(policy_), ctx);
 }
 
 Result<SubOpEstimate> SubOpCostEstimator::EstimateScan(
     const rel::ScanQuery& q, const EstimateContext& ctx) const {
   ISPHERE_RETURN_NOT_OK(q.Validate());
-  ISPHERE_ASSIGN_OR_RETURN(SubOpEstimate est,
-                           GatherCandidates(scan_formulas_, q, catalog_, ctx));
-  return Resolve(std::move(est), ctx.policy_override.value_or(policy_));
+  return EstimateWith(scan_formulas_, q, catalog_,
+                      ctx.policy_override.value_or(policy_), ctx);
 }
 
 Result<SubOpEstimate> SubOpCostEstimator::Estimate(

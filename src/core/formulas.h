@@ -29,7 +29,8 @@ namespace intellisphere::core {
 class JoinFormula {
  public:
   virtual ~JoinFormula() = default;
-  virtual std::string name() const = 0;
+  /// The algorithm's name, as estimates and EXPLAIN report it.
+  virtual const char* name() const = 0;
   /// Human-readable statement of the applicability rule — the elimination
   /// reason EXPLAIN reports when the rule kills this algorithm.
   virtual const char* applicability_rule() const = 0;
@@ -46,7 +47,7 @@ class JoinFormula {
 class AggFormula {
  public:
   virtual ~AggFormula() = default;
-  virtual std::string name() const = 0;
+  virtual const char* name() const = 0;
   virtual const char* applicability_rule() const = 0;
   virtual bool Applicable(const rel::AggQuery& q,
                           const OpenboxInfo& info) const = 0;
@@ -58,7 +59,7 @@ class AggFormula {
 class ScanFormula {
  public:
   virtual ~ScanFormula() = default;
-  virtual std::string name() const = 0;
+  virtual const char* name() const = 0;
   virtual const char* applicability_rule() const = 0;
   virtual bool Applicable(const rel::ScanQuery& q,
                           const OpenboxInfo& info) const = 0;
@@ -97,6 +98,9 @@ struct SubOpEstimate {
   /// The policy that resolved the candidates (reflects any per-call
   /// override).
   ChoicePolicy policy_used = ChoicePolicy::kWorstCase;
+  /// Every surviving algorithm's estimate, in formula order; filled only
+  /// when the context asks for provenance (a cost-only estimate resolves
+  /// the policy without building the list).
   std::vector<AlgorithmEstimate> candidates;
   /// How many algorithms the applicability rules eliminated. Always
   /// maintained — it is a plain tally.
@@ -122,7 +126,9 @@ class SubOpCostEstimator {
       SubOpCatalog catalog, ChoicePolicy policy = ChoicePolicy::kWorstCase);
 
   /// Applies applicability rules, estimates every surviving algorithm, and
-  /// resolves with the policy (or `ctx.policy_override`). Emits one
+  /// resolves with the policy (or `ctx.policy_override`): worst case takes
+  /// the first maximum, in-house comparable the first minimum, and average
+  /// the in-order mean (naming the algorithm only when one survives). Emits one
   /// `estimate.sub_op.formula` span per surviving algorithm when the
   /// context carries a trace sink. FailedPrecondition when no algorithm
   /// survives.
@@ -147,9 +153,6 @@ class SubOpCostEstimator {
   void set_policy(ChoicePolicy policy) { policy_ = policy; }
 
  private:
-  [[nodiscard]] Result<SubOpEstimate> Resolve(SubOpEstimate est,
-                                              ChoicePolicy policy) const;
-
   SubOpCatalog catalog_;
   std::vector<std::unique_ptr<JoinFormula>> join_formulas_;
   std::vector<std::unique_ptr<AggFormula>> agg_formulas_;

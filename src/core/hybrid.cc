@@ -372,7 +372,7 @@ Result<HybridEstimate> CostingProfile::EstimateImpl(
       ISPHERE_ASSIGN_OR_RETURN(SubOpEstimate se, std::move(se_result));
       est.seconds = se.seconds;
       est.approach_used = CostingApproach::kSubOp;
-      est.algorithm = se.chosen_algorithm;
+      est.algorithm = std::move(se.chosen_algorithm);
       est.eliminated_count = se.eliminated_count;
       est.eliminated = std::move(se.eliminated);
       if (ctx.provenance()) est.candidates = std::move(se.candidates);

@@ -94,29 +94,27 @@ Status IntelliSphere::AttachAdmissionController(
 std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
     const std::vector<PlanCostRequest>& requests,
     const core::EstimateContext& ctx) const {
-  // Every slot is overwritten below. The placeholder's message fits the
-  // string's inline buffer, so pre-filling allocates nothing per request.
-  std::vector<Result<core::HybridEstimate>> out(
-      requests.size(),
-      Result<core::HybridEstimate>(Status::Internal("not costed")));
   // Master-engine requests never leave the process: the analytic local
   // model is evaluated inline (it is not cacheable state, and the serving
-  // layer deliberately wraps only remote profiles).
+  // layer deliberately wraps only remote profiles) and its answer is
+  // written in place. A remote request's slot holds an empty estimate
+  // until its answer is moved in below.
+  std::vector<Result<core::HybridEstimate>> out;
+  out.reserve(requests.size());
   std::vector<size_t> positions;
   positions.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     if (requests[i].system != kTeradataSystemName) {
       positions.push_back(i);
+      out.emplace_back(core::HybridEstimate{});
       continue;
     }
     auto seconds = local_model_.EstimateSeconds(requests[i].op);
-    if (seconds.ok()) {
-      core::HybridEstimate est;
-      est.seconds = seconds.value();
-      out[i] = std::move(est);
-    } else {
-      out[i] = seconds.status();
+    if (!seconds.ok()) {
+      out.emplace_back(seconds.status());
+      continue;
     }
+    out.emplace_back(core::HybridEstimate{}).value().seconds = seconds.value();
   }
   if (positions.empty()) return out;
 
@@ -125,12 +123,11 @@ std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
     std::vector<serving::EstimateRequest> remote;
     remote.reserve(positions.size());
     for (size_t i : positions) {
-      serving::EstimateRequest request;
+      serving::EstimateRequest& request = remote.emplace_back();
       request.system = requests[i].system;
       request.op = requests[i].op;
       request.now = ctx.now;
       request.policy_override = ctx.policy_override;
-      remote.push_back(std::move(request));
     }
     // With an admission controller attached, the remote batch passes its
     // serve / serve-degraded / shed ladder first; shed batches surface as
@@ -149,8 +146,12 @@ std::vector<Result<core::HybridEstimate>> IntelliSphere::CostBatch(
     }
     results = estimator_.EstimateBatch(rows);
   }
-  for (size_t j = 0; j < positions.size() && j < results.size(); ++j) {
-    out[positions[j]] = std::move(results[j]);
+  for (size_t j = 0; j < positions.size(); ++j) {
+    if (j < results.size()) {
+      out[positions[j]] = std::move(results[j]);
+    } else {
+      out[positions[j]] = Status::Internal("not costed");
+    }
   }
   return out;
 }

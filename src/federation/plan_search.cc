@@ -4,8 +4,9 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <utility>
+
+#include "util/runtime_metrics.h"
 
 namespace intellisphere::fed {
 
@@ -22,7 +23,8 @@ bool IsEliminationCode(StatusCode code) {
 /// travels over QueryGrid, and the width the relation contributes to join
 /// projections.
 struct RelationInfo {
-  std::string table;
+  /// The catalog statistics of the relation's table (in the search input).
+  const rel::TableStats* stats = nullptr;
   int site = -1;  ///< the relation's location, as a site id
   int64_t base_rows = 0;
   int64_t base_width = 0;
@@ -30,7 +32,6 @@ struct RelationInfo {
   int64_t width = 0;  ///< row bytes entering transfers and joins
   int64_t proj = 0;   ///< projected contribution to join outputs
   bool scanned = false;
-  TableProfile profile;
 };
 
 /// Split-independent statistics of a relation subset; the DP relies on a
@@ -67,6 +68,32 @@ struct Subplan {
   /// The costing batch and request of the placement (-1 for tables).
   int batch = -1;
   int request = -1;
+};
+
+/// The plan.* counters a search bumps. The Global() set resolves once per
+/// process; a context-supplied registry (tests) resolves per search.
+struct PlanInstruments {
+  Counter* costed;
+  Counter* dropped;
+
+  explicit PlanInstruments(MetricsRegistry& r)
+      : costed(r.GetCounter("plan.candidates_costed")),
+        dropped(r.GetCounter("plan.placements_eliminated")) {}
+};
+
+PlanInstruments InstrumentsFor(const core::EstimateContext& ctx) {
+  if (ctx.metrics != nullptr) return PlanInstruments(*ctx.metrics);
+  static const PlanInstruments* global =
+      new PlanInstruments(MetricsRegistry::Global());
+  return *global;
+}
+
+/// One memoized transfer answer: the cost of moving a relation subset's
+/// result between two sites. `key` packs (mask, from, to); 0 marks an empty
+/// slot (a subset mask is never 0).
+struct TransferEntry {
+  uint64_t key = 0;
+  double seconds = 0.0;
 };
 
 uint32_t SiteBit(int site) {
@@ -119,9 +146,7 @@ class Searcher {
         options_(options),
         ectx_(ctx),
         provenance_(ctx.provenance()),
-        costed_counter_(ectx_.Registry().GetCounter("plan.candidates_costed")),
-        dropped_counter_(
-            ectx_.Registry().GetCounter("plan.placements_eliminated")) {}
+        instruments_(InstrumentsFor(ctx)) {}
 
   Result<QueryPlan> Run() {
     ISPHERE_RETURN_NOT_OK(Prepare());
@@ -148,6 +173,11 @@ class Searcher {
                 return a.total_seconds < b.total_seconds;
               });
     node_of_.assign(subplans_.size(), -1);
+    size_t reachable = 0;
+    for (const QueryPlanCandidate& candidate : plan_.candidates) {
+      reachable += MarkReachable(candidate.root);
+    }
+    plan_.nodes.reserve(reachable);
     for (QueryPlanCandidate& candidate : plan_.candidates) {
       candidate.root = NodeFor(candidate.root);
     }
@@ -207,7 +237,7 @@ class Searcher {
       const QuerySpec::Relation& r = spec.relations[i];
       const rel::TableDef& def = input_.tables[i];
       RelationInfo info;
-      info.table = r.table;
+      info.stats = &def.stats;
       info.site = SiteId(def.location);
       info.base_rows = def.stats.num_rows;
       info.base_width = def.stats.row_bytes;
@@ -222,8 +252,7 @@ class Searcher {
                             static_cast<double>(info.base_rows)))
                       : info.base_rows;
       info.width = info.scanned ? info.proj : info.base_width;
-      info.profile = ProfileFromTable(def);
-      relations_.push_back(std::move(info));
+      relations_.push_back(info);
     }
     const size_t n = relations_.size();
     adjacency_.assign(n, 0);
@@ -247,6 +276,11 @@ class Searcher {
     }
     dp_.assign((size_t{1} << n) * sites_.size(), DpEntry{});
     mask_stats_.assign(size_t{1} << n, std::nullopt);
+    transfer_memo_.assign(128, TransferEntry{});
+    // One costing batch per level: the base level, n - 1 join levels and
+    // the aggregation.
+    requests_.reserve(n + 1);
+    results_.reserve(n + 1);
     return Status::OK();
   }
 
@@ -264,6 +298,15 @@ class Searcher {
 
   DpEntry& Entry(uint64_t mask, int site) {
     return dp_[mask * sites_.size() + static_cast<size_t>(site)];
+  }
+
+  /// How many sites hold a DP entry for `mask`.
+  size_t Entries(uint64_t mask) {
+    size_t count = 0;
+    for (int site = 0; site < NumSites(); ++site) {
+      count += Entry(mask, site).subplan >= 0;
+    }
+    return count;
   }
 
   bool Connected(uint64_t mask) const {
@@ -292,12 +335,23 @@ class Searcher {
     }
     return false;
   }
-  /// Distinct count of a join-predicate endpoint within its relation,
-  /// capped by the relation's post-filter cardinality when it is scanned.
-  Result<int64_t> EndpointDistinct(int relation, const std::string& column) {
+  /// The catalog's distinct count of `column` in `relation`'s table, or
+  /// `fallback` when it is unknown or not positive (TableProfile's
+  /// convention), capped by the post-filter cardinality when the relation
+  /// is scanned.
+  int64_t ColumnDistinct(int relation, const std::string& column,
+                         int64_t fallback) const {
     const RelationInfo& info = relations_[static_cast<size_t>(relation)];
-    int64_t d = info.profile.DistinctOr(column, info.base_rows);
-    if (info.scanned) d = DistinctAfter(d, info.rows);
+    int64_t d = info.stats->DistinctOr(column, fallback);
+    if (d <= 0) d = fallback;
+    return info.scanned ? DistinctAfter(d, info.rows) : d;
+  }
+
+  /// Distinct count of a join-predicate endpoint within its relation.
+  Result<int64_t> EndpointDistinct(int relation, const std::string& column) {
+    const int64_t d = ColumnDistinct(
+        relation, column,
+        relations_[static_cast<size_t>(relation)].base_rows);
     if (d <= 0) return Status::InvalidArgument("non-positive distinct count");
     return d;
   }
@@ -347,6 +401,10 @@ class Searcher {
     return stats;
   }
 
+  const std::string& TableName(int relation) const {
+    return input_.spec->relations[static_cast<size_t>(relation)].table;
+  }
+
   std::string MaskLabel(uint64_t mask) const {
     std::string label = "{";
     uint64_t scan = mask;
@@ -354,7 +412,7 @@ class Searcher {
       const int i = std::countr_zero(scan);
       scan &= scan - 1;
       if (label.size() > 1) label += ",";
-      label += relations_[static_cast<size_t>(i)].table;
+      label += TableName(i);
     }
     label += "}";
     return label;
@@ -367,10 +425,7 @@ class Searcher {
       case QueryPlanNode::Kind::kTable:
         break;
       case QueryPlanNode::Kind::kScan:
-        return "scan(" +
-               relations_[static_cast<size_t>(std::countr_zero(s.mask))]
-                   .table +
-               ") at " + host;
+        return "scan(" + TableName(std::countr_zero(s.mask)) + ") at " + host;
       case QueryPlanNode::Kind::kJoin: {
         const Subplan& left = subplans_[static_cast<size_t>(s.children[0])];
         const Subplan& right = subplans_[static_cast<size_t>(s.children[1])];
@@ -448,42 +503,58 @@ class Searcher {
   /// Queues `s` for costing operator row `op_row` on its site in the batch
   /// being built. The first placement of an operator on a site adds the
   /// request; later ones share it.
-  void Enqueue(Subplan s, int op_row,
+  void Enqueue(const Subplan& s, int op_row,
                std::vector<PlanCostRequest>* requests) {
     int& request = op_requests_[static_cast<size_t>(op_row) * sites_.size() +
                                 static_cast<size_t>(s.site)];
     if (request < 0) {
       request = static_cast<int>(requests->size());
-      requests->push_back(
-          {SiteName(s.site), batch_ops_[static_cast<size_t>(op_row)]});
+      requests->emplace_back(SiteName(s.site),
+                             batch_ops_[static_cast<size_t>(op_row)]);
     }
-    s.batch = static_cast<int>(requests_.size());
-    s.request = request;
-    subplans_.push_back(s);
+    Subplan& queued = subplans_.emplace_back(s);
+    queued.batch = static_cast<int>(requests_.size());
+    queued.request = request;
   }
 
-  /// QueryGrid cost of moving one side of the current split, `stats`, from
-  /// site `from` to site `to`. The transfer hook runs once per (side, from,
-  /// to) in a split; NewSplit() forgets the answers.
-  Result<double> SplitTransfer(int side, int from, int to,
-                               const MaskStats& stats) {
-    const size_t num_sites = sites_.size();
-    double& seconds =
-        split_transfers_[(static_cast<size_t>(side) * num_sites +
-                          static_cast<size_t>(from)) *
-                             num_sites +
-                         static_cast<size_t>(to)];
-    if (std::isnan(seconds)) {
+  /// QueryGrid cost of moving the result of relation subset `mask` from
+  /// site `from` to site `to`. A subset's rows and width do not depend on
+  /// the tree that produced it, so the transfer hook is asked once per
+  /// (mask, from, to) in a search and every later placement reads the memo.
+  Result<double> Transfer(uint64_t mask, int from, int to) {
+    if (2 * (transfers_memoized_ + 1) > transfer_memo_.size()) {
+      std::vector<TransferEntry> old = std::move(transfer_memo_);
+      transfer_memo_.assign(2 * old.size(), TransferEntry{});
+      for (const TransferEntry& entry : old) {
+        if (entry.key != 0) *TransferSlot(entry.key) = entry;
+      }
+    }
+    // max_dp_relations <= 16 keeps the mask in 16 bits, and at most 17
+    // sites keeps each site id in 8.
+    const uint64_t key = mask << 16 | static_cast<uint64_t>(from) << 8 |
+                         static_cast<uint64_t>(to);
+    TransferEntry* entry = TransferSlot(key);
+    if (entry->key == 0) {
+      const MaskStats stats = StatsFor(mask);
       ISPHERE_ASSIGN_OR_RETURN(
-          seconds, input_.transfer(SiteName(from), SiteName(to), stats.rows,
-                                   stats.width));
+          entry->seconds, input_.transfer(SiteName(from), SiteName(to),
+                                          stats.rows, stats.width));
+      entry->key = key;
+      ++transfers_memoized_;
     }
-    return seconds;
+    return entry->seconds;
   }
 
-  void NewSplit() {
-    split_transfers_.assign(2 * sites_.size() * sites_.size(),
-                            std::numeric_limits<double>::quiet_NaN());
+  /// The transfer_memo_ slot holding `key`, or the empty slot where it
+  /// belongs.
+  TransferEntry* TransferSlot(uint64_t key) {
+    const size_t mask = transfer_memo_.size() - 1;
+    size_t slot = static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32) &
+                  mask;
+    while (transfer_memo_[slot].key != 0 && transfer_memo_[slot].key != key) {
+      slot = (slot + 1) & mask;
+    }
+    return &transfer_memo_[slot];
   }
 
   /// Costs the placements queued from subplan `first` on in one batch,
@@ -513,7 +584,7 @@ class Searcher {
         continue;
       }
       s.subtree_seconds += result.value().seconds;
-      costed_counter_->Increment();
+      instruments_.costed->Increment();
       plan_.candidates_costed++;
       EmitCandidateSpan(root, s, result.value());
       if (s.kind == QueryPlanNode::Kind::kAggregate) {
@@ -574,7 +645,7 @@ class Searcher {
                        TraceSpan* root) {
     if (!IsEliminationCode(status.code())) return status;
     EmitEliminatedSpan(root, s, status.message());
-    dropped_counter_->Increment();
+    instruments_.dropped->Increment();
     if (!provenance_) return Status::OK();
     PrunedSubplan pruned;
     pruned.kind = PrunedSubplan::Kind::kEliminated;
@@ -595,6 +666,11 @@ class Searcher {
   /// candidates of filtered relations in one batch. A table's subplan index
   /// is its relation index.
   Status BaseLevel(TraceSpan* root) {
+    const size_t scans = static_cast<size_t>(
+        std::count_if(relations_.begin(), relations_.end(),
+                      [](const RelationInfo& info) { return info.scanned; }));
+    // Every table, and each scan where its table lies and on the master.
+    subplans_.reserve(relations_.size() + 2 * scans);
     for (size_t i = 0; i < relations_.size(); ++i) {
       const RelationInfo& info = relations_[i];
       Subplan table;
@@ -610,6 +686,7 @@ class Searcher {
 
     const size_t first = subplans_.size();
     std::vector<PlanCostRequest> requests;
+    requests.reserve(2 * scans);
     for (size_t i = 0; i < relations_.size(); ++i) {
       const RelationInfo& info = relations_[i];
       if (!info.scanned) continue;
@@ -631,11 +708,9 @@ class Searcher {
         scan.bytes = info.proj;
         if (scan.site != info.site) {
           // QueryGrid evaluates simple predicates on the fly: only
-          // survivors travel, already projected.
-          ISPHERE_ASSIGN_OR_RETURN(
-              scan.transfer,
-              input_.transfer(SiteName(info.site), SiteName(scan.site),
-                              info.rows, info.proj));
+          // survivors travel, already projected (the subset's stats).
+          ISPHERE_ASSIGN_OR_RETURN(scan.transfer,
+                                   Transfer(scan.mask, info.site, scan.site));
         }
         scan.subtree_seconds = scan.transfer;
         scan.children[0] = static_cast<int>(i);
@@ -649,9 +724,10 @@ class Searcher {
   /// every canonical connected partition, joined on every candidate site —
   /// all costed through a single batch.
   Status JoinLevel(int level, TraceSpan* root) {
-    const size_t first = subplans_.size();
-    std::vector<PlanCostRequest> requests;
-
+    // Pass 1: the level's splits and their operators. Their inputs' DP
+    // entries are final, which bounds the placements pass 2 queues.
+    splits_.clear();
+    size_t placements = 0;
     const size_t n = relations_.size();
     const uint64_t limit = uint64_t{1} << n;
     for (uint64_t mask = 1; mask < limit; ++mask) {
@@ -670,10 +746,10 @@ class Searcher {
         // planners and formulas assume S is the build/broadcast side);
         // ties keep the canonical side on the left, matching the legacy
         // planners' strict-inequality swap.
-        uint64_t left_mask = sub, right_mask = rest;
+        Split split{mask, sub, rest, -1};
         MaskStats left_stats = sub_stats, right_stats = rest_stats;
         if (left_stats.rows < right_stats.rows) {
-          std::swap(left_mask, right_mask);
+          std::swap(split.left, split.right);
           std::swap(left_stats, right_stats);
         }
         const MaskStats out_stats = StatsFor(mask);
@@ -695,46 +771,57 @@ class Searcher {
         }
         rel::SqlOperator op = rel::SqlOperator::MakeJoin(q);
         ISPHERE_RETURN_NOT_OK(op.Validate());
-        const int op_row = OperatorRow(op);
-        NewSplit();
+        split.op_row = OperatorRow(op);
+        // At most three hosts per pair of input entries.
+        placements += 3 * Entries(split.left) * Entries(split.right);
+        splits_.push_back(split);
+      }
+    }
 
-        for (int left_site = 0; left_site < NumSites(); ++left_site) {
-          const DpEntry left = Entry(left_mask, left_site);
-          if (left.subplan < 0) continue;
-          for (int right_site = 0; right_site < NumSites(); ++right_site) {
-            const DpEntry right = Entry(right_mask, right_site);
-            if (right.subplan < 0) continue;
-            for (uint32_t hosts = SiteBit(master_site_) | SiteBit(left_site) |
-                                  SiteBit(right_site);
-                 hosts != 0; hosts &= hosts - 1) {
-              Subplan join;
-              join.kind = QueryPlanNode::Kind::kJoin;
-              join.site = std::countr_zero(hosts);
-              join.mask = mask;
-              join.rows = op.join.output_rows;
-              join.bytes = op.join.OutputRowBytes();
-              double transfer_left = 0.0, transfer_right = 0.0;
-              if (left_site != join.site) {
-                ISPHERE_ASSIGN_OR_RETURN(
-                    transfer_left,
-                    SplitTransfer(0, left_site, join.site, left_stats));
-              }
-              if (right_site != join.site) {
-                ISPHERE_ASSIGN_OR_RETURN(
-                    transfer_right,
-                    SplitTransfer(1, right_site, join.site, right_stats));
-              }
-              join.transfer = transfer_left + transfer_right;
-              // Accumulation order is part of the wrapper bit-parity
-              // contract: children, then left transfer, then right
-              // transfer, then operator.
-              join.subtree_seconds = left.cost + right.cost;
-              join.subtree_seconds += transfer_left;
-              join.subtree_seconds += transfer_right;
-              join.children[0] = left.subplan;
-              join.children[1] = right.subplan;
-              Enqueue(join, op_row, &requests);
+    // Pass 2: queue every placement; reserving the bound first means
+    // growth copies no placement or request.
+    const size_t first = subplans_.size();
+    subplans_.reserve(first + placements);
+    std::vector<PlanCostRequest> requests;
+    requests.reserve(std::min(placements, batch_ops_.size() * sites_.size()));
+    for (const Split& split : splits_) {
+      const rel::SqlOperator& op =
+          batch_ops_[static_cast<size_t>(split.op_row)];
+      for (int left_site = 0; left_site < NumSites(); ++left_site) {
+        const DpEntry left = Entry(split.left, left_site);
+        if (left.subplan < 0) continue;
+        for (int right_site = 0; right_site < NumSites(); ++right_site) {
+          const DpEntry right = Entry(split.right, right_site);
+          if (right.subplan < 0) continue;
+          for (uint32_t hosts = SiteBit(master_site_) | SiteBit(left_site) |
+                                SiteBit(right_site);
+               hosts != 0; hosts &= hosts - 1) {
+            Subplan join;
+            join.kind = QueryPlanNode::Kind::kJoin;
+            join.site = std::countr_zero(hosts);
+            join.mask = split.mask;
+            join.rows = op.join.output_rows;
+            join.bytes = op.join.OutputRowBytes();
+            double transfer_left = 0.0, transfer_right = 0.0;
+            if (left_site != join.site) {
+              ISPHERE_ASSIGN_OR_RETURN(
+                  transfer_left, Transfer(split.left, left_site, join.site));
             }
+            if (right_site != join.site) {
+              ISPHERE_ASSIGN_OR_RETURN(
+                  transfer_right,
+                  Transfer(split.right, right_site, join.site));
+            }
+            join.transfer = transfer_left + transfer_right;
+            // Accumulation order is part of the wrapper bit-parity
+            // contract: children, then left transfer, then right
+            // transfer, then operator.
+            join.subtree_seconds = left.cost + right.cost;
+            join.subtree_seconds += transfer_left;
+            join.subtree_seconds += transfer_right;
+            join.children[0] = left.subplan;
+            join.children[1] = right.subplan;
+            Enqueue(join, split.op_row, &requests);
           }
         }
       }
@@ -811,9 +898,8 @@ class Searcher {
     // Group cardinality over the final relation set: the group column's
     // distinct count (from the owning relation, post-filter), capped by
     // the input cardinality.
-    const RelationInfo& owner = relations_[static_cast<size_t>(agg.relation)];
-    int64_t d = owner.profile.DistinctOr(agg.group_column, in_stats.rows);
-    if (owner.scanned) d = DistinctAfter(d, owner.rows);
+    const int64_t d =
+        ColumnDistinct(agg.relation, agg.group_column, in_stats.rows);
     const int64_t raw_groups = std::min(in_stats.rows, d);
     const int64_t groups =
         spec.joins.empty() ? raw_groups : std::max<int64_t>(1, raw_groups);
@@ -828,7 +914,10 @@ class Searcher {
     const int op_row = OperatorRow(op);
 
     const size_t first = subplans_.size();
+    const size_t placements = 2 * Entries(full);
+    subplans_.reserve(first + placements);
     std::vector<PlanCostRequest> requests;
+    requests.reserve(std::min<size_t>(placements, sites_.size()));
     for (int site = 0; site < NumSites(); ++site) {
       const DpEntry entry = Entry(full, site);
       if (entry.subplan < 0) continue;
@@ -842,10 +931,8 @@ class Searcher {
         stage.rows = groups;
         stage.bytes = q.output_row_bytes;
         if (stage.site != site) {
-          ISPHERE_ASSIGN_OR_RETURN(
-              stage.transfer,
-              input_.transfer(SiteName(site), SiteName(stage.site),
-                              in_stats.rows, in_stats.width));
+          ISPHERE_ASSIGN_OR_RETURN(stage.transfer,
+                                   Transfer(full, site, stage.site));
         }
         stage.subtree_seconds = entry.cost;
         stage.subtree_seconds += stage.transfer;
@@ -861,6 +948,19 @@ class Searcher {
     return Status::OK();
   }
 
+  /// Marks the subplans of the tree rooted at `index` that have no node
+  /// yet (-2) and returns how many it marked.
+  size_t MarkReachable(int index) {
+    int& mark = node_of_[static_cast<size_t>(index)];
+    if (mark != -1) return 0;
+    mark = -2;
+    size_t marked = 1;
+    for (int child : subplans_[static_cast<size_t>(index)].children) {
+      if (child >= 0) marked += MarkReachable(child);
+    }
+    return marked;
+  }
+
   /// The plan node of a subplan, built on first use after its children.
   /// The placement's estimate provenance is copied into the node, since
   /// placements sharing a request read one result.
@@ -870,6 +970,8 @@ class Searcher {
     }
     const Subplan& s = subplans_[static_cast<size_t>(index)];
     QueryPlanNode node;
+    node.children.reserve(static_cast<size_t>((s.children[0] >= 0) +
+                                              (s.children[1] >= 0)));
     for (int child : s.children) {
       if (child >= 0) node.children.push_back(NodeFor(child));
     }
@@ -880,8 +982,7 @@ class Searcher {
     node.output_row_bytes = s.bytes;
     if (s.kind == QueryPlanNode::Kind::kTable ||
         s.kind == QueryPlanNode::Kind::kScan) {
-      node.label = relations_[static_cast<size_t>(std::countr_zero(s.mask))]
-                       .table;
+      node.label = TableName(std::countr_zero(s.mask));
     }
     if (s.kind != QueryPlanNode::Kind::kTable) {
       const size_t batch = static_cast<size_t>(s.batch);
@@ -912,8 +1013,7 @@ class Searcher {
   /// The caller's ctx.provenance(): whether estimates carry their
   /// provenance and the search records the subplans it drops.
   bool provenance_;
-  Counter* costed_counter_;
-  Counter* dropped_counter_;
+  PlanInstruments instruments_;
   std::vector<RelationInfo> relations_;
   std::vector<uint64_t> adjacency_;
   /// Per join predicate, in spec order: max of its endpoints' distinct
@@ -936,9 +1036,18 @@ class Searcher {
   std::vector<rel::SqlOperator> batch_ops_;
   std::vector<int> op_table_;
   std::vector<int> op_requests_;
-  /// The current split's transfer answers by (side, from, to); NaN until
-  /// asked.
-  std::vector<double> split_transfers_;
+  /// The join splits of the level being built.
+  struct Split {
+    uint64_t mask;
+    uint64_t left;   ///< the larger input (the probe side)
+    uint64_t right;  ///< the smaller input (the build side)
+    int op_row;
+  };
+  std::vector<Split> splits_;
+  /// Transfer's memo: an open-addressed table over every (subset, from,
+  /// to) asked in this search, at most half full.
+  std::vector<TransferEntry> transfer_memo_;
+  size_t transfers_memoized_ = 0;
   /// Each costing batch's requests and results, by batch index.
   std::vector<std::vector<PlanCostRequest>> requests_;
   std::vector<std::vector<Result<core::HybridEstimate>>> results_;

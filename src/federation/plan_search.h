@@ -14,9 +14,10 @@
 // location are interned as site ids in name order, the DP table is one flat
 // (subset mask x site id) array, and each costed placement is a small
 // record. A batch asks once per distinct (site, operator), however many
-// placements share it. Plan nodes are built only for the trees the plan
-// returns, and provenance is collected only when the caller's context asks
-// for it.
+// placements share it, and a search asks the transfer hook once per
+// (subset, from site, to site). Plan nodes are built only for the trees the
+// plan returns, and provenance is collected only when the caller's context
+// asks for it.
 //
 // Cost model parity: on one- and two-relation specs the search reproduces
 // the single-operator planners that preceded it bit for bit — same operator
@@ -245,8 +246,11 @@ using BatchCostFn = std::function<std::vector<Result<core::HybridEstimate>>(
     const std::vector<PlanCostRequest>&, const core::EstimateContext&)>;
 
 /// Data-movement cost callback (QueryGrid::RelaySeconds shape). Never
-/// called with from == to. Within one join split the search asks once per
-/// (input side, from site, to host) and reuses the answer.
+/// called with from == to. The hook must be a pure function of its
+/// arguments: the search asks it once per (relation subset, from site, to
+/// site) and reuses that answer wherever the subset's result moves between
+/// those sites, in any split or stage; only the relay of an aggregation's
+/// result to the master is asked once per root candidate.
 using TransferFn = std::function<Result<double>(
     const std::string& from, const std::string& to, int64_t rows,
     int64_t row_bytes)>;

@@ -225,7 +225,8 @@ void EstimateCache::Pack(std::string_view key, uint64_t hash, uint64_t epoch,
 }
 
 void EstimateCache::Unpack(const PackedEstimate& p, core::HybridEstimate* v) {
-  *v = core::HybridEstimate{};
+  // Field by field into the caller's estimate: no temporary, and strings
+  // and vectors keep their buffers.
   v->seconds = p.seconds;
   v->approach_used = static_cast<core::CostingApproach>(p.approach);
   v->algorithm.assign(p.algorithm, p.algo_len);
@@ -234,7 +235,10 @@ void EstimateCache::Unpack(const PackedEstimate& p, core::HybridEstimate* v) {
   v->nn_seconds = p.nn_seconds;
   v->remedy_seconds = p.remedy_seconds;
   v->fell_back_to_sub_op = (p.flags & 2u) != 0;
+  v->fell_back_reason.clear();
   v->eliminated_count = p.eliminated_count;
+  v->eliminated.clear();
+  v->candidates.clear();
 }
 
 void EstimateCache::WriteWay(Way& way, const PackedEstimate* p) {
@@ -252,22 +256,21 @@ void EstimateCache::WriteWay(Way& way, const PackedEstimate* p) {
 }
 
 bool EstimateCache::ReadWay(const Way& way, PackedEstimate* out) {
+  auto* dst = reinterpret_cast<unsigned char*>(out);
   for (int attempt = 0; attempt < 2; ++attempt) {
     const uint64_t s1 = way.seq.load(std::memory_order_acquire);
     if ((s1 & 1) != 0) continue;  // writer mid-publish: retry once
-    uint64_t buf[kWayWords];
     // Fence-free seqlock reader (Boehm, "Can seqlocks get along with
     // programming language memory models?"): every payload word is an
     // acquire load, so the version recheck below cannot be reordered
     // before any of them. On x86 an acquire load is a plain mov, and
     // unlike atomic_thread_fence(acquire) gcc supports it under tsan.
     for (size_t w = 0; w < kWayWords; ++w) {
-      buf[w] = way.words[w].load(std::memory_order_acquire);
+      const uint64_t word = way.words[w].load(std::memory_order_acquire);
+      std::memcpy(dst + w * sizeof(word), &word, sizeof(word));
     }
     // lint:relaxed-ok(version recheck; ordered by the acquire payload loads)
-    if (way.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
-    std::memcpy(out, buf, sizeof(*out));
-    return true;
+    if (way.seq.load(std::memory_order_relaxed) == s1) return true;
   }
   return false;
 }
@@ -402,9 +405,23 @@ void EstimateCache::Prefetch(uint64_t hash) const {
   if (set != nullptr) PrefetchLines</*write=*/false>(set->tags, &set->hand + 1);
 }
 
-std::optional<core::HybridEstimate> EstimateCache::Get(
-    const HashedKey& key_ref, uint64_t epoch, double now,
-    const CacheCounters& counters, bool allow_stale, bool* served_stale) {
+void EstimateCache::PrefetchMatches(uint64_t hash) const {
+  const Route r = RouteOf(hash);
+  const Shard& shard = *shards_[r.shard];
+  if (shard.set_count == 0) return;
+  const Set* set = shard.sets[r.set].load(std::memory_order_acquire);
+  if (set == nullptr) return;
+  for (int w = 0; w < ways_; ++w) {
+    if (set->tags[w].load(std::memory_order_acquire) == r.tag) {
+      PrefetchLines</*write=*/false>(&set->ways[w], &set->ways[w] + 1);
+    }
+  }
+}
+
+bool EstimateCache::Get(const HashedKey& key_ref, uint64_t epoch, double now,
+                        core::HybridEstimate* out,
+                        const CacheCounters& counters, bool allow_stale,
+                        bool* served_stale) {
   if (served_stale != nullptr) *served_stale = false;
   const std::string_view key = key_ref.bytes;
   const uint64_t hash = key_ref.hash;
@@ -425,22 +442,22 @@ std::optional<core::HybridEstimate> EstimateCache::Get(
   PackedEstimate packed;
   const Probe probe = set == nullptr ? Probe::kAbsent
                                      : Scan(*set, r, hash, key, &way, &packed);
-  std::optional<core::HybridEstimate> found;
   if (probe == Probe::kAbsent) {
     // A miss is usually filled next: start the RFO on its likely way now.
     if (set != nullptr) PrefetchFill(*set);
     CountGet(false, true, counters);
-    return found;
+    return false;
   }
   if (probe == Probe::kInline && packed.epoch == epoch &&
       !Expired(packed, now)) {
     Reference(*set, way);
-    Unpack(packed, &found.emplace());
+    Unpack(packed, out);
     CountGet(true, true, counters);
-    return found;
+    return true;
   }
 
   // ---- Locked probe -------------------------------------------------------
+  bool found = false;
   bool stale = false;
   bool expired = false;
   bool served_expired = false;
@@ -464,14 +481,15 @@ std::optional<core::HybridEstimate> EstimateCache::Get(
       } else {
         Reference(*set, way);
         if ((packed.flags & kOutOfLine) != 0) {
-          found = shard.side.at(SideIndex(r.set, way)).value;
+          *out = shard.side.at(SideIndex(r.set, way)).value;
         } else {
-          Unpack(packed, &found.emplace());
+          Unpack(packed, out);
         }
+        found = true;
       }
     }
   }
-  CountGet(found.has_value(), false, counters);
+  CountGet(found, false, counters);
   if (served_expired) {
     Count(stale_served_, counters.stale_served);
     if (served_stale != nullptr) *served_stale = true;

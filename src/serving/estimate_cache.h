@@ -157,6 +157,11 @@ class EstimateCache {
   /// that key issued a little later finds them in cache. The batch path
   /// calls it for every distinct key before probing the first.
   void Prefetch(uint64_t hash) const;
+  /// The second stage of the same hint: starts loading the payload of each
+  /// way whose tag matches `hash`'s, reading the tag line a Prefetch of
+  /// `hash` should have started loading. The batch path calls it for every
+  /// distinct key after the first stage and before the first probe.
+  void PrefetchMatches(uint64_t hash) const;
 
   /// Looks up `key`. Returns the cached estimate only when the entry's
   /// model epoch equals `epoch` and its TTL (if configured) has not lapsed
@@ -172,11 +177,25 @@ class EstimateCache {
   ///
   /// A lock-free miss also prefetches, for write, the way a following Put
   /// of the key would most likely fill (a hint only, DESIGN.md §14).
+  ///
+  /// A hit overwrites every field of the caller's `*out` (a lock-free hit
+  /// copies the way's snapshot once and writes the answer straight into
+  /// it) and returns true; a miss returns false and leaves `*out` alone.
+  bool Get(const HashedKey& key, uint64_t epoch, double now,
+           core::HybridEstimate* out, const CacheCounters& counters = {},
+           bool allow_stale = false, bool* served_stale = nullptr);
+  /// The same lookup, answering in an optional.
   std::optional<core::HybridEstimate> Get(const HashedKey& key,
                                           uint64_t epoch, double now,
                                           const CacheCounters& counters = {},
                                           bool allow_stale = false,
-                                          bool* served_stale = nullptr);
+                                          bool* served_stale = nullptr) {
+    std::optional<core::HybridEstimate> found(std::in_place);
+    if (!Get(key, epoch, now, &*found, counters, allow_stale, served_stale)) {
+      found.reset();
+    }
+    return found;
+  }
   std::optional<core::HybridEstimate> Get(const std::string& key,
                                           uint64_t epoch, double now,
                                           const CacheCounters& counters = {},
@@ -289,6 +308,8 @@ class EstimateCache {
   static void Pack(std::string_view key, uint64_t hash, uint64_t epoch,
                    double stored_now, const core::HybridEstimate& v,
                    bool out_of_line, PackedEstimate* out);
+  /// Writes every field of `*v` from `p`; provenance fields come back
+  /// empty.
   static void Unpack(const PackedEstimate& p, core::HybridEstimate* v);
   static size_t SideIndex(size_t set, int way) {
     return set * kMaxWays + static_cast<size_t>(way);
@@ -296,8 +317,9 @@ class EstimateCache {
   /// Seqlock-writes `p` (or an empty image when null) into `way`. Call
   /// under the owning shard's mutex.
   static void WriteWay(Way& way, const PackedEstimate* p);
-  /// Copies `way`'s payload inside one stable version window; false when a
-  /// writer was active through both attempts.
+  /// Copies `way`'s payload into *out inside one stable version window;
+  /// false when a writer was active through both attempts (*out then holds
+  /// a torn image).
   static bool ReadWay(const Way& way, PackedEstimate* out);
   Route RouteOf(uint64_t hash) const;
   bool Expired(const PackedEstimate& p, double now) const {

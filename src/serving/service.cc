@@ -191,10 +191,12 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
   // cannot be built (unknown system) each get their own keyless group so
   // errors stay per-request. The scratch buffer keeps the duplicate path
   // allocation-free, and the distinct keys share one arena string.
+  //
+  // Every request gets its result slot here, once. A group's answer lands
+  // in its first request's slot (a hit written in place, a computed miss
+  // moved in) and its duplicates copy that slot last.
   struct MissGroup {
     size_t first_index = 0;
-    /// The group's last request, which takes the answer by move.
-    size_t last_index = 0;
     /// The key's bytes in `keys` and their EstimateCache::Hash; empty for
     /// uncacheable requests.
     size_t key_offset = 0;
@@ -204,8 +206,8 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
     /// per system, see below): a TTL-expired entry may then be served.
     bool breaker_open = false;
     /// Answered before pass 2, by a cache hit or (expired deadline) an
-    /// error: computed[g] already holds the answer, pass 2 skips the group
-    /// and pass 3 never fills the cache from it.
+    /// error: the first slot already holds the answer, pass 2 skips the
+    /// group and pass 3 never fills the cache from it.
     bool answered = false;
     /// Answered by a cache hit: counts as a served hit in the span.
     bool from_cache = false;
@@ -216,15 +218,12 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
     return EstimateCache::HashedKey{
         std::string_view(keys).substr(g.key_offset, g.key_size), g.key_hash};
   };
-  // One answer slot per group: pass-1 answers land here first, computed
-  // misses in pass 2, and the final fan-out hands computed[group_of[i]] to
-  // each request — no per-slot prefill churn.
-  std::vector<Result<core::HybridEstimate>> computed;
+  std::vector<Result<core::HybridEstimate>> results;
+  results.reserve(n);
   std::vector<uint32_t> group_of(n, 0);
   // Worst case is all-distinct (one group per request), but batches skew
   // heavily toward repeats; 64 covers typical fan-in without a realloc.
   groups.reserve(std::min<size_t>(n, 64));
-  computed.reserve(std::min<size_t>(n, 64));
   // Open-addressed dedup table (linear probing, power-of-two size):
   // the per-request cost of spotting a duplicate is one hash plus one
   // probe, with the key bytes compared only on a hash match.
@@ -271,11 +270,13 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
     // keyless, answered group — no cache probe, no computation, no fill.
     if (ctx.DeadlineExpiredAt(requests[i].now)) {
       group_of[i] = static_cast<uint32_t>(groups.size());
-      groups.push_back({i, i, 0, 0, 0, false, /*answered=*/true,
+      groups.push_back({i, 0, 0, 0, false, /*answered=*/true,
                         /*from_cache=*/false});
-      computed.emplace_back(DeadlineExpired());
+      results.emplace_back(DeadlineExpired());
       continue;
     }
+    // Until its answer arrives, the slot holds an empty estimate.
+    results.emplace_back(core::HybridEstimate{});
     const SystemMemo& system = system_of(requests[i]);
     KeyTo(requests[i], bctx, system.profile, &scratch);
     uint64_t key_hash = 0;
@@ -294,7 +295,6 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
       if (dup_group != SIZE_MAX) {
         // Duplicate of an earlier request: ride its group, no cache probe.
         group_of[i] = static_cast<uint32_t>(dup_group);
-        groups[dup_group].last_index = i;
         continue;
       }
       dedup[slot] = {key_hash, static_cast<uint32_t>(groups.size() + 1)};
@@ -306,120 +306,114 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
     // for as many as `groups` reserved usually sizes the arena once.
     if (keys.empty()) keys.reserve(groups.capacity() * scratch.size());
     group_of[i] = static_cast<uint32_t>(groups.size());
-    groups.push_back({i, i, keys.size(), scratch.size(), key_hash,
+    groups.push_back({i, keys.size(), scratch.size(), key_hash,
                       system.breaker_open, false, false});
     keys += scratch;
-    computed.emplace_back(Status::Internal("unfilled"));
+  }
+  // With every tag line on its way, start loading the ways whose tags
+  // match, so each probe below finds its key's payload in cache too.
+  for (const MissGroup& group : groups) {
+    if (group.key_size != 0) cache_.PrefetchMatches(group.key_hash);
   }
   // Probe the cache once per distinct key, in first-occurrence order: the
   // first occurrence's probe decides for every duplicate in the batch (the
-  // canonical key covers everything that can change the answer). Pass 2
-  // and the cache fill run only when a group is left unanswered.
+  // canonical key covers everything that can change the answer). A hit is
+  // written straight into the group's first slot. Pass 2 and the cache
+  // fill run only when a group is left unanswered.
   size_t unanswered = 0;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    MissGroup& group = groups[g];
+  for (MissGroup& group : groups) {
     if (group.answered) continue;
-    std::optional<core::HybridEstimate> hit;
     if (group.key_size != 0) {
+      core::HybridEstimate& slot = results[group.first_index].value();
       bool served_stale = false;
-      hit = cache_.Get(key_of(group), epoch, requests[group.first_index].now,
-                       counters,
-                       /*allow_stale=*/group.breaker_open ||
-                           ctx.admission_degraded,
-                       &served_stale);
-      if (hit && served_stale) {
-        hit->fell_back_reason = ServedStaleReason(group.breaker_open);
+      if (cache_.Get(key_of(group), epoch, requests[group.first_index].now,
+                     &slot, counters,
+                     /*allow_stale=*/group.breaker_open ||
+                         ctx.admission_degraded,
+                     &served_stale)) {
+        if (served_stale) {
+          slot.fell_back_reason = ServedStaleReason(group.breaker_open);
+        }
+        group.answered = group.from_cache = true;
+        continue;
       }
     }
-    if (hit) {
-      group.answered = group.from_cache = true;
-      computed[g] = *std::move(hit);
-    } else {
-      ++unanswered;
+    ++unanswered;
+  }
+
+  if (unanswered > 0) {
+    // Pass 2: compute the unique misses through
+    // CostEstimator::EstimateBatch, which alone decides which rows share a
+    // GEMM (DESIGN.md §14). With a pool the misses split into at most
+    // `jobs` contiguous slices, one call each; otherwise one call takes
+    // them all on the caller's thread. The estimator read path is const
+    // and touches no shared mutable state; the trace sink and registries
+    // are thread-safe by contract (DESIGN.md §9).
+    std::vector<uint32_t> miss_groups;
+    std::vector<core::EstimateContext> miss_ctxs;
+    std::vector<core::EstimateRow> rows;
+    miss_groups.reserve(unanswered);
+    miss_ctxs.reserve(unanswered);  // pointer stability for rows[k].ctx
+    rows.reserve(unanswered);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      if (groups[g].answered) continue;
+      const EstimateRequest& request = requests[groups[g].first_index];
+      miss_groups.push_back(static_cast<uint32_t>(g));
+      miss_ctxs.push_back(RequestContext(request, bctx));
+      rows.push_back({&request.system, &request.op, &miss_ctxs.back()});
+    }
+    const size_t slices =
+        pool_ != nullptr ? std::min<size_t>(options_.jobs, rows.size()) : 1;
+    // Workers move their answers into disjoint first slots, so no
+    // slice-level results are collected; RunIndexed is only the fan-out.
+    (void)RunIndexed(pool_.get(), slices, [&](size_t s) {
+      const size_t begin = rows.size() * s / slices;
+      const size_t end = rows.size() * (s + 1) / slices;
+      std::vector<Result<core::HybridEstimate>> out =
+          estimator_->EstimateBatch(
+              std::span<const core::EstimateRow>(rows).subspan(begin,
+                                                               end - begin));
+      for (size_t k = 0; k < out.size(); ++k) {
+        results[groups[miss_groups[begin + k]].first_index] =
+            std::move(out[k]);
+      }
+      return true;
+    });
+
+    // Pass 3: fill the cache from the groups pass 2 computed.
+    for (uint32_t g : miss_groups) {
+      const MissGroup& group = groups[g];
+      const Result<core::HybridEstimate>& answer = results[group.first_index];
+      if (group.key_size != 0 && Cacheable(answer, ctx)) {
+        cache_.Put(key_of(group), epoch, requests[group.first_index].now,
+                   answer.value(), counters);
+      }
     }
   }
 
-  // Fan every group's answer out to its requests in request order; each
-  // group's last request takes the answer by move. Emits the span's
-  // attributes.
-  const auto fan_out = [&] {
-    std::vector<Result<core::HybridEstimate>> results;
-    results.reserve(n);
-    int64_t hits = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const MissGroup& g = groups[group_of[i]];
-      // Every request riding a hit group counts as a served hit,
-      // duplicates included.
-      if (g.from_cache) ++hits;
-      if (g.last_index == i) {
-        results.push_back(std::move(computed[group_of[i]]));
-      } else {
-        results.push_back(computed[group_of[i]]);
-      }
-    }
-    if (batch.enabled()) {
-      int64_t unique_misses = 0;
-      for (const MissGroup& g : groups) {
-        if (!g.from_cache) ++unique_misses;
-      }
-      const int64_t misses = static_cast<int64_t>(n) - hits;
-      batch.SetInt("size", static_cast<int64_t>(n))
-          .SetInt("hits", hits)
-          .SetInt("misses", misses)
-          .SetInt("unique_misses", unique_misses)
-          .SetInt("deduped", misses - unique_misses);
-    }
-    return results;
-  };
-  // All-hit batch (the warm planner's usual case): nothing to compute or
-  // fill.
-  if (unanswered == 0) return fan_out();
-
-  // Pass 2: compute the unique misses through CostEstimator::EstimateBatch,
-  // which alone decides which rows share a GEMM (DESIGN.md §14). With a
-  // pool the misses split into at most `jobs` contiguous slices, one call
-  // each; otherwise one call takes them all on the caller's thread. The
-  // estimator read path is const and touches no shared mutable state; the
-  // trace sink and registries are thread-safe by contract (DESIGN.md §9).
-  std::vector<uint32_t> miss_groups;
-  std::vector<core::EstimateContext> miss_ctxs;
-  std::vector<core::EstimateRow> rows;
-  miss_groups.reserve(unanswered);
-  miss_ctxs.reserve(unanswered);  // pointer stability for rows[k].ctx
-  rows.reserve(unanswered);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].answered) continue;
-    const EstimateRequest& request = requests[groups[g].first_index];
-    miss_groups.push_back(static_cast<uint32_t>(g));
-    miss_ctxs.push_back(RequestContext(request, bctx));
-    rows.push_back({&request.system, &request.op, &miss_ctxs.back()});
+  // Duplicates copy their group's answer last, once it is final. Emits the
+  // span's attributes.
+  int64_t hits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const MissGroup& g = groups[group_of[i]];
+    // Every request riding a hit group counts as a served hit, duplicates
+    // included.
+    if (g.from_cache) ++hits;
+    if (g.first_index != i) results[i] = results[g.first_index];
   }
-  const size_t slices =
-      pool_ != nullptr ? std::min<size_t>(options_.jobs, rows.size()) : 1;
-  // Workers write disjoint computed[g] slots, so no slice-level results
-  // are collected; RunIndexed is only the fan-out.
-  (void)RunIndexed(pool_.get(), slices, [&](size_t s) {
-    const size_t begin = rows.size() * s / slices;
-    const size_t end = rows.size() * (s + 1) / slices;
-    std::vector<Result<core::HybridEstimate>> out =
-        estimator_->EstimateBatch(
-            std::span<const core::EstimateRow>(rows).subspan(begin,
-                                                             end - begin));
-    for (size_t k = 0; k < out.size(); ++k) {
-      computed[miss_groups[begin + k]] = std::move(out[k]);
+  if (batch.enabled()) {
+    int64_t unique_misses = 0;
+    for (const MissGroup& g : groups) {
+      if (!g.from_cache) ++unique_misses;
     }
-    return true;
-  });
-
-  // Pass 3: fill the cache from the groups pass 2 computed, then fan the
-  // answers out.
-  for (uint32_t g : miss_groups) {
-    if (groups[g].key_size != 0 && Cacheable(computed[g], ctx)) {
-      cache_.Put(key_of(groups[g]), epoch, requests[groups[g].first_index].now,
-                 computed[g].value(), counters);
-    }
+    const int64_t misses = static_cast<int64_t>(n) - hits;
+    batch.SetInt("size", static_cast<int64_t>(n))
+        .SetInt("hits", hits)
+        .SetInt("misses", misses)
+        .SetInt("unique_misses", unique_misses)
+        .SetInt("deduped", misses - unique_misses);
   }
-  return fan_out();
+  return results;
 }
 
 MetricsSnapshot EstimationService::StatsSnapshot() const {

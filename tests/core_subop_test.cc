@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,14 @@
 
 namespace intellisphere::core {
 namespace {
+
+/// A context asking for provenance: only then does an estimate list its
+/// surviving candidates.
+EstimateContext ProvenanceContext() {
+  EstimateContext ctx;
+  ctx.detail = EstimateDetail::kProvenance;
+  return ctx;
+}
 
 OpenboxInfo InfoFor(const remote::HiveEngine& hive) {
   OpenboxInfo info;
@@ -201,7 +210,7 @@ TEST_F(SubOpCalibrationTest, ApplicabilityRulesEliminateCandidates) {
   auto l = rel::SyntheticTableDef(8000000, 500).value();
   auto r = rel::SyntheticTableDef(8000000, 500).value();  // 4 GB: no bcast
   auto q = rel::MakeJoinQuery(l, r, 32, 32, 0.5).value();
-  auto res = est.EstimateJoin(q).value();
+  auto res = est.EstimateJoin(q, ProvenanceContext()).value();
   for (const auto& c : res.candidates) {
     EXPECT_NE(c.algorithm, "broadcast_join");
     EXPECT_NE(c.algorithm, "bucket_map_join");       // not bucketed
@@ -214,8 +223,13 @@ TEST_F(SubOpCalibrationTest, ApplicabilityRulesEliminateCandidates) {
   // Bucketing widens the candidate set.
   q.right_bucketed_on_key = true;
   q.left_bucketed_on_key = true;
-  auto res2 = est.EstimateJoin(q).value();
+  auto res2 = est.EstimateJoin(q, ProvenanceContext()).value();
   EXPECT_EQ(res2.candidates.size(), 3u);
+  // A cost-only estimate resolves the same answer without the list.
+  auto cost_only = est.EstimateJoin(q).value();
+  EXPECT_TRUE(cost_only.candidates.empty());
+  EXPECT_EQ(cost_only.seconds, res2.seconds);
+  EXPECT_EQ(cost_only.chosen_algorithm, res2.chosen_algorithm);
 }
 
 TEST_F(SubOpCalibrationTest, ChoicePoliciesOrderAsExpected) {
@@ -249,12 +263,12 @@ TEST_F(SubOpCalibrationTest, AggFormulasRespectMemoryRule) {
   auto est = SubOpCostEstimator::ForHive(run_->catalog).value();
   auto t = rel::SyntheticTableDef(8000000, 250).value();
   auto small_groups = rel::MakeAggQuery(t, 100, 2).value();
-  auto res = est.EstimateAgg(small_groups).value();
+  auto res = est.EstimateAgg(small_groups, ProvenanceContext()).value();
   ASSERT_EQ(res.candidates.size(), 1u);
   EXPECT_EQ(res.chosen_algorithm, "hash_aggregation");
   auto big = rel::SyntheticTableDef(80000000, 100).value();
   auto huge_groups = rel::MakeAggQuery(big, 1, 5).value();
-  auto res2 = est.EstimateAgg(huge_groups).value();
+  auto res2 = est.EstimateAgg(huge_groups, ProvenanceContext()).value();
   ASSERT_EQ(res2.candidates.size(), 1u);
   EXPECT_EQ(res2.chosen_algorithm, "sort_aggregation");
 }
@@ -265,6 +279,107 @@ TEST_F(SubOpCalibrationTest, UnknownAlgorithmIsNotFound) {
   auto q = rel::MakeJoinQuery(l, l, 32, 32, 1.0).value();
   EXPECT_EQ(est.EstimateJoinAlgorithm(q, "quantum_join").status().code(),
             StatusCode::kNotFound);
+}
+
+// --- Choice policies over tied survivors -----------------------------------
+//
+// The cost-only path resolves the policy while it walks the survivors, so
+// it must break ties the way std::max_element / std::min_element do (the
+// first extreme wins) and name an average only when one algorithm
+// survives. Fixed-cost formulas make the ties exact; a last-wins
+// comparison names the other algorithm.
+
+/// A join formula with a fixed estimate, applicable unless `applicable` is
+/// false.
+class FixedJoinFormula : public JoinFormula {
+ public:
+  FixedJoinFormula(const char* name, double seconds, bool applicable = true)
+      : name_(name), seconds_(seconds), applicable_(applicable) {}
+  const char* name() const override { return name_; }
+  const char* applicability_rule() const override { return "fixed rule"; }
+  bool Applicable(const rel::JoinQuery&, const OpenboxInfo&) const override {
+    return applicable_;
+  }
+  Result<double> Estimate(const rel::JoinQuery&,
+                          const SubOpCatalog&) const override {
+    return seconds_;
+  }
+
+ private:
+  const char* name_;
+  double seconds_;
+  bool applicable_;
+};
+
+struct FixedFormula {
+  const char* name;
+  double seconds;
+  bool applicable = true;
+};
+
+/// Estimates one valid join under `policy` over fixed-cost formulas, with
+/// the context's detail level.
+SubOpEstimate EstimateFixed(const std::vector<FixedFormula>& formulas,
+                            ChoicePolicy policy, const EstimateContext& ctx) {
+  std::vector<std::unique_ptr<JoinFormula>> joins;
+  for (const FixedFormula& f : formulas) {
+    joins.push_back(
+        std::make_unique<FixedJoinFormula>(f.name, f.seconds, f.applicable));
+  }
+  SubOpCostEstimator est(SubOpCatalog{}, std::move(joins), {}, {}, policy);
+  auto t = rel::SyntheticTableDef(100000, 100).value();
+  return est.EstimateJoin(rel::MakeJoinQuery(t, t, 8, 8, 1.0).value(), ctx)
+      .value();
+}
+
+TEST(SubOpChoicePolicyTest, TiedSurvivorsResolveToTheFirstExtreme) {
+  struct Case {
+    ChoicePolicy policy;
+    std::vector<FixedFormula> formulas;
+    double seconds;
+    const char* chosen;
+  } cases[] = {
+      {ChoicePolicy::kWorstCase,
+       {{"low", 1.0}, {"first_max", 3.0}, {"second_max", 3.0}, {"mid", 2.0}},
+       3.0,
+       "first_max"},
+      {ChoicePolicy::kInHouseComparable,
+       {{"high", 3.0}, {"first_min", 1.0}, {"mid", 2.0}, {"second_min", 1.0}},
+       1.0,
+       "first_min"},
+      // An eliminated cheaper (or dearer) algorithm takes no part.
+      {ChoicePolicy::kWorstCase,
+       {{"dead", 9.0, false}, {"first_max", 2.0}, {"second_max", 2.0}},
+       2.0,
+       "first_max"},
+      {ChoicePolicy::kInHouseComparable,
+       {{"dead", 0.5, false}, {"first_min", 2.0}, {"second_min", 2.0}},
+       2.0,
+       "first_min"},
+      // An average names its algorithm only when one survives.
+      {ChoicePolicy::kAverage,
+       {{"dead", 9.0, false}, {"only", 2.5}, {"also_dead", 1.0, false}},
+       2.5,
+       "only"},
+      {ChoicePolicy::kAverage, {{"a", 1.0}, {"b", 2.0}, {"c", 6.0}}, 3.0, ""},
+  };
+  for (const Case& c : cases) {
+    for (const EstimateContext& ctx :
+         {EstimateContext{}, ProvenanceContext()}) {
+      SCOPED_TRACE(std::string(ChoicePolicyName(c.policy)) +
+                   (ctx.provenance() ? " provenance" : " cost-only"));
+      const SubOpEstimate est = EstimateFixed(c.formulas, c.policy, ctx);
+      EXPECT_EQ(est.seconds, c.seconds);
+      EXPECT_EQ(est.chosen_algorithm, c.chosen);
+      EXPECT_EQ(est.policy_used, c.policy);
+      size_t survivors = 0;
+      for (const FixedFormula& f : c.formulas) survivors += f.applicable;
+      EXPECT_EQ(est.eliminated_count,
+                static_cast<int>(c.formulas.size() - survivors));
+      // Survivors are listed, in formula order, only under provenance.
+      EXPECT_EQ(est.candidates.size(), ctx.provenance() ? survivors : 0u);
+    }
+  }
 }
 
 TEST(SubOpModelTest, CostsNeverNegative) {

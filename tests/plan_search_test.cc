@@ -15,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -1158,6 +1159,133 @@ TEST(PlanSearchDifferentialTest, CostOnlyMatchesProvenanceOnSyntheticSpecs) {
       EXPECT_EQ(repeats, 0);
     }
   }
+}
+
+// --- Generated specs vs the exhaustive oracle -------------------------------
+//
+// With prune_factor = 0 the search must find the oracle's minimum on
+// generated 4-6 relation specs over three and four sites, and it must ask
+// the transfer hook each question at most once: the cost of moving a
+// relation subset between two sites is memoized for the whole search,
+// whichever split or stage asks. Every ordered pair of sites has its own
+// latency and byte rate, so a memo that confused two links (for instance
+// one keyed without the destination) returns the wrong cost and misses the
+// oracle's minimum, while a memo that forgot answers between splits asks a
+// question twice.
+
+constexpr const char* kGeneratedSites[] = {kMaster, "alpha", "beta", "gamma"};
+
+/// Seconds to move rows x bytes from `from` to `to`: a latency and a byte
+/// rate distinct per ordered site pair.
+double LinkTransfer(const std::string& from, const std::string& to,
+                    int64_t rows, int64_t bytes) {
+  const auto index = [](const std::string& site) {
+    int i = 0;
+    while (site != kGeneratedSites[i]) ++i;
+    return i;
+  };
+  const int link = index(from) + 4 * index(to);
+  return 0.01 * (1 + link % 7) +
+         1e-9 * (1 + link % 5) * static_cast<double>(rows) *
+             static_cast<double>(bytes);
+}
+
+struct GeneratedCase {
+  QuerySpec spec;
+  std::vector<rel::TableDef> tables;  ///< aligned with spec.relations
+};
+
+/// A seeded spec of 4-6 relations on tables spread over 3 or 4 sites,
+/// joined as a chain, star or cycle, with random filters, projections,
+/// join columns and extra predicates, and the aggregate and the result
+/// relay each on or off.
+GeneratedCase GeneratedSpec(Rng* rng) {
+  static const char* const kColumns[] = {"a1", "a2", "a5", "a10"};
+  static const char* const kGroupColumns[] = {"a20", "a50", "a100"};
+  static const double kFilters[] = {1.0, 1.0, 0.6, 0.2, 0.05};
+  static const int64_t kRowBytes[] = {40, 70, 100, 250, 500, 1000};
+  const auto pick = [rng](size_t size) {
+    return static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(size) - 1));
+  };
+  GeneratedCase out;
+  const size_t sites = 3 + pick(2);
+  const int n = 4 + static_cast<int>(pick(3));
+  for (int i = 0; i < n; ++i) {
+    rel::TableDef def =
+        rel::SyntheticTableDef(rng->UniformInt(2, 2000) * 1000,
+                               kRowBytes[pick(6)])
+            .value();
+    def.location = kGeneratedSites[pick(sites)];
+    out.spec.relations.push_back(
+        {def.name, kFilters[pick(5)], rng->UniformInt(8, 40)});
+    out.tables.push_back(std::move(def));
+  }
+  const size_t shape = pick(3);  // chain, star, cycle
+  const auto join = [&](int left, int right) {
+    out.spec.joins.push_back(
+        {left, right, kColumns[pick(4)], pick(2) == 0 ? 1.0 : 0.5});
+  };
+  for (int i = 1; i < n; ++i) {
+    if (shape == 1) {
+      join(0, i);
+    } else {
+      join(i - 1, i);
+    }
+  }
+  if (shape == 2) join(n - 1, 0);
+  if (pick(2) == 1) {
+    out.spec.aggregate =
+        QuerySpec::Aggregate{static_cast<int>(pick(static_cast<size_t>(n))),
+                             kGroupColumns[pick(3)],
+                             static_cast<int>(pick(3)) + 1};
+  }
+  out.spec.result_to_master = pick(2) == 1;
+  return out;
+}
+
+TEST(PlanSearchOracleTest, GeneratedSpecsAreOptimalAndAskEachTransferOnce) {
+  Rng rng(2207);
+  std::set<size_t> shapes;
+  int aggregates = 0;
+  int four_sites = 0;
+  for (int i = 0; i < 60; ++i) {
+    const GeneratedCase c = GeneratedSpec(&rng);
+    SCOPED_TRACE("generated spec " + std::to_string(i));
+    PlanSearchInput input = SynthInput(c.spec, c.tables);
+    std::map<std::tuple<std::string, std::string, int64_t, int64_t>, int>
+        asked;
+    input.transfer = [&asked](const std::string& from, const std::string& to,
+                              int64_t rows, int64_t bytes) -> Result<double> {
+      const int times = ++asked[std::make_tuple(from, to, rows, bytes)];
+      EXPECT_EQ(times, 1)
+          << "asked twice: " << from << " -> " << to << ", " << rows
+          << " rows x " << bytes << " bytes";
+      return LinkTransfer(from, to, rows, bytes);
+    };
+    const Result<QueryPlan> plan = SearchPlan(input, PlannerOptions{}, {});
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    Oracle oracle(
+        c.spec, c.tables, kMaster,
+        [](const std::string& system, const rel::SqlOperator& op) {
+          return SynthCostOne(system, op);
+        },
+        LinkTransfer);
+    EXPECT_DOUBLE_EQ(plan.value().best().value().total_seconds,
+                     oracle.MinTotal());
+    std::set<std::string> locations;
+    for (const rel::TableDef& t : c.tables) locations.insert(t.location);
+    locations.insert(kMaster);
+    four_sites += locations.size() == 4;
+    aggregates += c.spec.aggregate.has_value();
+    shapes.insert(c.spec.joins.size() == c.spec.relations.size()
+                      ? 2
+                      : (c.spec.joins.back().left == 0 ? 1 : 0));
+  }
+  // The seed covers what the generator promises.
+  EXPECT_EQ(shapes.size(), 3u);
+  EXPECT_GT(aggregates, 10);
+  EXPECT_GT(four_sites, 10);
 }
 
 TEST(PlanSearchTest, NonPositiveDistinctCountFailsBeforeAnyCosting) {

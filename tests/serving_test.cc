@@ -468,6 +468,55 @@ TEST(EstimateCacheTest, WarmHitsAreLockFree) {
   EXPECT_EQ(stats.misses, 1);
 }
 
+TEST(EstimateCacheTest, HitOverwritesEveryFieldOfTheCallersSlot) {
+  // The batch path reads a hit straight into a result slot, so a hit must
+  // leave nothing of what the slot held before: not a degradation reason,
+  // not a candidate or elimination list. One inline and one out-of-line
+  // entry are read into a slot dirtied in every field.
+  serving::EstimateCache cache(serving::CacheOptions{});
+  core::HybridEstimate inline_value;
+  inline_value.seconds = 1.5;
+  inline_value.approach_used = core::CostingApproach::kLogicalOp;
+  inline_value.used_remedy = true;
+  inline_value.remedy_alpha = 0.25;
+  inline_value.nn_seconds = 1.25;
+  inline_value.remedy_seconds = 2.25;
+  core::HybridEstimate out_of_line = EstimateWithSeconds(2.5);
+  out_of_line.algorithm = "shuffle_join";
+  out_of_line.eliminated_count = 1;
+  out_of_line.eliminated.push_back({"broadcast_join", "too large"});
+  out_of_line.candidates.push_back({"shuffle_join", 2.5});
+  cache.Put("inline", 0, 0.0, inline_value);
+  cache.Put("out-of-line", 0, 0.0, out_of_line);
+  for (const auto& [key, stored] :
+       {std::pair<std::string, core::HybridEstimate>{"inline", inline_value},
+        {"out-of-line", out_of_line}}) {
+    SCOPED_TRACE(key);
+    core::HybridEstimate slot;
+    slot.seconds = 99.0;
+    slot.approach_used = core::CostingApproach::kSubOp;
+    slot.algorithm = "a_stale_algorithm_name";
+    slot.used_remedy = !stored.used_remedy;
+    slot.remedy_alpha = 0.5;
+    slot.nn_seconds = 98.0;
+    slot.remedy_seconds = 97.0;
+    slot.fell_back_to_sub_op = true;
+    slot.fell_back_reason = "breaker_open:served_stale";
+    slot.eliminated_count = 7;
+    slot.eliminated.push_back({"skew_join", "no skew"});
+    slot.candidates.push_back({"bucket_map_join", 96.0});
+    ASSERT_TRUE(cache.Get(serving::EstimateCache::KeyOf(key), 0, 0.0, &slot));
+    ExpectBitIdentical(slot, stored);
+    EXPECT_EQ(slot.fell_back_reason, stored.fell_back_reason);
+  }
+  // A miss leaves the slot alone.
+  core::HybridEstimate untouched;
+  untouched.seconds = 3.0;
+  EXPECT_FALSE(
+      cache.Get(serving::EstimateCache::KeyOf("absent"), 0, 0.0, &untouched));
+  EXPECT_EQ(untouched.seconds, 3.0);
+}
+
 TEST(EstimateCacheTest, UnpackableEntryFallsBackToLockedPath) {
   // Sub-op results carrying candidate/elimination diagnostics do not fit
   // a way's fixed-width image; they must still be served (from their side
@@ -1344,6 +1393,94 @@ TEST(ServingBatchedInferenceTest, GeneratedBatchesMatchScalarEstimate) {
       EXPECT_GT(stats.evictions, 0);
       EXPECT_EQ(stats.entries, c.capacity);
     }
+  }
+
+  // Answer slots on a pre-warmed cache. One provenance batch mixes every
+  // way a slot is answered, each asked twice or three times: inline hits
+  // ("mlp": an MLP answer has no lists to keep out of line), out-of-line
+  // hits ("openbox": a provenance sub-op answer lists its candidates),
+  // stale-served hits ("mixed", whose breaker opened after its entries
+  // were cached and whose entries are TTL-expired at now = 20), misses and
+  // keyless requests ("ghost"). Every slot must equal the scalar Estimate
+  // of a twin service warmed the same way. A duplicate that copied its
+  // group's slot before the group's miss was computed would read an empty
+  // estimate.
+  core::EstimateContext provenance;
+  provenance.detail = core::EstimateDetail::kProvenance;
+  const auto request = [](const std::string& system,
+                          const rel::SqlOperator& op, double now) {
+    serving::EstimateRequest r;
+    r.system = system;
+    r.op = op;
+    r.now = now;
+    return r;
+  };
+  const std::vector<serving::EstimateRequest> warm = {
+      request("mlp", ops[0], 0.0),     request("mlp", ops[1], 0.0),
+      request("openbox", ops[0], 0.0), request("openbox", ops[1], 0.0),
+      request("mixed", ops[2], 0.0),   request("mixed", ops[3], 0.0)};
+  std::vector<serving::EstimateRequest> mixed_batch;
+  for (int copies = 0; copies < 3; ++copies) {
+    // Inline hits, out-of-line hits, stale-served hits, misses, keyless.
+    for (const serving::EstimateRequest& r :
+         {request("mlp", ops[0], 5.0), request("mlp", ops[1], 5.0),
+          request("openbox", ops[0], 5.0), request("openbox", ops[1], 5.0),
+          request("mixed", ops[2], 20.0), request("mixed", ops[3], 20.0),
+          request("openbox", ops[4], 5.0), request("mlp", ops[5], 5.0),
+          request("ghost", ops[0], 5.0)}) {
+      if (copies < 2 || r.system != "ghost") mixed_batch.push_back(r);
+    }
+  }
+  {
+    std::vector<serving::EstimateRequest> shuffled;
+    for (size_t i : rng.Permutation(mixed_batch.size())) {
+      shuffled.push_back(mixed_batch[i]);
+    }
+    mixed_batch = std::move(shuffled);
+  }
+  for (int jobs : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "pre-warmed, jobs " << jobs);
+    remote::HealthRegistry warm_health(remote::BreakerOptions{1, 1e9, 1});
+    serving::ServiceOptions opts;
+    opts.jobs = jobs;
+    opts.cache.ttl_seconds = 10.0;
+    opts.health = &warm_health;
+    serving::EstimationService batched_service(&estimator, opts);
+    serving::EstimationService scalar_service(&estimator, opts);
+    for (const serving::EstimateRequest& r : warm) {
+      for (const serving::EstimationService* service :
+           {&batched_service, &scalar_service}) {
+        const Result<core::HybridEstimate> est =
+            service->Estimate(r, provenance);
+        ASSERT_TRUE(est.ok()) << est.status();
+        ASSERT_TRUE(est.value().fell_back_reason.empty());
+      }
+    }
+    EXPECT_TRUE(warm_health.breaker("mixed").RecordFailure(0.0));
+    const serving::CacheStats before = batched_service.cache_stats();
+    const std::vector<Result<core::HybridEstimate>> batched =
+        batched_service.EstimateBatch(mixed_batch, provenance);
+    ASSERT_EQ(batched.size(), mixed_batch.size());
+    int served_stale = 0;
+    for (size_t i = 0; i < batched.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "slot " << i << ": "
+                                      << mixed_batch[i].system);
+      ExpectSameAnswer(batched[i],
+                       scalar_service.Estimate(mixed_batch[i], provenance));
+      served_stale += batched[i].ok() &&
+                      batched[i].value().fell_back_reason ==
+                          "breaker_open:served_stale";
+    }
+    EXPECT_EQ(served_stale, 6);
+    // One probe per distinct key: two inline hits, four locked hits (two
+    // out of line, two stale-served) and two misses; duplicates and the
+    // keyless request probe nothing.
+    const serving::CacheStats after = batched_service.cache_stats();
+    EXPECT_EQ(after.lockless_hits - before.lockless_hits, 2);
+    EXPECT_EQ(after.hits - before.hits, 6);
+    EXPECT_EQ(after.locked_gets - before.locked_gets, 4);
+    EXPECT_EQ(after.stale_served - before.stale_served, 2);
+    EXPECT_EQ(after.misses - before.misses, 2);
   }
 }
 
