@@ -120,7 +120,6 @@ void Run() {
           "hive", core::CostingProfile::LogicalOpOnly(std::move(models))),
       "register hive");
 
-  MetricsRegistry metrics;
   CollectingTraceSink trace;
   ThreadPool pool(2);
   lifecycle::LifecycleOptions opts;
@@ -129,7 +128,6 @@ void Run() {
   opts.drift.threshold = 0.25;
   opts.retrain_window = 256;
   opts.shadow_fraction = 0.25;
-  opts.metrics = &metrics;
   opts.trace = &trace;
   lifecycle::LifecycleManager manager(&estimator, &pool, opts);
 
@@ -235,7 +233,7 @@ void Run() {
       {"lifecycle.estimates_total", static_cast<double>(totals.served),
        "count"},
   };
-  bench::AppendMetricsSnapshot(metrics.Snapshot(), &out);
+  bench::AppendMetricsSnapshot(manager.StatsSnapshot(), &out);
   bench::Check(bench::WriteBenchJson("model_lifecycle", kSeed, out),
                "write json");
 }

@@ -13,8 +13,10 @@
 //    ZERO locked cache probes (CacheStats::locked_gets): steady-state hits
 //    take no shard mutex.
 //  * A multi-threaded warm-hit section checks the lock-free read path
-//    scales across cores (adaptive: on a single-core host it only asserts
-//    concurrency doesn't collapse throughput).
+//    scales across cores: kScalingReps interleaved pairs of a 1-thread
+//    and an N-thread window of kScalingPasses passes each, every pair's
+//    efficiency printed and the median gated (adaptive: on a single-core
+//    host it only asserts concurrency doesn't collapse throughput).
 //
 // Also re-checks the serving layer's bit-identity contract: every cached
 // or batched answer must equal the uncached scalar answer field-for-field.
@@ -65,6 +67,20 @@ constexpr int kRequests = 1920;     // per measured pass; 40x reuse per key
 constexpr int kWarmRepeats = 5;     // warm passes averaged for stable QPS
 constexpr int kColdRepeats = 5;     // cold passes averaged for stable QPS
 constexpr double kSpeedupFloor = 5.0;
+// The warm-hit scaling leg: interleaved (1-thread, N-thread) window pairs,
+// each window kScalingPasses passes over the request stream per thread
+// (~0.1-0.2 s on a 4-vCPU host), so one scheduler hiccup moves one pair,
+// not the gate, which reads the median pair.
+constexpr int kScalingReps = 7;
+constexpr int kScalingPasses = 200;
+constexpr double kScalingFloor = 0.5;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -335,8 +351,13 @@ void Run() {
   }
 
   // Shared pre-warmed service for the lock-free sections: the concurrent
-  // scaling measurement and the locked-probe counter gate.
-  serving::EstimationService warmed(&estimator, BenchServiceOptions(1));
+  // scaling measurement and the locked-probe counter gate. It has one
+  // shard, so a lock taken on the hit path would be one lock for every
+  // thread and the scaling gate could not miss it; a lock-free hit writes
+  // no shard state, so the shard count does not change what it costs.
+  serving::ServiceOptions warmed_options = BenchServiceOptions(1);
+  warmed_options.cache.shards = 1;
+  serving::EstimationService warmed(&estimator, warmed_options);
   {
     auto fill = warmed.EstimateBatch(requests);
     for (auto& r : fill) Check(r.status(), "warm fill slot");
@@ -344,11 +365,19 @@ void Run() {
   const serving::CacheStats warm_before = warmed.cache_stats();
   const int hw = static_cast<int>(HardwareConcurrency());
   const int scale_threads = std::min(4, std::max(1, hw));
-  const double warm_single_qps = WarmConcurrentQps(warmed, requests,
-                                                   /*threads=*/1,
-                                                   /*passes=*/10);
-  const double warm_multi_qps =
-      WarmConcurrentQps(warmed, requests, scale_threads, /*passes=*/10);
+  // Each repetition times a 1-thread window and then an N-thread window
+  // back to back, so host-speed drift cancels out of the pair's ratio.
+  std::vector<double> single_qps;
+  std::vector<double> multi_qps;
+  std::vector<double> efficiencies;
+  for (int rep = 0; rep < kScalingReps; ++rep) {
+    single_qps.push_back(WarmConcurrentQps(warmed, requests, /*threads=*/1,
+                                           kScalingPasses));
+    multi_qps.push_back(WarmConcurrentQps(warmed, requests, scale_threads,
+                                          kScalingPasses));
+    efficiencies.push_back(multi_qps.back() /
+                           (single_qps.back() * scale_threads));
+  }
   const serving::CacheStats warm_after = warmed.cache_stats();
 
   // Every probe in the warm sections must have been answered by the
@@ -372,8 +401,11 @@ void Run() {
   double warm_speedup = uncached_seconds / one.warm_seconds;
   // Parallel efficiency of the concurrent warm-hit section; meaningful
   // only when the host actually has multiple cores to scale across.
-  double scaling_efficiency =
-      warm_multi_qps / (warm_single_qps * scale_threads);
+  const double warm_single_qps = Median(single_qps);
+  const double warm_multi_qps = Median(multi_qps);
+  const double scaling_efficiency = Median(efficiencies);
+  const auto [lowest_efficiency, highest_efficiency] =
+      std::minmax_element(efficiencies.begin(), efficiencies.end());
 
   bench::Section("Serving throughput (n=1920 requests, 48 unique keys)");
   std::printf("uncached single calls:   %8.0f est/s\n", uncached_qps);
@@ -385,9 +417,18 @@ void Run() {
     std::printf("cold batch sweep, size %4zu: %8.0f est/s\n", sweep_sizes[i],
                 sweep_qps[i]);
   }
-  std::printf("warm hits, 1 thread:     %8.0f est/s\n", warm_single_qps);
-  std::printf("warm hits, %d threads:    %8.0f est/s (%.2f efficiency, %d cores)\n",
-              scale_threads, warm_multi_qps, scaling_efficiency, hw);
+  for (int rep = 0; rep < kScalingReps; ++rep) {
+    std::printf("warm hits, rep %d: 1 thread %8.0f, %d threads %8.0f est/s "
+                "(%.2f efficiency)\n",
+                rep, single_qps[rep], scale_threads, multi_qps[rep],
+                efficiencies[rep]);
+  }
+  std::printf("warm hits, 1 thread:     %8.0f est/s (median)\n",
+              warm_single_qps);
+  std::printf("warm hits, %d threads:    %8.0f est/s (median; %.2f median "
+              "efficiency, range %.2f-%.2f, %d cores)\n",
+              scale_threads, warm_multi_qps, scaling_efficiency,
+              *lowest_efficiency, *highest_efficiency, hw);
   std::printf("cold speedup vs uncached: %.1fx (floor: %.0fx)\n", cold_speedup,
               kSpeedupFloor);
   std::printf("warm speedup vs uncached: %.1fx (floor: %.0fx)\n", warm_speedup,
@@ -402,11 +443,12 @@ void Run() {
           "warm speedup");
   }
   // Wait-free scaling gate, adaptive to the host: with real cores the
-  // concurrent warm path must keep >= 50% parallel efficiency (a mutex on
-  // the hit path collapses this to ~1/threads); a single-core host can only
-  // check that thread contention doesn't destroy throughput outright.
+  // concurrent warm path must keep a median >= 50% parallel efficiency (a
+  // mutex on the hit path collapses this to ~1/threads, and so does a
+  // counter line every core writes); a single-core host can only check
+  // that thread contention doesn't destroy throughput outright.
   if (hw > 1) {
-    if (scaling_efficiency < 0.5) {
+    if (scaling_efficiency < kScalingFloor) {
       Check(Status::Internal("warm-hit path does not scale across cores"),
             "warm scaling efficiency");
     }
@@ -446,7 +488,11 @@ void Run() {
                      static_cast<double>(scale_threads), "count"});
   metrics.push_back({"serving.warm_hit_scaling_efficiency",
                      scaling_efficiency, "ratio",
-                     hw > 1 ? 0.5 : 0.0});
+                     hw > 1 ? kScalingFloor : 0.0});
+  metrics.push_back({"serving.warm_hit_scaling_efficiency.min",
+                     *lowest_efficiency, "ratio"});
+  metrics.push_back({"serving.warm_hit_scaling_efficiency.max",
+                     *highest_efficiency, "ratio"});
   metrics.push_back({"serving.cold_speedup_vs_uncached", cold_speedup, "x",
                      kSpeedupFloor});
   metrics.push_back({"serving.warm_speedup_vs_uncached", warm_speedup, "x",

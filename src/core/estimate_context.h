@@ -72,7 +72,10 @@ struct EstimateContext {
   /// Overrides the estimator's configured algorithm-choice policy for this
   /// call only.
   std::optional<ChoicePolicy> policy_override;
-  /// Counters/histograms destination; nullptr = MetricsRegistry::Global().
+  /// Destination of the estimator's `estimate.*` and the planner's `plan.*`
+  /// counters and histograms; nullptr = MetricsRegistry::Global(). Serving,
+  /// admission and lifecycle counts are not routed here: each component
+  /// counts its own events (their StatsSnapshot(), DESIGN.md §10).
   MetricsRegistry* metrics = nullptr;
   /// Per-system breaker states (see remote/health.h); when set, the
   /// estimator consults it and degrades estimates for systems whose
@@ -120,10 +123,6 @@ struct EstimateContext {
   /// steady_clock calls when someone is looking.
   bool timing() const { return trace != nullptr || metrics != nullptr; }
 
-  MetricsRegistry& Registry() const {
-    return metrics != nullptr ? *metrics : MetricsRegistry::Global();
-  }
-
   /// Starts a root span under `parent_span` (disabled when no sink).
   TraceSpan StartSpan(std::string name) const {
     return TraceSpan(trace, std::move(name), parent_span);
@@ -140,11 +139,11 @@ struct EstimateContext {
   /// A context carrying only the deployment clock — the minimal upgrade
   /// for callers that used to pass a bare `double now` (the deprecated
   /// overloads themselves are gone). Guarantee: `metrics` stays nullptr,
-  /// which `Registry()` resolves to MetricsRegistry::Global() — clock-only
-  /// callers still record the ambient `estimate.approach.*` / `plan.*`
-  /// counters. `metrics` is deliberately NOT set to &Global() explicitly:
-  /// that would flip `timing()` on and add clock reads + a latency
-  /// histogram to every clock-only call.
+  /// so clock-only callers still record the ambient `estimate.approach.*` /
+  /// `plan.*` counters in MetricsRegistry::Global(). `metrics` is
+  /// deliberately NOT set to &Global() explicitly: that would flip
+  /// `timing()` on and add clock reads + a latency histogram to every
+  /// clock-only call.
   static EstimateContext AtTime(double now) {
     EstimateContext ctx;
     ctx.now = now;

@@ -5,25 +5,17 @@
 
 namespace intellisphere::lifecycle {
 
-ExecutionLogQueue::ExecutionLogQueue(int64_t capacity,
-                                     MetricsRegistry* metrics)
-    : capacity_(std::max<int64_t>(1, capacity)),
-      pushed_counter_((metrics != nullptr ? metrics : &MetricsRegistry::Global())
-                          ->GetCounter("lifecycle.ingest.pushed")),
-      dropped_counter_((metrics != nullptr ? metrics
-                                           : &MetricsRegistry::Global())
-                           ->GetCounter("lifecycle.ingest.dropped")) {}
+ExecutionLogQueue::ExecutionLogQueue(int64_t capacity)
+    : capacity_(std::max<int64_t>(1, capacity)) {}
 
 void ExecutionLogQueue::Push(ExecutionRecord record) {
   MutexLock lock(&mu_);
   while (static_cast<int64_t>(queue_.size()) >= capacity_) {
     queue_.pop_front();
     ++dropped_;
-    dropped_counter_->Increment();
   }
   queue_.push_back(std::move(record));
   ++pushed_;
-  pushed_counter_->Increment();
 }
 
 std::vector<ExecutionRecord> ExecutionLogQueue::Drain() {

@@ -3,9 +3,9 @@
 // ExecutionRecord per completed remote operator; the LifecycleManager
 // drains the queue on its deployment-clock Tick. The queue is bounded:
 // when a push arrives at capacity the OLDEST record is dropped
-// (drop-oldest backpressure) and the `lifecycle.ingest.dropped` counter is
-// bumped, so a stalled consumer degrades drift detection gracefully
-// instead of growing without bound.
+// (drop-oldest backpressure) and counted in Stats().dropped (exported as
+// `lifecycle.ingest.dropped`), so a stalled consumer degrades drift
+// detection gracefully instead of growing without bound.
 
 #ifndef INTELLISPHERE_LIFECYCLE_INGEST_QUEUE_H_
 #define INTELLISPHERE_LIFECYCLE_INGEST_QUEUE_H_
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "relational/query.h"
-#include "util/runtime_metrics.h"
 #include "util/thread_annotations.h"
 
 namespace intellisphere::lifecycle {
@@ -51,16 +50,14 @@ struct IngestQueueStats {
 /// driver but is itself thread-safe too.
 class ExecutionLogQueue {
  public:
-  /// `capacity` is clamped up to 1. Drop counters register with `metrics`
-  /// (the process-global registry when null).
-  explicit ExecutionLogQueue(int64_t capacity,
-                             MetricsRegistry* metrics = nullptr);
+  /// `capacity` is clamped up to 1.
+  explicit ExecutionLogQueue(int64_t capacity);
 
   ExecutionLogQueue(const ExecutionLogQueue&) = delete;
   ExecutionLogQueue& operator=(const ExecutionLogQueue&) = delete;
 
   /// Appends a record; at capacity the oldest queued record is dropped
-  /// first (`lifecycle.ingest.dropped`).
+  /// first (counted in Stats().dropped).
   void Push(ExecutionRecord record);
 
   /// Removes and returns every queued record in arrival order.
@@ -70,8 +67,6 @@ class ExecutionLogQueue {
 
  private:
   const int64_t capacity_;
-  Counter* const pushed_counter_;
-  Counter* const dropped_counter_;
 
   mutable Mutex mu_;
   std::deque<ExecutionRecord> queue_ GUARDED_BY(mu_);

@@ -84,18 +84,7 @@ LifecycleManager::LifecycleManager(core::CostEstimator* estimator,
     : estimator_(estimator),
       pool_(pool),
       opts_(opts),
-      metrics_(opts.metrics != nullptr ? opts.metrics
-                                       : &MetricsRegistry::Global()),
-      drift_detected_(metrics_->GetCounter("lifecycle.drift.detected")),
-      retrain_started_(metrics_->GetCounter("lifecycle.retrain.started")),
-      retrain_completed_(metrics_->GetCounter("lifecycle.retrain.completed")),
-      retrain_failed_(metrics_->GetCounter("lifecycle.retrain.failed")),
-      retrain_deferred_(metrics_->GetCounter("lifecycle.retrain.deferred")),
-      retrain_yielded_(metrics_->GetCounter("lifecycle.retrain.yielded")),
-      shadow_accepted_(metrics_->GetCounter("lifecycle.shadow.accepted")),
-      shadow_rejected_(metrics_->GetCounter("lifecycle.shadow.rejected")),
-      swap_applied_(metrics_->GetCounter("lifecycle.swap.applied")),
-      queue_(opts.ingest_capacity, metrics_) {}
+      queue_(opts.ingest_capacity) {}
 
 LifecycleManager::~LifecycleManager() {
   std::vector<std::future<void>> futures;
@@ -225,7 +214,6 @@ Result<LifecycleManager::RetrainInput> LifecycleManager::PrepareRetrain(
     in_flight_.insert(key);
     ++retrains_started_total_;
   }
-  retrain_started_->Increment();
   return input;
 }
 
@@ -395,15 +383,6 @@ RetrainOutcome LifecycleManager::ApplyFinished(FinishedRetrain finished) {
     drift_reported_.erase(finished.key);
     in_flight_.erase(finished.key);
   }
-  retrain_completed_->Increment();
-  if (swapped) {
-    shadow_accepted_->Increment();
-    swap_applied_->Increment();
-  } else if (failed) {
-    retrain_failed_->Increment();
-  } else {
-    shadow_rejected_->Increment();
-  }
   return outcome;
 }
 
@@ -428,14 +407,10 @@ Status LifecycleManager::Tick(double now) {
     for (auto& [key, detector] : detectors_) {
       DriftState state = detector.State();
       if (!state.drifted) continue;
-      if (drift_reported_.insert(key).second) {
-        ++drift_detected_total_;
-        drift_detected_->Increment();
-      }
+      if (drift_reported_.insert(key).second) ++drift_detected_total_;
       if (in_flight_.count(key) != 0) continue;
       if (opts_.health != nullptr && opts_.health->IsOpen(key.first, now)) {
         ++retrains_deferred_total_;
-        retrain_deferred_->Increment();
         continue;
       }
       // Priority yield (DESIGN.md §17): retrains are background work; the
@@ -445,7 +420,6 @@ Status LifecycleManager::Tick(double now) {
       if (opts_.admission != nullptr &&
           opts_.admission->ShouldYieldBackground(now)) {
         ++retrains_yielded_total_;
-        retrain_yielded_->Increment();
         continue;
       }
       to_launch.push_back(key);
@@ -488,6 +462,28 @@ LifecycleStats LifecycleManager::Stats() const {
   stats.swaps_applied = swaps_applied_total_;
   stats.in_flight = static_cast<int64_t>(in_flight_.size());
   return stats;
+}
+
+MetricsSnapshot LifecycleManager::StatsSnapshot() const {
+  const LifecycleStats stats = Stats();
+  const auto count = [](const char* name, int64_t value) {
+    return MetricSample{name, static_cast<double>(value), "count"};
+  };
+  MetricsSnapshot snap;
+  snap.samples = {
+      count("lifecycle.ingest.pushed", stats.ingest.pushed),
+      count("lifecycle.ingest.dropped", stats.ingest.dropped),
+      count("lifecycle.drift.detected", stats.drift_detected),
+      count("lifecycle.retrain.started", stats.retrains_started),
+      count("lifecycle.retrain.completed", stats.retrains_completed),
+      count("lifecycle.retrain.failed", stats.retrains_failed),
+      count("lifecycle.retrain.deferred", stats.retrains_deferred),
+      count("lifecycle.retrain.yielded", stats.retrains_yielded),
+      count("lifecycle.shadow.accepted", stats.shadow_accepted),
+      count("lifecycle.shadow.rejected", stats.shadow_rejected),
+      count("lifecycle.swap.applied", stats.swaps_applied),
+  };
+  return snap;
 }
 
 std::string LifecycleManager::ExplainJson() const {

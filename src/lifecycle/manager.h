@@ -34,6 +34,7 @@
 #include "remote/health.h"
 #include "serving/admission.h"
 #include "serving/service.h"
+#include "util/runtime_metrics.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -71,12 +72,10 @@ struct LifecycleOptions {
   const serving::AdmissionController* admission = nullptr;
   /// Sink for the `lifecycle.retrain` / `lifecycle.shadow` spans.
   TraceSink* trace = nullptr;
-  /// Counter registry; the process-global registry when null.
-  MetricsRegistry* metrics = nullptr;
 
   /// Reads any `lifecycle.*` keys present (ingest, drift, retrain, shadow);
   /// InvalidArgument on out-of-domain values. The wiring pointers (health,
-  /// trace, metrics) are not Properties-configurable.
+  /// admission, trace) are not Properties-configurable.
   [[nodiscard]] static Result<LifecycleOptions> FromProperties(
       const Properties& props);
 };
@@ -106,7 +105,8 @@ struct RetrainOutcome {
   uint64_t epoch_after = 0;
 };
 
-/// Lifetime lifecycle statistics (mirrors the `lifecycle.*` counters).
+/// Lifetime lifecycle statistics, the manager's only counts of these events
+/// (exported as the `lifecycle.*` samples of StatsSnapshot()).
 struct LifecycleStats {
   IngestQueueStats ingest;
   int64_t drift_detected = 0;
@@ -184,6 +184,13 @@ class LifecycleManager {
 
   [[nodiscard]] LifecycleStats Stats() const;
 
+  /// Stats() as the `lifecycle.*` samples in the BENCH metric shape:
+  /// lifecycle.ingest.{pushed,dropped}, lifecycle.drift.detected,
+  /// lifecycle.retrain.{started,completed,failed,deferred,yielded},
+  /// lifecycle.shadow.{accepted,rejected} and lifecycle.swap.applied. No
+  /// registry holds these names (DESIGN.md §10).
+  [[nodiscard]] MetricsSnapshot StatsSnapshot() const;
+
   /// The lifecycle status document (see scripts/check_explain_json.py and
   /// docs/OPERATIONS.md): ingest totals, per-detector windows, retrain /
   /// shadow / swap counters, and the current model epoch.
@@ -231,17 +238,6 @@ class LifecycleManager {
   core::CostEstimator* const estimator_;
   ThreadPool* const pool_;
   const LifecycleOptions opts_;
-  MetricsRegistry* const metrics_;
-
-  Counter* const drift_detected_;
-  Counter* const retrain_started_;
-  Counter* const retrain_completed_;
-  Counter* const retrain_failed_;
-  Counter* const retrain_deferred_;
-  Counter* const retrain_yielded_;
-  Counter* const shadow_accepted_;
-  Counter* const shadow_rejected_;
-  Counter* const swap_applied_;
 
   ExecutionLogQueue queue_;
 

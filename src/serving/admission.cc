@@ -9,59 +9,6 @@ namespace intellisphere::serving {
 
 namespace {
 
-/// Cached serving.admission.* counter pointers (the hybrid.cc
-/// EstimationInstruments pattern): Global() resolves once per process, a
-/// context-supplied registry resolves per call.
-struct AdmissionInstruments {
-  Counter* admitted = nullptr;
-  Counter* degraded = nullptr;
-  Counter* shed_load = nullptr;
-  Counter* shed_deadline = nullptr;
-  Counter* tenant_throttled = nullptr;
-  Counter* background_yield = nullptr;
-
-  AdmissionInstruments() = default;
-  explicit AdmissionInstruments(MetricsRegistry& r)
-      : admitted(r.GetCounter("serving.admission.admitted")),
-        degraded(r.GetCounter("serving.admission.degraded")),
-        shed_load(r.GetCounter("serving.admission.shed_load")),
-        shed_deadline(r.GetCounter("serving.admission.shed_deadline")),
-        tenant_throttled(r.GetCounter("serving.admission.tenant_throttled")),
-        background_yield(r.GetCounter("serving.admission.background_yield")) {}
-};
-
-const AdmissionInstruments& GlobalAdmissionInstruments() {
-  static const AdmissionInstruments* instruments =
-      new AdmissionInstruments(MetricsRegistry::Global());
-  return *instruments;
-}
-
-void RecordDecision(const core::EstimateContext& ctx, size_t batch_size,
-                    const AdmissionDecision& decision) {
-  const AdmissionInstruments local =
-      ctx.metrics != nullptr ? AdmissionInstruments(*ctx.metrics)
-                             : AdmissionInstruments();
-  const AdmissionInstruments& inst =
-      ctx.metrics != nullptr ? local : GlobalAdmissionInstruments();
-  const int64_t n = static_cast<int64_t>(batch_size);
-  switch (decision.outcome) {
-    case AdmissionOutcome::kServe:
-      inst.admitted->Increment(n);
-      break;
-    case AdmissionOutcome::kServeDegraded:
-      inst.degraded->Increment(n);
-      break;
-    case AdmissionOutcome::kShedLoad:
-      inst.shed_load->Increment(n);
-      break;
-    case AdmissionOutcome::kShedDeadline:
-      inst.shed_deadline->Increment(n);
-      break;
-  }
-  if (decision.tenant_throttled) inst.tenant_throttled->Increment(n);
-  if (decision.background_yield) inst.background_yield->Increment(n);
-}
-
 /// The shed statuses. Fixed texts (no interpolated depths) so shed errors
 /// compare equal across runs and replicas.
 Status ShedStatus(AdmissionOutcome outcome) {
@@ -264,7 +211,6 @@ Status AdmissionController::Gate(size_t size, double now,
                                  TraceSpan* span,
                                  core::EstimateContext* served) const {
   const AdmissionDecision decision = Admit(size, now, ctx);
-  RecordDecision(ctx, size, decision);
   *span = ctx.StartSpan("admission");
   if (span->enabled()) {
     span->SetString("tenant", std::string(ctx.tenant))

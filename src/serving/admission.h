@@ -149,8 +149,8 @@ class AdmissionController {
   /// a forward to the wrapped service — context untouched on rung one,
   /// `admission_degraded` set on rung two — or a shed error
   /// (ResourceExhausted / DeadlineExceeded) with the estimator never
-  /// invoked. Emits an `admission` trace span and serving.admission.*
-  /// counters.
+  /// invoked. Emits an `admission` trace span; Admit counts the decision
+  /// in Stats().
   [[nodiscard]] Result<core::HybridEstimate> Estimate(
       const EstimateRequest& request,
       const core::EstimateContext& ctx = {}) const;
@@ -178,7 +178,9 @@ class AdmissionController {
 
   AdmissionStats Stats() const;
 
-  /// serving.admission.* samples in the BENCH metric shape.
+  /// Stats() as serving.admission.* samples in the BENCH metric shape. The
+  /// controller counts each decision once, in Stats(); no registry holds
+  /// serving.admission.* names (DESIGN.md §10).
   MetricsSnapshot StatsSnapshot() const;
 
   /// Admission-state JSON for EXPLAIN tooling; top-level key "admission",
@@ -197,8 +199,8 @@ class AdmissionController {
   double QueueDepthLocked(double now) const REQUIRES(mu_);
 
   /// The step Estimate and EstimateBatch share: one Admit decision for
-  /// `size` requests at `now`, recorded in the serving.admission.*
-  /// counters and an `admission` span opened into `*span`. Returns the
+  /// `size` requests at `now` (counted in Stats() by Admit), recorded in an
+  /// `admission` span opened into `*span`. Returns the
   /// shed status, or OK with `*served` set to the context the admitted
   /// work runs under (nested under the span, admission-degraded on rung
   /// two).

@@ -368,17 +368,10 @@ void EstimateCache::Reference(Set& set, int way) {
   }
 }
 
-void EstimateCache::Count(std::atomic<int64_t>& stat, Counter* counter) {
-  // lint:relaxed-ok(stat counter; Stats reads are point-in-time by contract)
-  stat.fetch_add(1, std::memory_order_relaxed);
-  if (counter != nullptr) counter->Increment();
-}
-
-void EstimateCache::CountGet(bool hit, bool lockless,
-                             const CacheCounters& counters) {
-  Count(lockless ? (hit ? lockless_hits_ : lockless_misses_)
-                 : (hit ? locked_hits_ : locked_misses_),
-        hit ? counters.hits : counters.misses);
+void EstimateCache::CountGet(bool hit, bool lockless) {
+  (lockless ? (hit ? lockless_hits_ : lockless_misses_)
+            : (hit ? locked_hits_ : locked_misses_))
+      .Increment();
 }
 
 void EstimateCache::PrefetchFill(const Set& set) const {
@@ -419,8 +412,7 @@ void EstimateCache::PrefetchMatches(uint64_t hash) const {
 }
 
 bool EstimateCache::Get(const HashedKey& key_ref, uint64_t epoch, double now,
-                        core::HybridEstimate* out,
-                        const CacheCounters& counters, bool allow_stale,
+                        core::HybridEstimate* out, bool allow_stale,
                         bool* served_stale) {
   if (served_stale != nullptr) *served_stale = false;
   const std::string_view key = key_ref.bytes;
@@ -445,14 +437,14 @@ bool EstimateCache::Get(const HashedKey& key_ref, uint64_t epoch, double now,
   if (probe == Probe::kAbsent) {
     // A miss is usually filled next: start the RFO on its likely way now.
     if (set != nullptr) PrefetchFill(*set);
-    CountGet(false, true, counters);
+    CountGet(false, true);
     return false;
   }
   if (probe == Probe::kInline && packed.epoch == epoch &&
       !Expired(packed, now)) {
     Reference(*set, way);
     Unpack(packed, out);
-    CountGet(true, true, counters);
+    CountGet(true, true);
     return true;
   }
 
@@ -489,19 +481,18 @@ bool EstimateCache::Get(const HashedKey& key_ref, uint64_t epoch, double now,
       }
     }
   }
-  CountGet(found, false, counters);
+  CountGet(found, false);
   if (served_expired) {
-    Count(stale_served_, counters.stale_served);
+    stale_served_.Increment();
     if (served_stale != nullptr) *served_stale = true;
   }
-  if (stale) Count(stale_epoch_, counters.stale_epoch);
-  if (expired) Count(evictions_, counters.evictions);
+  if (stale) stale_epoch_.Increment();
+  if (expired) evictions_.Increment();
   return found;
 }
 
 void EstimateCache::Put(const HashedKey& key_ref, uint64_t epoch, double now,
-                        const core::HybridEstimate& value,
-                        const CacheCounters& counters) {
+                        const core::HybridEstimate& value) {
   if (options_.capacity == 0) return;
   const std::string_view key = key_ref.bytes;
   const uint64_t hash = key_ref.hash;
@@ -538,7 +529,7 @@ void EstimateCache::Put(const HashedKey& key_ref, uint64_t epoch, double now,
     WriteWay(set->ways[way], &packed);
     set->tags[way].store(r.tag, std::memory_order_release);
   }
-  if (evicted) Count(evictions_, counters.evictions);
+  if (evicted) evictions_.Increment();
 }
 
 void EstimateCache::Clear() {
@@ -569,21 +560,17 @@ size_t EstimateCache::size() const {
 }
 
 CacheStats EstimateCache::Stats() const {
-  const auto read = [](const std::atomic<int64_t>& counter) {
-    // lint:relaxed-ok(stat reads; Stats is documented as a point-in-time view)
-    return counter.load(std::memory_order_relaxed);
-  };
   CacheStats stats;
-  stats.lockless_hits = read(lockless_hits_);
-  stats.lockless_misses = read(lockless_misses_);
-  const int64_t locked_hits = read(locked_hits_);
-  const int64_t locked_misses = read(locked_misses_);
+  stats.lockless_hits = lockless_hits_.value();
+  stats.lockless_misses = lockless_misses_.value();
+  const int64_t locked_hits = locked_hits_.value();
+  const int64_t locked_misses = locked_misses_.value();
   stats.hits = stats.lockless_hits + locked_hits;
   stats.misses = stats.lockless_misses + locked_misses;
   stats.locked_gets = locked_hits + locked_misses;
-  stats.evictions = read(evictions_);
-  stats.stale_epoch = read(stale_epoch_);
-  stats.stale_served = read(stale_served_);
+  stats.evictions = evictions_.value();
+  stats.stale_epoch = stale_epoch_.value();
+  stats.stale_served = stale_served_.value();
   stats.entries = static_cast<int64_t>(size());
   return stats;
 }

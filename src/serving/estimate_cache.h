@@ -97,17 +97,6 @@ struct CacheStats {
   }
 };
 
-/// Registry counters the cache bumps alongside its internal stats, so
-/// serving.cache.{hits,misses,evictions,stale_epoch} show up in snapshots
-/// next to the estimate.* counters. Null members are skipped.
-struct CacheCounters {
-  Counter* hits = nullptr;
-  Counter* misses = nullptr;
-  Counter* evictions = nullptr;
-  Counter* stale_epoch = nullptr;
-  Counter* stale_served = nullptr;
-};
-
 /// Builds the canonical cache key for one estimate call. The key covers
 /// everything that can change the returned HybridEstimate:
 ///   - system name and operator type,
@@ -182,26 +171,24 @@ class EstimateCache {
   /// copies the way's snapshot once and writes the answer straight into
   /// it) and returns true; a miss returns false and leaves `*out` alone.
   bool Get(const HashedKey& key, uint64_t epoch, double now,
-           core::HybridEstimate* out, const CacheCounters& counters = {},
-           bool allow_stale = false, bool* served_stale = nullptr);
+           core::HybridEstimate* out, bool allow_stale = false,
+           bool* served_stale = nullptr);
   /// The same lookup, answering in an optional.
   std::optional<core::HybridEstimate> Get(const HashedKey& key,
                                           uint64_t epoch, double now,
-                                          const CacheCounters& counters = {},
                                           bool allow_stale = false,
                                           bool* served_stale = nullptr) {
     std::optional<core::HybridEstimate> found(std::in_place);
-    if (!Get(key, epoch, now, &*found, counters, allow_stale, served_stale)) {
+    if (!Get(key, epoch, now, &*found, allow_stale, served_stale)) {
       found.reset();
     }
     return found;
   }
   std::optional<core::HybridEstimate> Get(const std::string& key,
                                           uint64_t epoch, double now,
-                                          const CacheCounters& counters = {},
                                           bool allow_stale = false,
                                           bool* served_stale = nullptr) {
-    return Get(KeyOf(key), epoch, now, counters, allow_stale, served_stale);
+    return Get(KeyOf(key), epoch, now, allow_stale, served_stale);
   }
 
   /// Inserts (or refreshes) `key` with a value computed at model `epoch`
@@ -209,12 +196,10 @@ class EstimateCache {
   /// evicts the set's CLOCK victim, chosen under the shard mutex whatever
   /// an earlier Get prefetched. No-op when capacity is 0.
   void Put(const HashedKey& key, uint64_t epoch, double now,
-           const core::HybridEstimate& value,
-           const CacheCounters& counters = {});
+           const core::HybridEstimate& value);
   void Put(const std::string& key, uint64_t epoch, double now,
-           const core::HybridEstimate& value,
-           const CacheCounters& counters = {}) {
-    Put(KeyOf(key), epoch, now, value, counters);
+           const core::HybridEstimate& value) {
+    Put(KeyOf(key), epoch, now, value);
   }
 
   /// Drops every entry (stats counters are kept).
@@ -348,25 +333,24 @@ class EstimateCache {
   static void Retire(Shard& shard, Set& set, size_t si, int way)
       REQUIRES(shard.mu);
   static void Reference(Set& set, int way);
-  /// Bumps one internal statistic and its registry counter (when non-null).
-  static void Count(std::atomic<int64_t>& stat, Counter* counter);
   /// Counts one Get in exactly one of the four outcome counters below.
-  void CountGet(bool hit, bool lockless, const CacheCounters& counters);
+  void CountGet(bool hit, bool lockless);
 
   CacheOptions options_;
   int ways_ = 1;  ///< ways per set: min(16, per-shard capacity)
   /// unique_ptrs because Shard (mutex) is immovable.
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Get outcomes, one read-modify-write per Get; Stats derives hits,
-  /// misses and locked_gets as sums.
-  std::atomic<int64_t> lockless_hits_{0};
-  std::atomic<int64_t> lockless_misses_{0};
-  std::atomic<int64_t> locked_hits_{0};
-  std::atomic<int64_t> locked_misses_{0};
-  std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> stale_epoch_{0};
-  std::atomic<int64_t> stale_served_{0};
+  /// Get outcomes, one increment per Get into the calling thread's cell;
+  /// Stats derives hits, misses and locked_gets as sums. These are the
+  /// cache's only counts (DESIGN.md §10).
+  Counter lockless_hits_;
+  Counter lockless_misses_;
+  Counter locked_hits_;
+  Counter locked_misses_;
+  Counter evictions_;
+  Counter stale_epoch_;
+  Counter stale_served_;
 };
 
 }  // namespace intellisphere::serving

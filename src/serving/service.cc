@@ -14,42 +14,6 @@ namespace intellisphere::serving {
 
 namespace {
 
-/// Cached serving.cache.* counter pointers, mirroring hybrid.cc's
-/// EstimationInstruments pattern: the Global() set resolves once per
-/// process; a context-supplied registry (tests) resolves per call.
-struct ServingInstruments {
-  Counter* hits = nullptr;
-  Counter* misses = nullptr;
-  Counter* evictions = nullptr;
-  Counter* stale_epoch = nullptr;
-  Counter* stale_served = nullptr;
-
-  ServingInstruments() = default;
-  explicit ServingInstruments(MetricsRegistry& r)
-      : hits(r.GetCounter("serving.cache.hits")),
-        misses(r.GetCounter("serving.cache.misses")),
-        evictions(r.GetCounter("serving.cache.evictions")),
-        stale_epoch(r.GetCounter("serving.cache.stale_epoch")),
-        stale_served(r.GetCounter("serving.cache.stale_served")) {}
-
-  CacheCounters AsCacheCounters() const {
-    return CacheCounters{hits, misses, evictions, stale_epoch, stale_served};
-  }
-};
-
-const ServingInstruments& GlobalServingInstruments() {
-  static const ServingInstruments* instruments =
-      new ServingInstruments(MetricsRegistry::Global());
-  return *instruments;
-}
-
-CacheCounters CountersFor(const core::EstimateContext& ctx) {
-  if (ctx.metrics != nullptr) {
-    return ServingInstruments(*ctx.metrics).AsCacheCounters();
-  }
-  return GlobalServingInstruments().AsCacheCounters();
-}
-
 /// The deadline gate's answer (DESIGN.md §17): a request whose deadline
 /// already passed on the deployment clock is rejected before the cache is
 /// touched — no probe, no fill — so expired work can neither publish into
@@ -141,7 +105,6 @@ core::EstimateContext EstimationService::RequestContext(
 Result<core::HybridEstimate> EstimationService::Estimate(
     const EstimateRequest& request, const core::EstimateContext& ctx) const {
   if (ctx.DeadlineExpiredAt(request.now)) return DeadlineExpired();
-  const CacheCounters counters = CountersFor(ctx);
   // The epoch is captured *before* the cache probe and the computation, so
   // a retrain racing this call can only make the stored entry stale, never
   // let a pre-retrain value masquerade as fresh.
@@ -159,8 +122,8 @@ Result<core::HybridEstimate> EstimationService::Estimate(
   const bool allow_stale = breaker_open || ctx.admission_degraded;
   if (!key.empty()) {
     bool served_stale = false;
-    if (auto hit = cache_.Get(key, epoch, request.now, counters,
-                              allow_stale, &served_stale)) {
+    if (auto hit =
+            cache_.Get(key, epoch, request.now, allow_stale, &served_stale)) {
       if (served_stale) hit->fell_back_reason = ServedStaleReason(breaker_open);
       return *std::move(hit);
     }
@@ -169,7 +132,7 @@ Result<core::HybridEstimate> EstimationService::Estimate(
       estimator_->Estimate(request.system, request.op,
                            RequestContext(request, ctx));
   if (!key.empty() && Cacheable(result, ctx)) {
-    cache_.Put(key, epoch, request.now, result.value(), counters);
+    cache_.Put(key, epoch, request.now, result.value());
   }
   return result;
 }
@@ -177,7 +140,6 @@ Result<core::HybridEstimate> EstimationService::Estimate(
 std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
     std::span<const EstimateRequest> requests,
     const core::EstimateContext& ctx) const {
-  const CacheCounters counters = CountersFor(ctx);
   TraceSpan batch = ctx.StartSpan("serving.batch");
   const core::EstimateContext bctx = ctx.Under(batch);
   const uint64_t epoch = estimator_->model_epoch();
@@ -327,7 +289,7 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
       core::HybridEstimate& slot = results[group.first_index].value();
       bool served_stale = false;
       if (cache_.Get(key_of(group), epoch, requests[group.first_index].now,
-                     &slot, counters,
+                     &slot,
                      /*allow_stale=*/group.breaker_open ||
                          ctx.admission_degraded,
                      &served_stale)) {
@@ -386,7 +348,7 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
       const Result<core::HybridEstimate>& answer = results[group.first_index];
       if (group.key_size != 0 && Cacheable(answer, ctx)) {
         cache_.Put(key_of(group), epoch, requests[group.first_index].now,
-                   answer.value(), counters);
+                   answer.value());
       }
     }
   }

@@ -82,7 +82,7 @@ class EstimationService {
 
   /// Single-request path: cache lookup, then compute-and-fill on a miss.
   /// Cache hits return without invoking the estimator, so they emit no
-  /// estimate.* spans or counters — serving.cache.hits is the signal.
+  /// estimate.* spans or counters — cache_stats().hits is the signal.
   /// A context whose deadline already passed at request.now is rejected
   /// with DeadlineExceeded before the cache is touched; an
   /// admission-degraded context may be answered from a stale entry
@@ -118,6 +118,8 @@ class EstimationService {
 
   /// Cache statistics in the BENCH_<name>.json metric shape
   /// (serving.cache.* samples), ready for AppendMetricsSnapshot-style use.
+  /// The cache counts each event once, in its own Counters; no registry
+  /// holds serving.cache.* names (DESIGN.md §10).
   MetricsSnapshot StatsSnapshot() const;
 
   /// Serving-state JSON for EXPLAIN tooling: cache configuration, live

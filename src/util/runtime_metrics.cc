@@ -6,6 +6,12 @@
 
 namespace intellisphere {
 
+size_t Counter::AssignCell() {
+  static std::atomic<size_t> next{0};
+  // lint:relaxed-ok(slot ticket: only the spread of the values matters)
+  return next.fetch_add(1, std::memory_order_relaxed) % kCells;
+}
+
 Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)),
       buckets_(upper_bounds_.size() + 1, 0) {}

@@ -8,16 +8,19 @@
 // about what the estimator does at serving time (how often the remedy
 // fired, which costing approach was selected, end-to-end estimate latency).
 //
-// Concurrency: Counter::Increment is a relaxed atomic add — safe from any
-// thread, suitable for hot paths. Histogram::Observe takes a mutex (it is
-// only reached when the caller opted into timing). Registry lookups lock;
-// callers on hot paths should look up once and cache the returned pointer,
-// which stays valid for the registry's lifetime.
+// Concurrency: Counter::Increment is a relaxed atomic add into the calling
+// thread's own cache line — safe from any thread, and concurrent
+// increments on different cores never contend. Histogram::Observe takes a
+// mutex (it is only reached when the caller opted into timing). Registry
+// lookups lock; callers on hot paths should look up once and cache the
+// returned pointer, which stays valid for the registry's lifetime.
 
 #ifndef INTELLISPHERE_UTIL_RUNTIME_METRICS_H_
 #define INTELLISPHERE_UTIL_RUNTIME_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,24 +30,48 @@
 
 namespace intellisphere {
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter, striped across kCells
+/// cache-line-padded cells. Each thread adds into the cell of the slot it
+/// was assigned on its first increment (round-robin), so threads on
+/// different cores do not share a line; value() sums the cells. More
+/// threads than cells share cells, which stays exact and only contends.
 class Counter {
  public:
+  static constexpr size_t kCells = 16;
+
   void Increment(int64_t delta = 1) {
     // lint:relaxed-ok(independent monotonic stat; no other data published)
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[ThreadCell()].value.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const {
-    // lint:relaxed-ok(point-in-time stat read; snapshots synchronize via future-get)
-    return value_.load(std::memory_order_relaxed);
+    int64_t sum = 0;
+    for (const Cell& cell : cells_) {
+      // lint:relaxed-ok(point-in-time stat read; snapshots synchronize via future-get)
+      sum += cell.value.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
   void Reset() {
-    // lint:relaxed-ok(test-only reset; racing increments may land on either side)
-    value_.store(0, std::memory_order_relaxed);
+    for (Cell& cell : cells_) {
+      // lint:relaxed-ok(test-only reset; racing increments may land on either side)
+      cell.value.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
-  std::atomic<int64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<int64_t> value{0};
+  };
+  static size_t ThreadCell() {
+    if (thread_cell_ == 0) [[unlikely]] thread_cell_ = AssignCell() + 1;
+    return thread_cell_ - 1;
+  }
+  /// The next slot in round-robin order, in [0, kCells).
+  static size_t AssignCell();
+
+  /// The calling thread's cell index plus one; 0 until its first increment.
+  static inline thread_local size_t thread_cell_ = 0;
+  std::array<Cell, kCells> cells_;
 };
 
 /// A fixed-bucket histogram. Bucket i counts observations <=

@@ -471,7 +471,6 @@ TEST_F(AdmissionServiceTest, LifecycleEstimatesRunAtBackgroundPriority) {
 }
 
 TEST_F(AdmissionServiceTest, TickYieldsRetrainsUnderQueuePressure) {
-  MetricsRegistry metrics;
   serving::ServiceOptions sopts;
   sopts.jobs = 1;
   serving::EstimationService service(&estimator_, sopts);
@@ -488,7 +487,6 @@ TEST_F(AdmissionServiceTest, TickYieldsRetrainsUnderQueuePressure) {
   lopts.drift.min_samples = 8;
   lopts.drift.threshold = 0.2;
   lopts.retrain_window = 32;
-  lopts.metrics = &metrics;
   lopts.admission = &admission;
   lifecycle::LifecycleManager manager(&estimator_, &pool, lopts);
 
@@ -511,7 +509,8 @@ TEST_F(AdmissionServiceTest, TickYieldsRetrainsUnderQueuePressure) {
   EXPECT_EQ(stats.drift_detected, 1);
   EXPECT_EQ(stats.retrains_yielded, 1);
   EXPECT_EQ(stats.retrains_started, 0);
-  EXPECT_EQ(metrics.GetCounter("lifecycle.retrain.yielded")->value(), 1);
+  EXPECT_DOUBLE_EQ(
+      manager.StatsSnapshot().Find("lifecycle.retrain.yielded")->value, 1.0);
   EXPECT_NE(manager.ExplainJson().find("\"yielded\": 1"), std::string::npos);
 
   // Once the queue drains on the deployment clock, the yielded retrain
@@ -529,7 +528,6 @@ TEST_F(AdmissionServiceTest, MultiTenantOverloadRetrainHammer) {
   // clean ResourceExhausted / DeadlineExceeded, and nothing else ever
   // escapes. Run under tsan by scripts/check.sh; the tool is the oracle
   // for the locking, the assertions pin the ladder's behavioral contract.
-  MetricsRegistry metrics;
   ThreadPool lifecycle_pool(2);
   serving::ServiceOptions sopts;
   sopts.jobs = 1;
@@ -550,7 +548,6 @@ TEST_F(AdmissionServiceTest, MultiTenantOverloadRetrainHammer) {
   lopts.drift.min_samples = 8;
   lopts.drift.threshold = 0.2;
   lopts.retrain_window = 32;
-  lopts.metrics = &metrics;
   lopts.admission = &admission;
   lifecycle::LifecycleManager manager(&estimator_, &lifecycle_pool, lopts);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,6 +18,9 @@
 #include "relational/workload.h"
 #include "remote/hive_engine.h"
 #include "remote/spark_engine.h"
+#include "serving/admission.h"
+#include "serving/service.h"
+#include "util/trace.h"
 
 namespace intellisphere::fed {
 namespace {
@@ -409,6 +413,98 @@ TEST_F(IntelliSphereTest, ClockOnlyPlannerContextsRecordGlobalCounters) {
   }
   // The search bumps the counter by exactly each plan's own tally.
   EXPECT_EQ(costed->value() - before, expected);
+}
+
+TEST_F(IntelliSphereTest, CountsReconcileAcrossAdmissionServingAndCache) {
+  // Planning under a tight admission ladder: every layer counts each
+  // request once, so the controller's tallies, its spans, the serving
+  // batches' spans and the cache's stats must add up.
+  serving::ServiceOptions sopts;
+  sopts.jobs = 1;
+  serving::EstimationService service(&sphere_.cost_estimator(), sopts);
+  serving::AdmissionOptions aopts;
+  aopts.max_queue = 8;
+  aopts.degrade_fraction = 0.5;
+  aopts.service_seconds = 1.0;
+  serving::AdmissionController admission(&service, aopts);
+  ASSERT_TRUE(sphere_.AttachEstimationService(&service).ok());
+  ASSERT_TRUE(sphere_.AttachAdmissionController(&admission).ok());
+
+  // A second Hive table, so a level's remote batch carries several
+  // requests and a per-batch count would differ from a per-request one.
+  auto mid = rel::SyntheticTableDef(4000000, 100).value();
+  mid.location = "hive";
+  ASSERT_TRUE(sphere_.RegisterTable(mid).ok());
+
+  const serving::AdmissionStats admission_before = admission.Stats();
+  const serving::CacheStats cache_before = service.cache_stats();
+  CollectingTraceSink sink;
+  QuerySpec agg_join = JoinSpec("T8000000_250", "T4000000_100", 0.5);
+  agg_join.aggregate = QuerySpec::Aggregate{0, "a100", 1};
+  QuerySpec chain = JoinSpec("T8000000_250", "T4000000_100", 1.0);
+  chain.relations.push_back({"T100000_100", 1.0, 32});
+  chain.joins.push_back({1, 2, "a1", 1.0});
+  const std::vector<QuerySpec> specs = {
+      JoinSpec("T8000000_250", "T4000000_100", 1.0), chain,
+      AggSpec("T8000000_250", "a100", 1), agg_join,
+      JoinSpec("T8000000_250", "T100000_100", 0.25)};
+  int planned = 0;
+  int failed = 0;
+  for (int i = 0; i < 24; ++i) {
+    core::EstimateContext ctx;
+    ctx.now = 0.5 * i;
+    ctx.trace = &sink;
+    if (sphere_.PlanQuery(specs[i % specs.size()], ctx).ok()) {
+      ++planned;
+    } else {
+      ++failed;
+    }
+  }
+  EXPECT_GT(planned, 0);
+  EXPECT_GT(failed, 0);  // shed batches fail their plan
+
+  std::map<std::string, int64_t> decided;  // request count per outcome
+  int64_t largest_decision = 0;
+  int64_t batched = 0;
+  int64_t span_hits = 0;
+  int64_t span_misses = 0;
+  for (const TraceSpanRecord& span : sink.spans()) {
+    if (span.name == "admission") {
+      const int64_t size = span.FindAttribute("size")->int_value;
+      decided[span.FindAttribute("outcome")->string_value] += size;
+      largest_decision = std::max(largest_decision, size);
+    } else if (span.name == "serving.batch") {
+      batched += span.FindAttribute("size")->int_value;
+      span_hits += span.FindAttribute("hits")->int_value;
+      span_misses += span.FindAttribute("misses")->int_value;
+      // Planner batches cost each distinct operator once.
+      EXPECT_EQ(span.FindAttribute("deduped")->int_value, 0);
+    }
+  }
+  const serving::AdmissionStats admission_after = admission.Stats();
+  const int64_t admitted = admission_after.admitted - admission_before.admitted;
+  const int64_t degraded = admission_after.degraded - admission_before.degraded;
+  const int64_t shed = admission_after.shed_load - admission_before.shed_load;
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(degraded, 0);
+  EXPECT_GT(shed, 0);
+  EXPECT_GT(largest_decision, 1);
+  EXPECT_EQ(decided["serve"], admitted);
+  EXPECT_EQ(decided["serve_degraded"], degraded);
+  EXPECT_EQ(decided["shed_load"], shed);
+  EXPECT_EQ(decided["shed_deadline"],
+            admission_after.shed_deadline - admission_before.shed_deadline);
+  EXPECT_EQ(batched, admitted + degraded);
+
+  const serving::CacheStats cache_after = service.cache_stats();
+  EXPECT_EQ(cache_after.hits - cache_before.hits, span_hits);
+  EXPECT_EQ(cache_after.misses - cache_before.misses, span_misses);
+  EXPECT_GT(span_hits, 0);
+  EXPECT_GT(span_misses, 0);
+
+  // The service and the controller must not outlive their attachment.
+  ASSERT_TRUE(sphere_.AttachAdmissionController(nullptr).ok());
+  ASSERT_TRUE(sphere_.AttachEstimationService(nullptr).ok());
 }
 
 }  // namespace

@@ -132,8 +132,7 @@ TEST(LifecycleOptionsTest, FromPropertiesCoversEveryKey) {
 // --- Ingest queue ----------------------------------------------------------
 
 TEST(IngestQueueTest, DropOldestAtCapacity) {
-  MetricsRegistry metrics;
-  lifecycle::ExecutionLogQueue queue(3, &metrics);
+  lifecycle::ExecutionLogQueue queue(3);
   for (int i = 0; i < 5; ++i) {
     lifecycle::ExecutionRecord rec;
     rec.system = "hive";
@@ -145,7 +144,6 @@ TEST(IngestQueueTest, DropOldestAtCapacity) {
   EXPECT_EQ(stats.dropped, 2);
   EXPECT_EQ(stats.size, 3);
   EXPECT_EQ(stats.capacity, 3);
-  EXPECT_EQ(metrics.GetCounter("lifecycle.ingest.dropped")->value(), 2);
 
   // The two OLDEST records were dropped; arrival order is preserved.
   auto drained = queue.Drain();
@@ -157,8 +155,7 @@ TEST(IngestQueueTest, DropOldestAtCapacity) {
 }
 
 TEST(IngestQueueTest, ConcurrentPushersLoseNothingButTheOldest) {
-  MetricsRegistry metrics;
-  lifecycle::ExecutionLogQueue queue(64, &metrics);
+  lifecycle::ExecutionLogQueue queue(64);
   constexpr int kTasks = 4;
   constexpr int kPer = 50;
   ThreadPool pool(kTasks);
@@ -313,13 +310,12 @@ class LifecycleManagerTest : public ::testing::Test {
                     est.value().seconds * distortion, now);
   }
 
-  lifecycle::LifecycleOptions FastDriftOptions(MetricsRegistry* metrics) {
+  lifecycle::LifecycleOptions FastDriftOptions() {
     lifecycle::LifecycleOptions opts;
     opts.drift.window = 8;
     opts.drift.min_samples = 8;
     opts.drift.threshold = 0.2;
     opts.retrain_window = 32;
-    opts.metrics = metrics;
     return opts;
   }
 
@@ -328,10 +324,9 @@ class LifecycleManagerTest : public ::testing::Test {
 };
 
 TEST_F(LifecycleManagerTest, DriftTriggersBackgroundRetrainAndSwap) {
-  MetricsRegistry metrics;
   ThreadPool pool(2);
   lifecycle::LifecycleManager manager(&estimator_, &pool,
-                                      FastDriftOptions(&metrics));
+                                      FastDriftOptions());
   const uint64_t epoch_before = manager.model_epoch();
 
   // A workload shift: actuals land at 3x the estimate, every time.
@@ -359,7 +354,8 @@ TEST_F(LifecycleManagerTest, DriftTriggersBackgroundRetrainAndSwap) {
   EXPECT_EQ(stats.shadow_accepted, 1);
   EXPECT_EQ(stats.swaps_applied, 1);
   EXPECT_GT(manager.model_epoch(), epoch_before);
-  EXPECT_EQ(metrics.GetCounter("lifecycle.swap.applied")->value(), 1);
+  EXPECT_DOUBLE_EQ(
+      manager.StatsSnapshot().Find("lifecycle.swap.applied")->value, 1.0);
 
   // Serving still works against the swapped-in model.
   auto post = manager.Estimate("hive", SampleAgg(500000));
@@ -368,9 +364,8 @@ TEST_F(LifecycleManagerTest, DriftTriggersBackgroundRetrainAndSwap) {
 }
 
 TEST_F(LifecycleManagerTest, ShadowRejectLeavesModelAndEpochUntouched) {
-  MetricsRegistry metrics;
   ThreadPool pool(2);
-  auto opts = FastDriftOptions(&metrics);
+  auto opts = FastDriftOptions();
   opts.drift.threshold = 1e9;  // never drift on its own
   opts.shadow_min_improvement = 1.0;  // nothing can clear this bar
   lifecycle::LifecycleManager manager(&estimator_, &pool, opts);
@@ -408,9 +403,8 @@ TEST_F(LifecycleManagerTest, ShadowRejectLeavesModelAndEpochUntouched) {
 }
 
 TEST_F(LifecycleManagerTest, NoDriftRunLeavesModelsByteIdentical) {
-  MetricsRegistry metrics;
   ThreadPool pool(2);
-  auto opts = FastDriftOptions(&metrics);
+  auto opts = FastDriftOptions();
   lifecycle::LifecycleManager manager(&estimator_, &pool, opts);
 
   Properties before;
@@ -436,7 +430,6 @@ TEST_F(LifecycleManagerTest, NoDriftRunLeavesModelsByteIdentical) {
 }
 
 TEST_F(LifecycleManagerTest, OpenBreakerDefersRetrain) {
-  MetricsRegistry metrics;
   remote::HealthRegistry health;
   // Trip hive's breaker open at t=0 (default threshold: 5 failures).
   for (int i = 0; i < 5; ++i) {
@@ -445,7 +438,7 @@ TEST_F(LifecycleManagerTest, OpenBreakerDefersRetrain) {
   ASSERT_TRUE(health.IsOpen("hive", 1.0));
 
   ThreadPool pool(2);
-  auto opts = FastDriftOptions(&metrics);
+  auto opts = FastDriftOptions();
   opts.health = &health;
   lifecycle::LifecycleManager manager(&estimator_, &pool, opts);
 
@@ -468,10 +461,9 @@ TEST_F(LifecycleManagerTest, OpenBreakerDefersRetrain) {
 }
 
 TEST_F(LifecycleManagerTest, RecordsForUnmanagedSystemsAreIgnored) {
-  MetricsRegistry metrics;
   ThreadPool pool(1);
   lifecycle::LifecycleManager manager(&estimator_, &pool,
-                                      FastDriftOptions(&metrics));
+                                      FastDriftOptions());
   manager.Record("no-such-system", SampleAgg(), 1.0, 100.0, 0.0);
   ASSERT_TRUE(manager.Tick(1.0).ok());
   auto stats = manager.Stats();
@@ -484,10 +476,9 @@ TEST_F(LifecycleManagerTest, RecordsForUnmanagedSystemsAreIgnored) {
 }
 
 TEST_F(LifecycleManagerTest, ExplainJsonReportsTheLoopState) {
-  MetricsRegistry metrics;
   ThreadPool pool(1);
   lifecycle::LifecycleManager manager(&estimator_, &pool,
-                                      FastDriftOptions(&metrics));
+                                      FastDriftOptions());
   double now = 0.0;
   for (int i = 0; i < 4; ++i) {
     ServeAndRecord(&manager, 100000 + i * 100000, 1.0, now);
@@ -507,13 +498,12 @@ TEST_F(LifecycleManagerTest, ExplainJsonReportsTheLoopState) {
 // --- Epoch fencing: no pre-retrain value survives the swap -----------------
 
 TEST_F(LifecycleManagerTest, SwapFencesEveryCachedPreRetrainValue) {
-  MetricsRegistry metrics;
   ThreadPool pool(2);
   serving::ServiceOptions sopts;
   sopts.jobs = 1;
   serving::EstimationService service(&estimator_, sopts);
   lifecycle::LifecycleManager manager(&estimator_, &pool,
-                                      FastDriftOptions(&metrics));
+                                      FastDriftOptions());
 
   serving::EstimateRequest req;
   req.system = "hive";
@@ -561,14 +551,13 @@ TEST_F(LifecycleManagerTest, ConcurrentServeDuringRetrainHammer) {
   // background retrain -> swap. Run under tsan by scripts/check.sh;
   // assertions here are sanity plus the zero-downtime claim (every single
   // estimate during the whole run must succeed), the tool is the oracle.
-  MetricsRegistry metrics;
   ThreadPool lifecycle_pool(2);
   serving::ServiceOptions sopts;
   sopts.jobs = 1;
   sopts.cache.shards = 4;
   sopts.cache.capacity = 64;
   serving::EstimationService service(&estimator_, sopts);
-  auto opts = FastDriftOptions(&metrics);
+  auto opts = FastDriftOptions();
   lifecycle::LifecycleManager manager(&estimator_, &lifecycle_pool, opts);
 
   constexpr int kReaders = 5;

@@ -5,14 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/hybrid.h"
 #include "core/trainer.h"
+#include "lifecycle/manager.h"
 #include "relational/workload.h"
 #include "remote/hive_engine.h"
+#include "serving/admission.h"
+#include "serving/service.h"
 #include "util/runtime_metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -125,6 +130,54 @@ TEST(CounterTest, IncrementAndReset) {
   EXPECT_EQ(c.value(), 42);
   c.Reset();
   EXPECT_EQ(c.value(), 0);
+}
+
+// Runs `body(t)` once on each of `threads` pool workers, all of them at
+// once: every task waits until all have started, so no worker runs two.
+template <typename Body>
+void OnDistinctThreads(int threads, Body body) {
+  ThreadPool pool(threads);
+  std::atomic<int> arrived{0};
+  std::vector<Status> statuses =
+      RunIndexed(&pool, static_cast<size_t>(threads), [&](size_t t) -> Status {
+        arrived.fetch_add(1);
+        while (arrived.load() < threads) std::this_thread::yield();
+        body(t);
+        return Status::OK();
+      });
+  for (const Status& s : statuses) ASSERT_TRUE(s.ok());
+}
+
+TEST(CounterTest, MoreThreadsThanCellsCountExactlyAndResetEveryCell) {
+  // More threads than cells: some cells are shared, every cell is used
+  // (threads take slots round-robin), and the sum is still exact.
+  constexpr int kThreads = 20;
+  static_assert(kThreads > static_cast<int>(Counter::kCells));
+  Counter counter;
+  MetricsRegistry registry;
+  Counter* registered = registry.GetCounter("striped");
+  const auto add_known_total = [&](size_t t) {
+    for (int i = 0; i <= static_cast<int>(t); ++i) {
+      counter.Increment(1000);
+      registered->Increment();
+    }
+  };
+  OnDistinctThreads(kThreads, add_known_total);
+  // Thread t added (t + 1) * 1000 and t + 1.
+  EXPECT_EQ(counter.value(), 1000 * kThreads * (kThreads + 1) / 2);
+  EXPECT_EQ(registered->value(), kThreads * (kThreads + 1) / 2);
+
+  // Every cell holds a positive count, so a zero sum means each was reset.
+  counter.Reset();
+  EXPECT_EQ(counter.value(), 0);
+  registry.ResetAll();
+  EXPECT_EQ(registered->value(), 0);
+  EXPECT_DOUBLE_EQ(registry.Snapshot().Find("striped")->value, 0.0);
+
+  // Counting resumes exactly from zero on the same cells.
+  OnDistinctThreads(kThreads, add_known_total);
+  EXPECT_EQ(counter.value(), 1000 * kThreads * (kThreads + 1) / 2);
+  EXPECT_EQ(registered->value(), kThreads * (kThreads + 1) / 2);
 }
 
 TEST(HistogramTest, BucketsCountAndMean) {
@@ -374,9 +427,9 @@ TEST_F(EstimateObservabilityTest, ProvenanceDetailFillsEliminations) {
 // --- Clock-only contexts keep recording ambient metrics --------------------
 //
 // EstimateContext::AtTime(now) — the migration target for the removed
-// `double now` overloads — leaves `metrics` null, which Registry() resolves
-// to MetricsRegistry::Global(): clock-only callers keep feeding the
-// process-wide estimate.approach.* / plan.* counters. These regression
+// `double now` overloads — leaves `metrics` null, which the estimator and
+// the planner resolve to MetricsRegistry::Global(): clock-only callers keep
+// feeding the process-wide estimate.approach.* / plan.* counters. These regression
 // tests pin that guarantee (and the audited non-behavior: AtTime must NOT
 // flip timing() on, which would add clock reads to every clock-only call).
 
@@ -421,6 +474,70 @@ TEST_F(EstimateObservabilityTest,
       profile_->Estimate(SampleJoin(), core::EstimateContext::AtTime(0.0))
           .ok());
   EXPECT_EQ(latency->count(), observations_before);
+}
+
+// --- One count per fact ----------------------------------------------------
+//
+// The serving cache, the admission controller and the lifecycle manager
+// each count their own events once, in their own stats; the registry holds
+// only facts that belong to no instance (estimate.*, plan.*, remote.*).
+
+TEST_F(EstimateObservabilityTest, InstanceCountsNeverReachTheGlobalRegistry) {
+  core::CostEstimator estimator;
+  ASSERT_TRUE(estimator
+                  .RegisterSystem("hive", core::CostingProfile::SubOpOnly(
+                                              MakeSubOpEstimator(hive_.get())))
+                  .ok());
+  serving::ServiceOptions sopts;
+  sopts.jobs = 1;
+  serving::EstimationService service(&estimator, sopts);
+  serving::AdmissionOptions aopts;
+  aopts.max_queue = 2;
+  aopts.service_seconds = 1.0;
+  serving::AdmissionController admission(&service, aopts);
+  ThreadPool pool(1);
+  lifecycle::LifecycleManager manager(&estimator, &pool,
+                                      lifecycle::LifecycleOptions{});
+
+  serving::EstimateRequest request;
+  request.system = "hive";
+  request.op = SampleJoin();
+  // A miss, a hit and a batch through the service; served, degraded and
+  // shed decisions through admission; records and a tick through the
+  // lifecycle.
+  ASSERT_TRUE(service.Estimate(request).ok());
+  ASSERT_TRUE(service.Estimate(request).ok());
+  ASSERT_EQ(service.EstimateBatch(std::vector{request, request}).size(), 2u);
+  for (int i = 0; i < 4; ++i) (void)admission.Estimate(request);
+  for (int i = 0; i < 3; ++i) {
+    manager.Record("hive", request.op, 1.0, 2.0, static_cast<double>(i));
+  }
+  ASSERT_TRUE(manager.Tick(3.0).ok());
+
+  // Every request the controller let through was answered from the cache.
+  const serving::AdmissionStats decided = admission.Stats();
+  EXPECT_GT(decided.admitted, 0);
+  EXPECT_GT(decided.degraded + decided.shed_load, 0);
+  const serving::CacheStats cache = service.cache_stats();
+  EXPECT_EQ(cache.misses, 1);
+  EXPECT_EQ(cache.hits, 2 + decided.admitted + decided.degraded);
+  EXPECT_EQ(manager.Stats().ingest.pushed, 3);
+
+  for (const MetricSample& sample :
+       MetricsRegistry::Global().Snapshot().samples) {
+    for (const char* prefix :
+         {"serving.cache.", "serving.admission.", "lifecycle."}) {
+      EXPECT_NE(sample.name.rfind(prefix, 0), 0u) << sample.name;
+    }
+  }
+  // Each component exports its counts under the names the registry used.
+  EXPECT_DOUBLE_EQ(service.StatsSnapshot().Find("serving.cache.hits")->value,
+                   static_cast<double>(cache.hits));
+  EXPECT_DOUBLE_EQ(
+      manager.StatsSnapshot().Find("lifecycle.ingest.pushed")->value, 3.0);
+  EXPECT_DOUBLE_EQ(
+      admission.StatsSnapshot().Find("serving.admission.admitted")->value,
+      static_cast<double>(decided.admitted));
 }
 
 }  // namespace
