@@ -209,7 +209,6 @@ void Run() {
       availability, static_cast<long long>(totals.served),
       static_cast<long long>(totals.during_retrain),
       static_cast<long long>(stats.swaps_applied), recovery_ratio);
-  std::cout << manager.ExplainJson() << "\n";
 
   std::vector<bench::BenchMetric> out = {
       // Hard gates: serving never pauses, the loop completes, the swapped

@@ -2,12 +2,13 @@
 // front of the serving layer, configure it from Properties keys (see
 // docs/CONFIG.md), drive a synthetic burst hard enough to exercise all
 // three rungs of the ladder (full fidelity -> degraded -> shed), and render
-// the controller's EXPLAIN JSON — config, deployment-clock queue horizon,
-// and admission counters (written to EXPLAIN_admission.json).
+// the service's and the controller's status snapshots — cache state, then
+// admission config, deployment-clock queue horizon and counters — as one
+// status document (written to EXPLAIN_admission.json).
 //
 // Run from anywhere; writes EXPLAIN_admission.json to the working
-// directory. scripts/check.sh runs this binary and validates the JSON
-// against the schema in scripts/check_explain_json.py.
+// directory. scripts/check.sh runs this binary and validates the JSON with
+// scripts/check_explain_json.py.
 
 #include <cstdio>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "serving/admission.h"
 #include "serving/service.h"
 #include "util/properties.h"
+#include "util/runtime_metrics.h"
 
 namespace {
 
@@ -133,7 +135,13 @@ int main() {
   std::printf("burst of 16: served=%d degraded=%d shed=%d\n", served,
               degraded, shed);
 
-  std::string json = admission.ExplainJson();
+  // One status document: the service's samples, then the controller's.
+  MetricsSnapshot status = service.StatsSnapshot();
+  const MetricsSnapshot admitted = admission.StatsSnapshot();
+  status.samples.insert(status.samples.end(), admitted.samples.begin(),
+                        admitted.samples.end());
+  const std::string json =
+      "{\n  \"status\": " + status.ToJson("  ") + "\n}\n";
   std::printf("\n%s", json.c_str());
 
   std::ofstream out("EXPLAIN_admission.json");

@@ -1,12 +1,13 @@
 // Serving-layer walkthrough: stand up an EstimationService in front of a
 // federated IntelliSphere facade, attach it so planner estimates flow
 // through the sharded cache, plan the same join twice (cold, then warm),
-// and render the service's EXPLAIN JSON — model epoch, pool width, and
-// cache configuration + counters (written to EXPLAIN_serving.json).
+// and render the service's status snapshot — model epoch, pool width,
+// cache configuration + counters, breaker counts — as one status document
+// (written to EXPLAIN_serving.json).
 //
 // Run from anywhere; writes EXPLAIN_serving.json to the working directory.
-// scripts/check.sh runs this binary and validates the JSON against the
-// schema in scripts/check_explain_json.py.
+// scripts/check.sh runs this binary and validates the JSON with
+// scripts/check_explain_json.py.
 
 #include <cstdio>
 #include <fstream>
@@ -130,7 +131,8 @@ int main() {
         static_cast<long long>(stats.misses));
   }
 
-  std::string json = service.ExplainJson();
+  const std::string json =
+      "{\n  \"status\": " + service.StatsSnapshot().ToJson("  ") + "\n}\n";
   std::printf("\n%s", json.c_str());
 
   std::ofstream out("EXPLAIN_serving.json");

@@ -91,8 +91,9 @@ scripts/check_static_analysis.sh -j "$JOBS"
 
 echo "== [5/7] EXPLAIN examples + JSON schema validation + plan execution =="
 # The examples run under asan+ubsan (built in step 1's tree) and must
-# produce schema-valid EXPLAIN_serving.json / EXPLAIN_query_plan.json /
-# EXPLAIN_lifecycle.json / EXPLAIN_admission.json.
+# produce valid EXPLAIN_query_plan.json (the query_plan schema) and
+# EXPLAIN_serving.json / EXPLAIN_lifecycle.json / EXPLAIN_admission.json
+# (status documents: StatsSnapshot() samples, one flat checker).
 # federated_query_planning plans with PlanQuery and runs the chosen tree
 # through ExecuteBest; it must exit 0.
 cmake --build --preset asan-ubsan --target explain_serving \

@@ -19,7 +19,7 @@ Three checks, run from the repo root:
 3. Paths (docs -> tree): every repository path the same doc files cite
    under ``src/``, ``bench/``, ``tests/``, ``examples/``, ``scripts/`` or
    ``tools/`` with a source suffix (``.h``, ``.cc``, ``.cpp``, ``.py``,
-   ``.sh``) must exist. A brace form such as ``src/federation/stats.{h,cc}``
+   ``.sh``) must exist. A brace form such as ``src/serving/service.{h,cc}``
    names one file per alternative. A doc citing a renamed or deleted file
    fails the gate.
 

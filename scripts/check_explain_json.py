@@ -4,18 +4,26 @@
 Used by scripts/check.sh after running the EXPLAIN examples: the JSON
 renderings must stay machine-readable, so this checks structure and types,
 not specific cost numbers. The artifact kind is detected from the top-level
-keys — a "serving" object is an EstimationService::ExplainJson() document
-(examples/explain_serving), a "query_plan" object is an
-ExplainQueryPlan() document (examples/explain_query_plan), a "lifecycle"
-object is a LifecycleManager::ExplainJson() document
-(examples/explain_lifecycle), and an "admission" object is an
-AdmissionController::ExplainJson() document (examples/explain_admission).
+key:
+
+  * "status" is a status document: the StatsSnapshot() samples of the
+    components an example built, rendered by MetricsSnapshot::ToJson
+    (examples/explain_serving, explain_admission and explain_lifecycle).
+    One flat checker covers every component: each sample is a
+    {name, value, unit} entry named once, with a finite value >= 0; counts
+    are integers, fractions and ratios lie in [0, 1], bools are 0 or 1; and
+    the STATUS_BOUNDS pairs (plus each drift detector's
+    window_size <= accepted) hold.
+  * "query_plan" is an ExplainQueryPlan() document
+    (examples/explain_query_plan).
+
 Any other document fails.
 
 Usage: check_explain_json.py <path-to-EXPLAIN_*.json>
 """
 
 import json
+import math
 import sys
 
 def fail(msg):
@@ -34,197 +42,72 @@ def check_type(obj, field, expected, where):
         fail(f"{where}: field '{field}' has type {type(value).__name__}")
 
 
-SERVING_CACHE_FIELDS = {
-    "shards": int,
-    "capacity": int,
-    "ttl_seconds": (int, float),
-    "quantize_bits": int,
-    "entries": int,
-    "hits": int,
-    "misses": int,
-    "evictions": int,
-    "stale_epoch": int,
-    "stale_served": int,
-    "hit_rate": (int, float),
-}
+# The units a status sample may carry.
+STATUS_UNITS = {"count", "fraction", "ratio", "bool", "s", "rel", "1/s",
+                "tokens"}
+
+# Cross-field rules: each pair (lhs, rhs) requires sum(lhs) <= sum(rhs). A
+# document holding any name of a pair must hold all of them, so a renamed
+# sample cannot silently switch its rule off.
+STATUS_BOUNDS = [
+    (["serving.cache.entries"], ["serving.cache.capacity"]),
+    (["serving.health.open"], ["serving.health.tracked"]),
+    (["lifecycle.ingest.dropped"], ["lifecycle.ingest.pushed"]),
+    (["lifecycle.ingest.size"], ["lifecycle.ingest.capacity"]),
+    (["lifecycle.retrain.completed", "lifecycle.retrain.in_flight"],
+     ["lifecycle.retrain.started"]),
+    (["lifecycle.swap.applied"], ["lifecycle.shadow.accepted"]),
+    (["serving.admission.tenant_throttled"], ["serving.admission.degraded"]),
+    (["serving.admission.background_yield"], ["serving.admission.shed_load"]),
+]
+
+# Each drift detector's samples: lifecycle.detector.<system>.<operator>.*.
+DETECTOR_PREFIX = "lifecycle.detector."
 
 
-def check_serving(doc):
-    serving = doc["serving"]
-    if not isinstance(serving, dict):
-        fail("serving: must be an object")
-    check_type(serving, "model_epoch", int, "serving")
-    check_type(serving, "jobs", int, "serving")
-    check_type(serving, "cache", dict, "serving")
-    cache = serving["cache"]
-    for field, expected in SERVING_CACHE_FIELDS.items():
-        check_type(cache, field, expected, "serving.cache")
-    for field in ("shards", "capacity", "entries", "hits", "misses",
-                  "evictions", "stale_epoch", "stale_served"):
-        if cache[field] < 0:
-            fail(f"serving.cache.{field} must be >= 0")
-    check_type(serving, "health", dict, "serving")
-    health = serving["health"]
-    for field in ("tracked", "open"):
-        check_type(health, field, int, "serving.health")
-        if health[field] < 0:
-            fail(f"serving.health.{field} must be >= 0")
-    if health["open"] > health["tracked"]:
-        fail("serving.health.open exceeds tracked breaker count")
-    if not 0.0 <= cache["hit_rate"] <= 1.0:
-        fail("serving.cache.hit_rate must be in [0, 1]")
-    if cache["entries"] > cache["capacity"]:
-        fail("serving.cache.entries exceeds capacity")
-    print(f"check_explain_json: OK (serving: epoch {serving['model_epoch']}, "
-          f"{cache['entries']} entries, hit_rate {cache['hit_rate']})")
+def check_status(doc):
+    samples = doc["status"]
+    if not isinstance(samples, list):
+        fail("status: must be a list of samples")
+    values = {}
+    for i, sample in enumerate(samples):
+        where = f"status[{i}]"
+        if not isinstance(sample, dict) or set(sample) != {
+                "name", "value", "unit"}:
+            fail(f"{where}: must be an object of name, value and unit")
+        check_type(sample, "name", str, where)
+        check_type(sample, "value", (int, float), where)
+        check_type(sample, "unit", str, where)
+        name, value, unit = sample["name"], sample["value"], sample["unit"]
+        where = f"status '{name}'"
+        if name in values:
+            fail(f"{where}: name appears twice")
+        if not math.isfinite(value) or value < 0:
+            fail(f"{where}: value {value} must be finite and >= 0")
+        if unit not in STATUS_UNITS:
+            fail(f"{where}: unknown unit '{unit}'")
+        if unit == "count" and value != int(value):
+            fail(f"{where}: count {value} is not an integer")
+        if unit in ("fraction", "ratio") and value > 1:
+            fail(f"{where}: {unit} {value} exceeds 1")
+        if unit == "bool" and value not in (0, 1):
+            fail(f"{where}: bool {value} is neither 0 nor 1")
+        values[name] = value
 
-
-LIFECYCLE_INGEST_FIELDS = {
-    "capacity": int,
-    "size": int,
-    "pushed": int,
-    "dropped": int,
-    "drained": int,
-}
-
-LIFECYCLE_DRIFT_FIELDS = {
-    "window": int,
-    "threshold": (int, float),
-    "min_samples": int,
-    "out_of_range_fraction": (int, float),
-    "detected": int,
-}
-
-LIFECYCLE_RETRAIN_FIELDS = {
-    "window": int,
-    "started": int,
-    "completed": int,
-    "failed": int,
-    "deferred": int,
-    "in_flight": int,
-}
-
-LIFECYCLE_SHADOW_FIELDS = {
-    "fraction": (int, float),
-    "min_improvement": (int, float),
-    "accepted": int,
-    "rejected": int,
-}
-
-LIFECYCLE_DETECTOR_FIELDS = {
-    "system": str,
-    "operator": str,
-    "window_size": int,
-    "accepted": int,
-    "rejected_nonfinite": int,
-    "mean_relative_error": (int, float),
-    "out_of_range_fraction": (int, float),
-    "drifted": bool,
-    "reason": str,
-}
-
-
-def check_lifecycle(doc):
-    lc = doc["lifecycle"]
-    if not isinstance(lc, dict):
-        fail("lifecycle: must be an object")
-    check_type(lc, "epoch", int, "lifecycle")
-    if lc["epoch"] < 0:
-        fail("lifecycle.epoch must be >= 0")
-    for section, fields in (("ingest", LIFECYCLE_INGEST_FIELDS),
-                            ("drift", LIFECYCLE_DRIFT_FIELDS),
-                            ("retrain", LIFECYCLE_RETRAIN_FIELDS),
-                            ("shadow", LIFECYCLE_SHADOW_FIELDS)):
-        check_type(lc, section, dict, "lifecycle")
-        obj = lc[section]
-        for field, expected in fields.items():
-            check_type(obj, field, expected, f"lifecycle.{section}")
-            value = obj[field]
-            if isinstance(value, (int, float)) and value < 0:
-                fail(f"lifecycle.{section}.{field} must be >= 0")
-    ingest = lc["ingest"]
-    if ingest["dropped"] > ingest["pushed"]:
-        fail("lifecycle.ingest.dropped exceeds pushed")
-    if ingest["size"] > ingest["capacity"]:
-        fail("lifecycle.ingest.size exceeds capacity")
-    if lc["drift"]["out_of_range_fraction"] > 1.0:
-        fail("lifecycle.drift.out_of_range_fraction must be <= 1")
-    if not 0.0 < lc["shadow"]["fraction"] < 1.0:
-        fail("lifecycle.shadow.fraction must be in (0, 1)")
-    retrain = lc["retrain"]
-    if retrain["completed"] + retrain["in_flight"] > retrain["started"]:
-        fail("lifecycle.retrain completed + in_flight exceeds started")
-    check_type(lc, "swaps", int, "lifecycle")
-    if lc["swaps"] > lc["shadow"]["accepted"]:
-        fail("lifecycle.swaps exceeds shadow.accepted")
-    check_type(lc, "detectors", list, "lifecycle")
-    for i, det in enumerate(lc["detectors"]):
-        where = f"lifecycle.detectors[{i}]"
-        if not isinstance(det, dict):
-            fail(f"{where}: must be an object")
-        for field, expected in LIFECYCLE_DETECTOR_FIELDS.items():
-            check_type(det, field, expected, where)
-        if not 0.0 <= det["out_of_range_fraction"] <= 1.0:
-            fail(f"{where}: out_of_range_fraction must be in [0, 1]")
-        if det["window_size"] < 0 or det["accepted"] < det["window_size"]:
-            fail(f"{where}: accepted must cover the current window")
-    print(f"check_explain_json: OK (lifecycle: epoch {lc['epoch']}, "
-          f"{len(lc['detectors'])} detectors, swaps {lc['swaps']})")
-
-
-ADMISSION_FIELDS = {
-    "enabled": bool,
-    "tenant_rate": (int, float),
-    "tenant_burst": (int, float),
-    "max_queue": int,
-    "degrade_fraction": (int, float),
-    "background_fraction": (int, float),
-    "service_seconds": (int, float),
-    "queue_clears_at": (int, float),
-    "tenants": int,
-    "counters": dict,
-}
-
-ADMISSION_COUNTER_FIELDS = (
-    "admitted",
-    "degraded",
-    "shed_load",
-    "shed_deadline",
-    "tenant_throttled",
-    "background_yield",
-)
-
-
-def check_admission(doc):
-    adm = doc["admission"]
-    if not isinstance(adm, dict):
-        fail("admission: must be an object")
-    for field, expected in ADMISSION_FIELDS.items():
-        check_type(adm, field, expected, "admission")
-    counters = adm["counters"]
-    for field in ADMISSION_COUNTER_FIELDS:
-        check_type(counters, field, int, "admission.counters")
-        if counters[field] < 0:
-            fail(f"admission.counters.{field} must be >= 0")
-    if adm["max_queue"] < 1:
-        fail("admission.max_queue must be >= 1")
-    if adm["tenants"] < 0:
-        fail("admission.tenants must be >= 0")
-    for field in ("tenant_rate", "tenant_burst", "service_seconds"):
-        if adm[field] < 0:
-            fail(f"admission.{field} must be >= 0")
-    if not 0.0 < adm["degrade_fraction"] <= 1.0:
-        fail("admission.degrade_fraction must be in (0, 1]")
-    if not 0.0 < adm["background_fraction"] <= 1.0:
-        fail("admission.background_fraction must be in (0, 1]")
-    # degraded answers are admitted answers; throttles are a subset of them
-    if counters["tenant_throttled"] > counters["admitted"] + counters[
-            "degraded"] + counters["shed_load"] + counters["shed_deadline"]:
-        fail("admission.counters.tenant_throttled exceeds total decisions")
-    print(f"check_explain_json: OK (admission: "
-          f"admitted {counters['admitted']}, "
-          f"degraded {counters['degraded']}, shed "
-          f"{counters['shed_load'] + counters['shed_deadline']})")
+    bounds = list(STATUS_BOUNDS)
+    for name in values:
+        if name.startswith(DETECTOR_PREFIX) and name.endswith(".window_size"):
+            stem = name[:-len("window_size")]
+            bounds.append(([name], [stem + "accepted"]))
+    for lhs, rhs in bounds:
+        rule = f"{' + '.join(lhs)} <= {' + '.join(rhs)}"
+        present = [n in values for n in lhs + rhs]
+        if any(present) and not all(present):
+            fail(f"status: {rule} needs all of its samples")
+        if any(present) and (sum(values[n] for n in lhs) >
+                             sum(values[n] for n in rhs)):
+            fail(f"status: {rule} does not hold")
+    print(f"check_explain_json: OK (status: {len(values)} samples)")
 
 
 QUERY_NODE_FIELDS = {
@@ -366,21 +249,14 @@ def main():
 
     if not isinstance(doc, dict):
         fail("top level must be an object")
-    if "serving" in doc:
-        check_serving(doc)
+    if "status" in doc:
+        check_status(doc)
         return
     if "query_plan" in doc:
         check_query_plan(doc)
         return
-    if "lifecycle" in doc:
-        check_lifecycle(doc)
-        return
-    if "admission" in doc:
-        check_admission(doc)
-        return
-    fail("unrecognised document: expected one top-level key of "
-         "'serving', 'query_plan', 'lifecycle' or 'admission', got "
-         f"{sorted(doc)}")
+    fail("unrecognised document: expected a top-level 'status' or "
+         f"'query_plan' key, got {sorted(doc)}")
 
 
 if __name__ == "__main__":

@@ -336,15 +336,15 @@ class Searcher {
     return false;
   }
   /// The catalog's distinct count of `column` in `relation`'s table, or
-  /// `fallback` when it is unknown or not positive (TableProfile's
-  /// convention), capped by the post-filter cardinality when the relation
-  /// is scanned.
+  /// `fallback` when it is unknown or not positive, capped by the
+  /// post-filter cardinality when the relation is scanned: a distinct count
+  /// never exceeds the row count.
   int64_t ColumnDistinct(int relation, const std::string& column,
                          int64_t fallback) const {
     const RelationInfo& info = relations_[static_cast<size_t>(relation)];
     int64_t d = info.stats->DistinctOr(column, fallback);
     if (d <= 0) d = fallback;
-    return info.scanned ? DistinctAfter(d, info.rows) : d;
+    return info.scanned ? std::min(d, info.rows) : d;
   }
 
   /// Distinct count of a join-predicate endpoint within its relation.

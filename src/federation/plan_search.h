@@ -36,7 +36,6 @@
 
 #include "core/estimate_context.h"
 #include "core/hybrid.h"
-#include "federation/stats.h"
 #include "relational/catalog.h"
 #include "relational/query.h"
 #include "util/properties.h"

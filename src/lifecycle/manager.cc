@@ -5,8 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "util/json.h"
-
 namespace intellisphere::lifecycle {
 
 namespace {
@@ -466,82 +464,56 @@ LifecycleStats LifecycleManager::Stats() const {
 
 MetricsSnapshot LifecycleManager::StatsSnapshot() const {
   const LifecycleStats stats = Stats();
-  const auto count = [](const char* name, int64_t value) {
-    return MetricSample{name, static_cast<double>(value), "count"};
+  const auto count = [](std::string name, int64_t value) {
+    return MetricSample{std::move(name), static_cast<double>(value), "count"};
   };
   MetricsSnapshot snap;
   snap.samples = {
+      count("lifecycle.model_epoch", static_cast<int64_t>(model_epoch())),
+      count("lifecycle.ingest.capacity", stats.ingest.capacity),
+      count("lifecycle.ingest.size", stats.ingest.size),
       count("lifecycle.ingest.pushed", stats.ingest.pushed),
       count("lifecycle.ingest.dropped", stats.ingest.dropped),
+      count("lifecycle.ingest.drained", stats.ingest.drained),
+      count("lifecycle.drift.window", opts_.drift.window),
+      {"lifecycle.drift.threshold", opts_.drift.threshold, "rel"},
+      count("lifecycle.drift.min_samples", opts_.drift.min_samples),
+      {"lifecycle.drift.out_of_range_fraction",
+       opts_.drift.out_of_range_fraction, "fraction"},
       count("lifecycle.drift.detected", stats.drift_detected),
+      count("lifecycle.retrain.window", opts_.retrain_window),
       count("lifecycle.retrain.started", stats.retrains_started),
       count("lifecycle.retrain.completed", stats.retrains_completed),
       count("lifecycle.retrain.failed", stats.retrains_failed),
       count("lifecycle.retrain.deferred", stats.retrains_deferred),
       count("lifecycle.retrain.yielded", stats.retrains_yielded),
+      count("lifecycle.retrain.in_flight", stats.in_flight),
+      {"lifecycle.shadow.fraction", opts_.shadow_fraction, "fraction"},
+      {"lifecycle.shadow.min_improvement", opts_.shadow_min_improvement,
+       "rel"},
       count("lifecycle.shadow.accepted", stats.shadow_accepted),
       count("lifecycle.shadow.rejected", stats.shadow_rejected),
       count("lifecycle.swap.applied", stats.swaps_applied),
   };
-  return snap;
-}
-
-std::string LifecycleManager::ExplainJson() const {
-  LifecycleStats stats = Stats();
-  std::string out = "{\n  \"lifecycle\": {\n";
-  out += "    \"epoch\": " + std::to_string(model_epoch()) + ",\n";
-  out += "    \"ingest\": {\"capacity\": " +
-         std::to_string(stats.ingest.capacity) +
-         ", \"size\": " + std::to_string(stats.ingest.size) +
-         ", \"pushed\": " + std::to_string(stats.ingest.pushed) +
-         ", \"dropped\": " + std::to_string(stats.ingest.dropped) +
-         ", \"drained\": " + std::to_string(stats.ingest.drained) + "},\n";
-  out += "    \"drift\": {\"window\": " + std::to_string(opts_.drift.window) +
-         ", \"threshold\": " + JsonNumberShort(opts_.drift.threshold) +
-         ", \"min_samples\": " + std::to_string(opts_.drift.min_samples) +
-         ", \"out_of_range_fraction\": " +
-         JsonNumberShort(opts_.drift.out_of_range_fraction) +
-         ", \"detected\": " + std::to_string(stats.drift_detected) + "},\n";
-  out += "    \"retrain\": {\"window\": " +
-         std::to_string(opts_.retrain_window) +
-         ", \"started\": " + std::to_string(stats.retrains_started) +
-         ", \"completed\": " + std::to_string(stats.retrains_completed) +
-         ", \"failed\": " + std::to_string(stats.retrains_failed) +
-         ", \"deferred\": " + std::to_string(stats.retrains_deferred) +
-         ", \"yielded\": " + std::to_string(stats.retrains_yielded) +
-         ", \"in_flight\": " + std::to_string(stats.in_flight) + "},\n";
-  out += "    \"shadow\": {\"fraction\": " +
-         JsonNumberShort(opts_.shadow_fraction) +
-         ", \"min_improvement\": " +
-         JsonNumberShort(opts_.shadow_min_improvement) +
-         ", \"accepted\": " + std::to_string(stats.shadow_accepted) +
-         ", \"rejected\": " + std::to_string(stats.shadow_rejected) + "},\n";
-  out += "    \"swaps\": " + std::to_string(stats.swaps_applied) + ",\n";
-  out += "    \"detectors\": [";
-  {
-    MutexLock lock(&mu_);
-    bool first = true;
-    for (const auto& [key, detector] : detectors_) {
-      DriftState state = detector.State();
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "      {\"system\": \"" + JsonEscape(key.first) +
-             "\", \"operator\": \"" + rel::OperatorTypeName(key.second) +
-             "\", \"window_size\": " + std::to_string(state.window_size) +
-             ", \"accepted\": " + std::to_string(state.accepted) +
-             ", \"rejected_nonfinite\": " +
-             std::to_string(state.rejected_nonfinite) +
-             ", \"mean_relative_error\": " +
-             JsonNumberShort(state.mean_relative_error) +
-             ", \"out_of_range_fraction\": " +
-             JsonNumberShort(state.out_of_range_fraction) +
-             ", \"drifted\": " + (state.drifted ? "true" : "false") +
-             ", \"reason\": \"" + state.reason + "\"}";
-    }
-    if (!first) out += "\n    ";
+  // One group per drift detector; which rule fired follows from its mean
+  // error against lifecycle.drift.threshold, then its out-of-range
+  // fraction against lifecycle.drift.out_of_range_fraction.
+  MutexLock lock(&mu_);
+  for (const auto& [key, detector] : detectors_) {
+    const DriftState state = detector.State();
+    const std::string prefix = "lifecycle.detector." + key.first + "." +
+                               rel::OperatorTypeName(key.second) + ".";
+    snap.samples.insert(
+        snap.samples.end(),
+        {count(prefix + "window_size", state.window_size),
+         count(prefix + "accepted", state.accepted),
+         count(prefix + "rejected_nonfinite", state.rejected_nonfinite),
+         {prefix + "mean_relative_error", state.mean_relative_error, "rel"},
+         {prefix + "out_of_range_fraction", state.out_of_range_fraction,
+          "fraction"},
+         {prefix + "drifted", state.drifted ? 1.0 : 0.0, "bool"}});
   }
-  out += "]\n  }\n}\n";
-  return out;
+  return snap;
 }
 
 }  // namespace intellisphere::lifecycle

@@ -184,17 +184,12 @@ class LifecycleManager {
 
   [[nodiscard]] LifecycleStats Stats() const;
 
-  /// Stats() as the `lifecycle.*` samples in the BENCH metric shape:
-  /// lifecycle.ingest.{pushed,dropped}, lifecycle.drift.detected,
-  /// lifecycle.retrain.{started,completed,failed,deferred,yielded},
-  /// lifecycle.shadow.{accepted,rejected} and lifecycle.swap.applied. No
+  /// The lifecycle's status in the BENCH metric shape (sample names in
+  /// docs/OPERATIONS.md): the model epoch, Stats() and the options as
+  /// lifecycle.{ingest,drift,retrain,shadow,swap}.* samples, then one
+  /// lifecycle.detector.<system>.<operator>.* group per drift detector. No
   /// registry holds these names (DESIGN.md §10).
   [[nodiscard]] MetricsSnapshot StatsSnapshot() const;
-
-  /// The lifecycle status document (see scripts/check_explain_json.py and
-  /// docs/OPERATIONS.md): ingest totals, per-detector windows, retrain /
-  /// shadow / swap counters, and the current model epoch.
-  [[nodiscard]] std::string ExplainJson() const;
 
   uint64_t model_epoch() const { return estimator_->model_epoch(); }
   const LifecycleOptions& options() const { return opts_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/json.h"
-
 namespace intellisphere::serving {
 
 namespace {
@@ -26,10 +24,6 @@ Status ShedStatus(AdmissionOutcome outcome) {
 Result<AdmissionOptions> AdmissionOptions::FromProperties(
     const Properties& props) {
   AdmissionOptions opts;
-  if (props.Contains(kAdmissionEnabledKey)) {
-    ISPHERE_ASSIGN_OR_RETURN(opts.enabled,
-                             props.GetBool(kAdmissionEnabledKey));
-  }
   if (props.Contains(kAdmissionTenantRateKey)) {
     ISPHERE_ASSIGN_OR_RETURN(opts.tenant_rate,
                              props.GetDouble(kAdmissionTenantRateKey));
@@ -115,13 +109,7 @@ double AdmissionController::QueueDepthLocked(double now) const {
 AdmissionDecision AdmissionController::Admit(
     size_t batch_size, double now, const core::EstimateContext& ctx) const {
   AdmissionDecision decision;
-  if (!options_.enabled || batch_size == 0) {
-    if (batch_size > 0) {
-      MutexLock lock(&mu_);
-      tallies_.admitted += static_cast<int64_t>(batch_size);
-    }
-    return decision;
-  }
+  if (batch_size == 0) return decision;
   const double n = static_cast<double>(batch_size);
   MutexLock lock(&mu_);
   decision.queue_depth = QueueDepthLocked(now);
@@ -199,7 +187,6 @@ AdmissionDecision AdmissionController::Admit(
 }
 
 bool AdmissionController::ShouldYieldBackground(double now) const {
-  if (!options_.enabled) return false;
   MutexLock lock(&mu_);
   return QueueDepthLocked(now) >
          options_.background_fraction *
@@ -282,41 +269,18 @@ MetricsSnapshot AdmissionController::StatsSnapshot() const {
        static_cast<double>(stats.background_yield), "count"},
       {"serving.admission.tenants", static_cast<double>(stats.tenants_tracked),
        "count"},
+      {"serving.admission.tenant_rate", options_.tenant_rate, "1/s"},
+      {"serving.admission.tenant_burst", options_.tenant_burst, "tokens"},
+      {"serving.admission.max_queue", static_cast<double>(options_.max_queue),
+       "count"},
+      {"serving.admission.degrade_fraction", options_.degrade_fraction,
+       "fraction"},
+      {"serving.admission.background_fraction", options_.background_fraction,
+       "fraction"},
+      {"serving.admission.service_seconds", options_.service_seconds, "s"},
+      {"serving.admission.queue_clears_at", stats.queue_clears_at, "s"},
   };
   return snap;
-}
-
-std::string AdmissionController::ExplainJson() const {
-  const AdmissionStats stats = Stats();
-  std::string json = "{\n  \"admission\": {\n";
-  json += std::string("    \"enabled\": ") +
-          (options_.enabled ? "true" : "false") + ",\n";
-  json += "    \"tenant_rate\": " + JsonNumberShort(options_.tenant_rate) +
-          ",\n";
-  json += "    \"tenant_burst\": " + JsonNumberShort(options_.tenant_burst) +
-          ",\n";
-  json += "    \"max_queue\": " + std::to_string(options_.max_queue) + ",\n";
-  json += "    \"degrade_fraction\": " +
-          JsonNumberShort(options_.degrade_fraction) + ",\n";
-  json += "    \"background_fraction\": " +
-          JsonNumberShort(options_.background_fraction) + ",\n";
-  json += "    \"service_seconds\": " +
-          JsonNumberShort(options_.service_seconds) + ",\n";
-  json += "    \"queue_clears_at\": " +
-          JsonNumberShort(stats.queue_clears_at) + ",\n";
-  json += "    \"tenants\": " + std::to_string(stats.tenants_tracked) + ",\n";
-  json += "    \"counters\": {\n";
-  json += "      \"admitted\": " + std::to_string(stats.admitted) + ",\n";
-  json += "      \"degraded\": " + std::to_string(stats.degraded) + ",\n";
-  json += "      \"shed_load\": " + std::to_string(stats.shed_load) + ",\n";
-  json += "      \"shed_deadline\": " + std::to_string(stats.shed_deadline) +
-          ",\n";
-  json += "      \"tenant_throttled\": " +
-          std::to_string(stats.tenant_throttled) + ",\n";
-  json += "      \"background_yield\": " +
-          std::to_string(stats.background_yield) + "\n";
-  json += "    }\n  }\n}\n";
-  return json;
 }
 
 }  // namespace intellisphere::serving

@@ -57,7 +57,6 @@
 namespace intellisphere::serving {
 
 /// Properties keys for the admission controller (docs/CONFIG.md).
-inline constexpr char kAdmissionEnabledKey[] = "serving.admission.enabled";
 inline constexpr char kAdmissionTenantRateKey[] =
     "serving.admission.tenant_rate";
 inline constexpr char kAdmissionTenantBurstKey[] =
@@ -71,9 +70,6 @@ inline constexpr char kAdmissionServiceSecondsKey[] =
     "serving.admission.service_seconds";
 
 struct AdmissionOptions {
-  /// Disabled = every request serves at full fidelity (rung one), with no
-  /// queue or bucket accounting; the controller is a transparent pass-through.
-  bool enabled = true;
   /// Per-tenant token refill rate (requests/second of deployment time).
   double tenant_rate = 200.0;
   /// Per-tenant bucket capacity (burst allowance). A tenant whose bucket
@@ -178,14 +174,11 @@ class AdmissionController {
 
   AdmissionStats Stats() const;
 
-  /// Stats() as serving.admission.* samples in the BENCH metric shape. The
-  /// controller counts each decision once, in Stats(); no registry holds
-  /// serving.admission.* names (DESIGN.md §10).
+  /// The controller's status in the BENCH metric shape: Stats() and the
+  /// options as serving.admission.* samples. The controller counts each
+  /// decision once, in Stats(); no registry holds serving.admission.* names
+  /// (DESIGN.md §10).
   MetricsSnapshot StatsSnapshot() const;
-
-  /// Admission-state JSON for EXPLAIN tooling; top-level key "admission",
-  /// validated by scripts/check_explain_json.py.
-  std::string ExplainJson() const;
 
   const AdmissionOptions& options() const { return options_; }
   const EstimationService* service() const { return service_; }

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "remote/health.h"
-#include "util/json.h"
 
 namespace intellisphere::serving {
 
@@ -380,8 +379,19 @@ std::vector<Result<core::HybridEstimate>> EstimationService::EstimateBatch(
 
 MetricsSnapshot EstimationService::StatsSnapshot() const {
   const CacheStats stats = cache_.Stats();
+  const remote::HealthRegistry* health = options_.health;
   MetricsSnapshot snap;
   snap.samples = {
+      {"serving.model_epoch", static_cast<double>(estimator_->model_epoch()),
+       "count"},
+      {"serving.jobs", static_cast<double>(options_.jobs), "count"},
+      {"serving.cache.shards", static_cast<double>(options_.cache.shards),
+       "count"},
+      {"serving.cache.capacity", static_cast<double>(options_.cache.capacity),
+       "count"},
+      {"serving.cache.quantize_bits",
+       static_cast<double>(options_.cache.quantize_bits), "count"},
+      {"serving.cache.ttl_seconds", options_.cache.ttl_seconds, "s"},
       {"serving.cache.hits", static_cast<double>(stats.hits), "count"},
       {"serving.cache.misses", static_cast<double>(stats.misses), "count"},
       {"serving.cache.evictions", static_cast<double>(stats.evictions),
@@ -398,54 +408,14 @@ MetricsSnapshot EstimationService::StatsSnapshot() const {
        static_cast<double>(stats.lockless_misses), "count"},
       {"serving.cache.locked_gets", static_cast<double>(stats.locked_gets),
        "count"},
+      {"serving.health.tracked",
+       health != nullptr ? static_cast<double>(health->TrackedCount()) : 0.0,
+       "count"},
+      {"serving.health.open",
+       health != nullptr ? static_cast<double>(health->OpenCount()) : 0.0,
+       "count"},
   };
   return snap;
-}
-
-std::string EstimationService::ExplainJson() const {
-  const CacheStats stats = cache_.Stats();
-  std::string json = "{\n  \"serving\": {\n";
-  json += "    \"model_epoch\": " +
-          std::to_string(estimator_->model_epoch()) + ",\n";
-  json += "    \"jobs\": " + std::to_string(options_.jobs) + ",\n";
-  json += "    \"cache\": {\n";
-  json += "      \"shards\": " + std::to_string(options_.cache.shards) +
-          ",\n";
-  json += "      \"capacity\": " + std::to_string(options_.cache.capacity) +
-          ",\n";
-  json += "      \"ttl_seconds\": " + JsonNumberShort(
-              options_.cache.ttl_seconds) + ",\n";
-  json += "      \"quantize_bits\": " +
-          std::to_string(options_.cache.quantize_bits) + ",\n";
-  json += "      \"entries\": " + std::to_string(stats.entries) + ",\n";
-  json += "      \"hits\": " + std::to_string(stats.hits) + ",\n";
-  json += "      \"misses\": " + std::to_string(stats.misses) + ",\n";
-  json += "      \"evictions\": " + std::to_string(stats.evictions) + ",\n";
-  json += "      \"stale_epoch\": " + std::to_string(stats.stale_epoch) +
-          ",\n";
-  json += "      \"stale_served\": " + std::to_string(stats.stale_served) +
-          ",\n";
-  json += "      \"lockless_hits\": " + std::to_string(stats.lockless_hits) +
-          ",\n";
-  json += "      \"lockless_misses\": " +
-          std::to_string(stats.lockless_misses) + ",\n";
-  json += "      \"locked_gets\": " + std::to_string(stats.locked_gets) +
-          ",\n";
-  json += "      \"hit_rate\": " + JsonNumberShort(stats.HitRate()) + "\n";
-  json += "    },\n";
-  const int64_t tracked =
-      options_.health != nullptr
-          ? static_cast<int64_t>(options_.health->TrackedCount())
-          : 0;
-  const int64_t open =
-      options_.health != nullptr
-          ? static_cast<int64_t>(options_.health->OpenCount())
-          : 0;
-  json += "    \"health\": {\n";
-  json += "      \"tracked\": " + std::to_string(tracked) + ",\n";
-  json += "      \"open\": " + std::to_string(open) + "\n";
-  json += "    }\n  }\n}\n";
-  return json;
 }
 
 }  // namespace intellisphere::serving

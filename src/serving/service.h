@@ -116,17 +116,13 @@ class EstimationService {
   /// correctness; exposed for tests and memory pressure).
   void InvalidateCache() const { cache_.Clear(); }
 
-  /// Cache statistics in the BENCH_<name>.json metric shape
-  /// (serving.cache.* samples), ready for AppendMetricsSnapshot-style use.
-  /// The cache counts each event once, in its own Counters; no registry
-  /// holds serving.cache.* names (DESIGN.md §10).
+  /// The service's status in the BENCH_<name>.json metric shape: the
+  /// wrapped estimator's model epoch, serving.jobs, the cache's
+  /// configuration and counts (serving.cache.*), and the breaker registry's
+  /// tracked/open counts (serving.health.*; 0 without a registry). The
+  /// cache counts each event once, in its own Counters; no registry holds
+  /// these names (DESIGN.md §10).
   MetricsSnapshot StatsSnapshot() const;
-
-  /// Serving-state JSON for EXPLAIN tooling: cache configuration, live
-  /// statistics, and the wrapped estimator's current model epoch. Written
-  /// to EXPLAIN_serving.json by examples/explain_serving and validated by
-  /// scripts/check_explain_json.py.
-  std::string ExplainJson() const;
 
   const ServiceOptions& options() const { return options_; }
   const core::CostEstimator* estimator() const { return estimator_; }

@@ -1,5 +1,6 @@
 #include "util/properties.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -12,6 +13,15 @@ std::string DoubleToText(double v) {
   os.precision(17);
   os << v;
   return os.str();
+}
+
+/// Parses all of `text` as a finite double. strtod also accepts "nan" and
+/// "inf", which no key takes and a range check written with `<` lets
+/// through, so they are rejected here.
+bool ParseFiniteDouble(const std::string& text, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && std::isfinite(*value);
 }
 
 }  // namespace
@@ -54,11 +64,10 @@ Result<std::string> Properties::GetString(const std::string& key) const {
 
 Result<double> Properties::GetDouble(const std::string& key) const {
   ISPHERE_ASSIGN_OR_RETURN(std::string text, GetString(key));
-  char* end = nullptr;
-  double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument("property '" + key + "' is not a double: " +
-                                   text);
+  double v;
+  if (!ParseFiniteDouble(text, &v)) {
+    return Status::InvalidArgument("property '" + key +
+                                   "' is not a finite double: " + text);
   }
   return v;
 }
@@ -92,11 +101,11 @@ Result<std::vector<double>> Properties::GetDoubleList(
     size_t comma = text.find(',', pos);
     std::string tok = text.substr(
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    char* end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0') {
-      return Status::InvalidArgument("property '" + key +
-                                     "' has a non-double element: " + tok);
+    double v;
+    if (!ParseFiniteDouble(tok, &v)) {
+      return Status::InvalidArgument(
+          "property '" + key + "' has an element that is not a finite "
+          "double: " + tok);
     }
     out.push_back(v);
     if (comma == std::string::npos) break;

@@ -28,6 +28,8 @@ class Properties {
 
   bool Contains(const std::string& key) const;
   Result<std::string> GetString(const std::string& key) const;
+  /// GetDouble and GetDoubleList accept finite numbers only: NaN and
+  /// infinities are InvalidArgument, naming the key.
   Result<double> GetDouble(const std::string& key) const;
   Result<int64_t> GetInt(const std::string& key) const;
   Result<bool> GetBool(const std::string& key) const;

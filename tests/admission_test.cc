@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hybrid.h"
@@ -66,7 +67,6 @@ void ExpectBitIdentical(const core::HybridEstimate& a,
 TEST(AdmissionOptionsTest, FromPropertiesDefaultsAndOverrides) {
   Properties empty;
   auto defaults = serving::AdmissionOptions::FromProperties(empty).value();
-  EXPECT_TRUE(defaults.enabled);
   EXPECT_DOUBLE_EQ(defaults.tenant_rate, 200.0);
   EXPECT_DOUBLE_EQ(defaults.tenant_burst, 50.0);
   EXPECT_EQ(defaults.max_queue, 256);
@@ -75,7 +75,6 @@ TEST(AdmissionOptionsTest, FromPropertiesDefaultsAndOverrides) {
   EXPECT_DOUBLE_EQ(defaults.service_seconds, 0.0002);
 
   Properties props;
-  props.SetBool(serving::kAdmissionEnabledKey, false);
   props.SetDouble(serving::kAdmissionTenantRateKey, 10.0);
   props.SetDouble(serving::kAdmissionTenantBurstKey, 5.0);
   props.SetInt(serving::kAdmissionMaxQueueKey, 32);
@@ -83,7 +82,6 @@ TEST(AdmissionOptionsTest, FromPropertiesDefaultsAndOverrides) {
   props.SetDouble(serving::kAdmissionBackgroundFractionKey, 0.5);
   props.SetDouble(serving::kAdmissionServiceSecondsKey, 0.01);
   auto opts = serving::AdmissionOptions::FromProperties(props).value();
-  EXPECT_FALSE(opts.enabled);
   EXPECT_DOUBLE_EQ(opts.tenant_rate, 10.0);
   EXPECT_DOUBLE_EQ(opts.tenant_burst, 5.0);
   EXPECT_EQ(opts.max_queue, 32);
@@ -245,23 +243,7 @@ TEST_F(AdmitLadderTest, TokenBucketThrottlesToDegradedNotShed) {
   EXPECT_EQ(stats.tenants_tracked, 2);
 }
 
-TEST_F(AdmitLadderTest, DisabledControllerAdmitsEverything) {
-  serving::AdmissionOptions opts;
-  opts.enabled = false;
-  opts.max_queue = 1;
-  opts.service_seconds = 100.0;
-  serving::AdmissionController admission(&service_, opts);
-  core::EstimateContext ctx;
-  ctx.deadline_seconds = 0.001;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(admission.Admit(5, 0.0, ctx).outcome,
-              serving::AdmissionOutcome::kServe);
-  }
-  EXPECT_EQ(admission.Stats().admitted, 50);
-  EXPECT_FALSE(admission.ShouldYieldBackground(0.0));
-}
-
-TEST_F(AdmitLadderTest, ExplainJsonCarriesConfigAndCounters) {
+TEST_F(AdmitLadderTest, StatsSnapshotCarriesConfigAndCounters) {
   serving::AdmissionOptions opts;
   opts.max_queue = 10;
   opts.degrade_fraction = 0.5;
@@ -269,12 +251,17 @@ TEST_F(AdmitLadderTest, ExplainJsonCarriesConfigAndCounters) {
   serving::AdmissionController admission(&service_, opts);
   (void)admission.Admit(6, 0.0, {});
   (void)admission.Admit(6, 0.0, {});
-  const std::string json = admission.ExplainJson();
-  EXPECT_NE(json.find("\"admission\""), std::string::npos);
-  EXPECT_NE(json.find("\"max_queue\": 10"), std::string::npos);
-  EXPECT_NE(json.find("\"degraded\": 6"), std::string::npos);
-  EXPECT_NE(json.find("\"shed_load\": 6"), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
+  const MetricsSnapshot snap = admission.StatsSnapshot();
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, double>>{
+           {"serving.admission.max_queue", 10.0},
+           {"serving.admission.degraded", 6.0},
+           {"serving.admission.shed_load", 6.0},
+           {"serving.admission.service_seconds", 1.0}}) {
+    const MetricSample* sample = snap.Find(name);
+    ASSERT_NE(sample, nullptr) << name;
+    EXPECT_DOUBLE_EQ(sample->value, value) << name;
+  }
 }
 
 // --- Service integration: identity, degradation, cache purity --------------
@@ -511,7 +498,6 @@ TEST_F(AdmissionServiceTest, TickYieldsRetrainsUnderQueuePressure) {
   EXPECT_EQ(stats.retrains_started, 0);
   EXPECT_DOUBLE_EQ(
       manager.StatsSnapshot().Find("lifecycle.retrain.yielded")->value, 1.0);
-  EXPECT_NE(manager.ExplainJson().find("\"yielded\": 1"), std::string::npos);
 
   // Once the queue drains on the deployment clock, the yielded retrain
   // launches — drift state was retained.

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hybrid.h"
@@ -127,6 +128,16 @@ TEST(LifecycleOptionsTest, FromPropertiesCoversEveryKey) {
   Properties bad2;
   bad2.SetInt(lifecycle::kRetrainWindowKey, 1);
   EXPECT_FALSE(lifecycle::LifecycleOptions::FromProperties(bad2).ok());
+  // A non-finite margin passes a `< 0` check and makes ShadowAccepts reject
+  // every candidate, so the lifecycle would silently never swap.
+  for (const char* margin : {"nan", "inf"}) {
+    Properties bad3;
+    bad3.SetString(lifecycle::kShadowMinImprovementKey, margin);
+    EXPECT_EQ(
+        lifecycle::LifecycleOptions::FromProperties(bad3).status().code(),
+        StatusCode::kInvalidArgument)
+        << margin;
+  }
 }
 
 // --- Ingest queue ----------------------------------------------------------
@@ -475,23 +486,69 @@ TEST_F(LifecycleManagerTest, RecordsForUnmanagedSystemsAreIgnored) {
   EXPECT_FALSE(retrain.ok());
 }
 
-TEST_F(LifecycleManagerTest, ExplainJsonReportsTheLoopState) {
+TEST_F(LifecycleManagerTest, StatsSnapshotReportsTheLoopState) {
   ThreadPool pool(1);
-  lifecycle::LifecycleManager manager(&estimator_, &pool,
-                                      FastDriftOptions());
+  lifecycle::LifecycleOptions opts = FastDriftOptions();
+  opts.drift.window = 3;
+  opts.drift.min_samples = 3;
+  lifecycle::LifecycleManager manager(&estimator_, &pool, opts);
+  // A detector fed the stream the manager sees for (hive, aggregation):
+  // exact, 3x, exact, then a non-finite actual. Mean error 2/9 is past the
+  // 0.2 threshold, so the tick detects drift and launches a retrain.
+  lifecycle::DriftDetector expected(opts.drift);
+  const core::LogicalOpModel* model =
+      estimator_.GetProfile("hive")
+          .value()
+          ->logical_model(rel::OperatorType::kAggregation)
+          .value();
   double now = 0.0;
-  for (int i = 0; i < 4; ++i) {
-    ServeAndRecord(&manager, 100000 + i * 100000, 1.0, now);
+  int64_t rows = 100000;
+  for (double distortion : {1.0, 3.0, 1.0, kNaN}) {
+    const rel::SqlOperator op = SampleAgg(rows);
+    rows += 100000;
+    const double est = manager.Estimate("hive", op).value().seconds;
+    manager.Record("hive", op, est, est * distortion, now);
+    auto pivots = model->metadata().PivotDimensions(op.LogicalOpFeatures(),
+                                                    model->options().beta);
+    expected.Observe(lifecycle::RelativeError(est, est * distortion),
+                     pivots.ok() && !pivots.value().empty());
     now += 1.0;
   }
   ASSERT_TRUE(manager.Tick(now).ok());
-  std::string json = manager.ExplainJson();
-  for (const char* needle :
-       {"\"lifecycle\"", "\"epoch\"", "\"ingest\"", "\"dropped\"",
-        "\"drift\"", "\"retrain\"", "\"shadow\"", "\"swaps\"",
-        "\"detectors\"", "\"system\": \"hive\"",
-        "\"operator\": \"aggregation\""}) {
-    EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n" << json;
+
+  const lifecycle::LifecycleStats stats = manager.Stats();
+  const lifecycle::DriftState state = expected.State();
+  EXPECT_EQ(stats.ingest.drained, 4);
+  EXPECT_EQ(stats.in_flight, 1);
+  EXPECT_EQ(state.accepted, 3);
+  EXPECT_EQ(state.rejected_nonfinite, 1);
+  EXPECT_TRUE(state.drifted);
+  const MetricsSnapshot snap = manager.StatsSnapshot();
+  const std::string detector = "lifecycle.detector.hive.aggregation.";
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, double>>{
+           {"lifecycle.model_epoch", manager.model_epoch()},
+           {"lifecycle.ingest.capacity", stats.ingest.capacity},
+           {"lifecycle.ingest.size", stats.ingest.size},
+           {"lifecycle.ingest.drained", stats.ingest.drained},
+           {"lifecycle.drift.window", opts.drift.window},
+           {"lifecycle.drift.threshold", opts.drift.threshold},
+           {"lifecycle.drift.min_samples", opts.drift.min_samples},
+           {"lifecycle.drift.out_of_range_fraction",
+            opts.drift.out_of_range_fraction},
+           {"lifecycle.retrain.window", opts.retrain_window},
+           {"lifecycle.retrain.in_flight", stats.in_flight},
+           {"lifecycle.shadow.fraction", opts.shadow_fraction},
+           {"lifecycle.shadow.min_improvement", opts.shadow_min_improvement},
+           {detector + "window_size", state.window_size},
+           {detector + "accepted", state.accepted},
+           {detector + "rejected_nonfinite", state.rejected_nonfinite},
+           {detector + "mean_relative_error", state.mean_relative_error},
+           {detector + "out_of_range_fraction", state.out_of_range_fraction},
+           {detector + "drifted", state.drifted ? 1.0 : 0.0}}) {
+    const MetricSample* sample = snap.Find(name);
+    ASSERT_NE(sample, nullptr) << name;
+    EXPECT_DOUBLE_EQ(sample->value, value) << name;
   }
 }
 

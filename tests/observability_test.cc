@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -538,6 +541,63 @@ TEST_F(EstimateObservabilityTest, InstanceCountsNeverReachTheGlobalRegistry) {
   EXPECT_DOUBLE_EQ(
       admission.StatsSnapshot().Find("serving.admission.admitted")->value,
       static_cast<double>(decided.admitted));
+}
+
+// The status a service, an admission controller and a lifecycle manager
+// export is one flat document: every sample is named once, finite and
+// non-negative, and counts are integers. A detector's samples emitted
+// twice, or a NaN mean error, fail here.
+TEST_F(EstimateObservabilityTest,
+       StatusSamplesAreNamedOnceFiniteAndNonNegative) {
+  std::map<rel::OperatorType, core::LogicalOpModel> models;
+  models.emplace(rel::OperatorType::kAggregation, MakeAggModel(hive_.get()));
+  core::CostEstimator estimator;
+  ASSERT_TRUE(estimator
+                  .RegisterSystem("hive", core::CostingProfile::LogicalOpOnly(
+                                              std::move(models)))
+                  .ok());
+  serving::ServiceOptions sopts;
+  sopts.jobs = 1;
+  serving::EstimationService service(&estimator, sopts);
+  serving::AdmissionOptions aopts;
+  aopts.max_queue = 2;
+  aopts.service_seconds = 1.0;
+  serving::AdmissionController admission(&service, aopts);
+  ThreadPool pool(1);
+  lifecycle::LifecycleManager manager(&estimator, &pool,
+                                      lifecycle::LifecycleOptions{});
+
+  serving::EstimateRequest request;
+  request.system = "hive";
+  request.op = SampleAgg();
+  ASSERT_TRUE(service.Estimate(request).ok());
+  for (int i = 0; i < 4; ++i) (void)admission.Estimate(request);
+  // An exact, a 3x and a non-finite actual reach the (hive, aggregation)
+  // detector.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double actual : {1.0, 3.0, nan}) {
+    manager.Record("hive", request.op, 1.0, actual, 0.0);
+  }
+  ASSERT_TRUE(manager.Tick(1.0).ok());
+
+  MetricsSnapshot status = service.StatsSnapshot();
+  for (const MetricsSnapshot& part :
+       {admission.StatsSnapshot(), manager.StatsSnapshot()}) {
+    status.samples.insert(status.samples.end(), part.samples.begin(),
+                          part.samples.end());
+  }
+  ASSERT_NE(status.Find("lifecycle.detector.hive.aggregation.accepted"),
+            nullptr);
+  std::set<std::string> names;
+  for (const MetricSample& sample : status.samples) {
+    EXPECT_TRUE(names.insert(sample.name).second)
+        << sample.name << " appears twice";
+    EXPECT_TRUE(std::isfinite(sample.value)) << sample.name;
+    EXPECT_GE(sample.value, 0.0) << sample.name;
+    if (sample.unit == "count") {
+      EXPECT_EQ(sample.value, std::trunc(sample.value)) << sample.name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Tests for the cross-engine DP plan search (DESIGN.md §15): selectivity
-// estimation (histogram vs. min/max fallback), QuerySpec validation, the
-// DP enumerator against an exhaustive oracle on small specs, PlanQuery's
-// bit-parity with replicas of the pre-redesign single-operator planners,
-// and the planner knobs.
+// Tests for the cross-engine DP plan search (DESIGN.md §15): QuerySpec
+// validation, the DP enumerator against an exhaustive oracle on small
+// specs, PlanQuery's bit-parity with replicas of the pre-redesign
+// single-operator planners, and the planner knobs.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +22,6 @@
 #include "federation/explain.h"
 #include "federation/intellisphere.h"
 #include "federation/plan_search.h"
-#include "federation/stats.h"
 #include "relational/cardinality.h"
 #include "relational/workload.h"
 #include "remote/hive_engine.h"
@@ -33,103 +31,6 @@
 
 namespace intellisphere::fed {
 namespace {
-
-// --- Selectivity estimation (stats.h) --------------------------------------
-
-TEST(PlanStatsTest, EqualitySelectivityIsOneOverDistinct) {
-  ColumnStats c;
-  c.distinct = 50;
-  EXPECT_DOUBLE_EQ(EstimateEqualitySelectivity(c).value(), 0.02);
-  c.distinct = 0;
-  EXPECT_EQ(EstimateEqualitySelectivity(c).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PlanStatsTest, RangeSelectivityUniformFallback) {
-  ColumnStats c;
-  c.distinct = 100;
-  c.min = 0.0;
-  c.max = 100.0;
-  c.has_range = true;
-  // No histogram: uniform interpolation over [min, max].
-  EXPECT_DOUBLE_EQ(EstimateRangeSelectivity(c, 0.0, 50.0).value(), 0.5);
-  // Predicate clipped to the column range.
-  EXPECT_DOUBLE_EQ(EstimateRangeSelectivity(c, -10.0, 1000.0).value(), 1.0);
-  // Empty intersection selects nothing.
-  EXPECT_DOUBLE_EQ(EstimateRangeSelectivity(c, 200.0, 300.0).value(), 0.0);
-  // Inverted bounds are an error, not an empty range.
-  EXPECT_EQ(EstimateRangeSelectivity(c, 5.0, 1.0).status().code(),
-            StatusCode::kInvalidArgument);
-  // No range statistics at all.
-  ColumnStats bare;
-  bare.distinct = 100;
-  EXPECT_EQ(EstimateRangeSelectivity(bare, 0.0, 1.0).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(PlanStatsTest, RangeSelectivityPrefersHistogramOverUniform) {
-  ColumnStats c;
-  c.distinct = 100;
-  c.min = 0.0;
-  c.max = 100.0;
-  c.has_range = true;
-  c.histogram = {90.0, 10.0};  // 90% of rows in [0, 50)
-  // Full first bucket.
-  EXPECT_DOUBLE_EQ(EstimateRangeSelectivity(c, 0.0, 50.0).value(), 0.9);
-  // Half the first bucket, pro-rated.
-  EXPECT_DOUBLE_EQ(EstimateRangeSelectivity(c, 0.0, 25.0).value(), 0.45);
-  // The uniform fallback would have said 0.5 / 0.25 — the histogram is the
-  // distinguishing signal.
-  ColumnStats uniform = c;
-  uniform.histogram.clear();
-  EXPECT_DOUBLE_EQ(EstimateRangeSelectivity(uniform, 0.0, 50.0).value(), 0.5);
-  EXPECT_DOUBLE_EQ(EstimateRangeSelectivity(uniform, 0.0, 25.0).value(),
-                   0.25);
-}
-
-TEST(PlanStatsTest, EquiJoinSelectivityUsesContainment) {
-  EXPECT_DOUBLE_EQ(EstimateEquiJoinSelectivity(100, 400).value(), 1.0 / 400);
-  EXPECT_EQ(EstimateEquiJoinSelectivity(0, 5).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PlanStatsTest, JoinOutputRowsMatchesLegacyCardinality) {
-  auto l = rel::SyntheticTableDef(8000000, 250).value();
-  auto r = rel::SyntheticTableDef(2000000, 100).value();
-  TableProfile lp = ProfileFromTable(l);
-  TableProfile rp = ProfileFromTable(r);
-  for (const char* column : {"a1", "a10", "a100"}) {
-    for (double extra : {1.0, 0.5, 0.037}) {
-      EXPECT_EQ(JoinOutputRows(l.stats.num_rows, r.stats.num_rows,
-                               lp.DistinctOr(column, l.stats.num_rows),
-                               rp.DistinctOr(column, r.stats.num_rows), extra)
-                    .value(),
-                rel::EstimateJoinCardinality(l, r, column, extra).value())
-          << column << " extra=" << extra;
-    }
-  }
-  EXPECT_EQ(JoinOutputRows(10, 10, 5, 5, 0.0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(JoinOutputRows(10, 10, 0, 5, 1.0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PlanStatsTest, ProfileFromTableAndDistinctAfter) {
-  auto t = rel::SyntheticTableDef(1000000, 100).value();
-  TableProfile p = ProfileFromTable(t);
-  EXPECT_EQ(p.rows, 1000000);
-  EXPECT_EQ(p.row_bytes, 100);
-  // Synthetic columns carry a dense integer range [0, distinct - 1].
-  auto it = p.columns.find("a10");
-  ASSERT_NE(it, p.columns.end());
-  EXPECT_EQ(it->second.distinct, 100000);
-  EXPECT_TRUE(it->second.has_range);
-  EXPECT_DOUBLE_EQ(it->second.max, 99999.0);
-  // Unknown columns fall back.
-  EXPECT_EQ(p.DistinctOr("no_such_column", 7), 7);
-  EXPECT_EQ(DistinctAfter(1000, 300), 300);
-  EXPECT_EQ(DistinctAfter(1000, 30000), 1000);
-}
 
 // --- QuerySpec validation ---------------------------------------------------
 
@@ -267,7 +168,7 @@ class Oracle {
                            static_cast<double>(rel.base_rows)))
                      : rel.base_rows;
       rel.width = rel.scanned ? rel.proj : def.stats.row_bytes;
-      rel.profile = ProfileFromTable(def);
+      rel.stats = def.stats;
       rels_.push_back(std::move(rel));
     }
   }
@@ -289,8 +190,9 @@ class Oracle {
       const QuerySpec::Aggregate& agg = *spec_.aggregate;
       MS in = StatsOf(full);
       const Rel& owner = rels_[static_cast<size_t>(agg.relation)];
-      int64_t d = owner.profile.DistinctOr(agg.group_column, in.rows);
-      if (owner.scanned) d = DistinctAfter(d, owner.rows);
+      int64_t d = owner.stats.DistinctOr(agg.group_column, in.rows);
+      if (d <= 0) d = in.rows;
+      if (owner.scanned) d = std::min(d, owner.rows);
       const int64_t raw = std::min(in.rows, d);
       const int64_t groups =
           spec_.joins.empty() ? raw : std::max<int64_t>(1, raw);
@@ -330,7 +232,7 @@ class Oracle {
     int64_t width = 0;
     int64_t proj = 0;
     bool scanned = false;
-    TableProfile profile;
+    rel::TableStats stats;
   };
   struct MS {
     int64_t rows = 0;
@@ -371,8 +273,9 @@ class Oracle {
 
   int64_t EndpointDistinct(int relation, const std::string& column) const {
     const Rel& rel = rels_[static_cast<size_t>(relation)];
-    int64_t d = rel.profile.DistinctOr(column, rel.base_rows);
-    if (rel.scanned) d = DistinctAfter(d, rel.rows);
+    int64_t d = rel.stats.DistinctOr(column, rel.base_rows);
+    if (d <= 0) d = rel.base_rows;
+    if (rel.scanned) d = std::min(d, rel.rows);
     return d;
   }
 

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/hybrid.h"
@@ -152,6 +153,14 @@ TEST(CacheOptionsTest, FromPropertiesRejectsInvalidValues) {
   props.SetInt(serving::kCacheCapacityKey, 16);
   props.SetInt(serving::kCacheQuantizeBitsKey, 53);
   EXPECT_FALSE(serving::CacheOptions::FromProperties(props).ok());
+  // A non-finite TTL slips past the `< 0` range check; reading it fails.
+  props.SetInt(serving::kCacheQuantizeBitsKey, 0);
+  for (const char* ttl : {"nan", "inf"}) {
+    props.SetString(serving::kCacheTtlSecondsKey, ttl);
+    EXPECT_EQ(serving::CacheOptions::FromProperties(props).status().code(),
+              StatusCode::kInvalidArgument)
+        << ttl;
+  }
 }
 
 TEST(ServiceOptionsTest, FromPropertiesReadsJobsAndCacheKeys) {
@@ -829,8 +838,14 @@ TEST_F(EstimationServiceTest, CachedResultIsBitIdenticalToUncached) {
 }
 
 TEST_F(EstimationServiceTest, CountersFlowIntoContextRegistry) {
+  // Two tracked breakers, one of them open.
+  remote::HealthRegistry health(remote::BreakerOptions{1, 1e9, 1});
+  EXPECT_TRUE(health.breaker("down").RecordFailure(0.0));
+  (void)health.breaker("spark");
   serving::ServiceOptions opts;
   opts.jobs = 1;
+  opts.cache.ttl_seconds = 30.0;
+  opts.health = &health;
   serving::EstimationService service(&estimator_, opts);
   MetricsRegistry registry;
   core::EstimateContext ctx;
@@ -852,6 +867,21 @@ TEST_F(EstimationServiceTest, CountersFlowIntoContextRegistry) {
   EXPECT_DOUBLE_EQ(served.Find("serving.cache.hits")->value, 1.0);
   EXPECT_DOUBLE_EQ(served.Find("serving.cache.misses")->value, 1.0);
   EXPECT_DOUBLE_EQ(served.Find("serving.cache.hit_rate")->value, 0.5);
+  // Beside them: the model epoch, the configuration and the breakers.
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, double>>{
+           {"serving.model_epoch", estimator_.model_epoch()},
+           {"serving.jobs", 1.0},
+           {"serving.cache.shards", opts.cache.shards},
+           {"serving.cache.capacity", opts.cache.capacity},
+           {"serving.cache.quantize_bits", opts.cache.quantize_bits},
+           {"serving.cache.ttl_seconds", 30.0},
+           {"serving.health.tracked", 2.0},
+           {"serving.health.open", 1.0}}) {
+    const MetricSample* sample = served.Find(name);
+    ASSERT_NE(sample, nullptr) << name;
+    EXPECT_DOUBLE_EQ(sample->value, value) << name;
+  }
 }
 
 TEST_F(EstimationServiceTest, BatchDeduplicatesIdenticalKeys) {

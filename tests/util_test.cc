@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/metrics.h"
@@ -189,6 +191,22 @@ TEST(PropertiesTest, TypeErrorsSurface) {
   EXPECT_FALSE(p.GetInt("s").ok());
   EXPECT_FALSE(p.GetBool("s").ok());
   EXPECT_EQ(p.GetString("missing").status().code(), StatusCode::kNotFound);
+}
+
+TEST(PropertiesTest, NonFiniteDoublesAreRejected) {
+  Properties p;
+  for (const char* text : {"nan", "inf", "-inf"}) {
+    p.SetString("d", text);
+    const Status status = p.GetDouble("d").status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(status.message().find("'d'"), std::string::npos) << text;
+  }
+  p.SetString("list", "1.5,nan,2");
+  const Status status = p.GetDoubleList("list").status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("'list'"), std::string::npos);
+  p.SetString("list", "1.5,-2e3");
+  EXPECT_EQ(p.GetDoubleList("list").value(), (std::vector<double>{1.5, -2e3}));
 }
 
 TEST(PropertiesTest, EraseAndContains) {
