@@ -12,6 +12,10 @@
 //   - at least one swap lands;
 //   - the post-swap error on the shifted regime improves on the drifted
 //     error by the recovery-ratio floor.
+//
+// The bench hands each retrain off at a fixed step (WaitForRetrains, then
+// Tick), so one seed writes byte-identical BENCH JSON on any host; check.sh
+// runs the bench twice and compares the two files.
 
 #include <cstdint>
 #include <cstdio>
@@ -43,6 +47,10 @@ constexpr int64_t kTrainedRowsLow = 100000;
 constexpr int64_t kTrainedRowsHigh = 1000000;
 constexpr int64_t kShiftedRowsLow = 3000000;
 constexpr int64_t kShiftedRowsHigh = 8000000;
+
+/// Steps the incumbent serves after a tick launches a retrain; the bench
+/// then waits for the retrain, and that step's tick applies it.
+constexpr int kStepsDuringRetrain = 16;
 
 core::LogicalOpModel TrainAggModel(remote::HiveEngine* hive) {
   rel::AggWorkloadOptions wopts;
@@ -82,11 +90,15 @@ struct ServeTotals {
   int64_t served = 0;
   int64_t ok = 0;
   int64_t during_retrain = 0;
+  /// Steps the incumbent still serves before the bench waits on the
+  /// running retrain; 0 when none runs.
+  int retrain_steps_left = 0;
 };
 
 /// One deployment-clock step: estimate through the manager, execute on the
-/// live engine, feed the (estimate, actual) pair back, tick the lifecycle.
-/// Returns the relative error of this step's estimate.
+/// live engine, feed the (estimate, actual) pair back, then tick the
+/// lifecycle, unless a retrain is running and the incumbent has steps left
+/// to serve. Returns the relative error of this step's estimate.
 double Step(lifecycle::LifecycleManager* manager, remote::HiveEngine* hive,
             int64_t rows, double* now, ServeTotals* totals) {
   rel::SqlOperator op = SampleAgg(rows);
@@ -99,8 +111,16 @@ double Step(lifecycle::LifecycleManager* manager, remote::HiveEngine* hive,
       bench::Unwrap(hive->Execute(op), "engine execute").elapsed_seconds;
   double err = lifecycle::RelativeError(est.value().seconds, actual);
   manager->Record("hive", op, est.value().seconds, actual, *now);
-  bench::Check(manager->Tick(*now), "lifecycle tick");
-  if (manager->Stats().in_flight > 0) ++totals->during_retrain;
+  if (totals->retrain_steps_left > 0) {
+    ++totals->during_retrain;
+    if (--totals->retrain_steps_left == 0) manager->WaitForRetrains();
+  }
+  if (totals->retrain_steps_left == 0) {
+    bench::Check(manager->Tick(*now), "lifecycle tick");
+    if (manager->Stats().in_flight > 0) {
+      totals->retrain_steps_left = kStepsDuringRetrain;
+    }
+  }
   *now += 1.0;
   return err;
 }
@@ -148,28 +168,28 @@ void Run() {
   bench::Section("phase 2: workload shift -> drift -> background retrain");
   std::vector<double> drifted_errs;
   int shifted_step = 0;
-  // Serve the shifted regime until the swap lands; only pre-swap steps
-  // count as "drifted" error. Bounded so a broken loop fails loudly.
+  // Serve the shifted regime until the swap lands; every step's estimate
+  // comes from a pre-swap model, so every step counts as "drifted" error.
+  // Bounded so a broken loop fails loudly.
   while (manager.Stats().swaps_applied == 0) {
     if (shifted_step >= 20000) {
       std::fprintf(stderr, "FATAL: no swap after %d shifted steps\n",
                    shifted_step);
       std::abort();
     }
-    double err = Step(&manager, hive.get(),
-                      RowsInRange(kShiftedRowsLow, kShiftedRowsHigh,
-                                  shifted_step, 60),
-                      &now, &totals);
-    // Errors measured after the swap belong to the recovered regime.
-    if (manager.Stats().swaps_applied == 0) drifted_errs.push_back(err);
+    drifted_errs.push_back(Step(&manager, hive.get(),
+                                RowsInRange(kShiftedRowsLow, kShiftedRowsHigh,
+                                            shifted_step, 60),
+                                &now, &totals));
     ++shifted_step;
   }
   lifecycle::LifecycleStats mid = manager.Stats();
   std::printf(
-      "drifted mean relative error: %.4f (n=%zu), drift detected after "
-      "%d shifted steps, swap applied at step %d\n",
+      "drifted mean relative error: %.4f (n=%zu), %d drift episodes and %d "
+      "retrains up to the swap at shifted step %d\n",
       Mean(drifted_errs), drifted_errs.size(),
-      static_cast<int>(mid.drift_detected), shifted_step);
+      static_cast<int>(mid.drift_detected),
+      static_cast<int>(mid.retrains_completed), shifted_step);
 
   bench::Section("phase 3: recovered (same shifted regime, swapped model)");
   std::vector<double> recovered_errs;
@@ -182,6 +202,9 @@ void Run() {
   std::printf("recovered mean relative error: %.4f (n=%zu)\n",
               Mean(recovered_errs), recovered_errs.size());
 
+  // A retrain still running would end its spans at a time the seed does
+  // not fix; wait for it so the span counts replay too.
+  manager.WaitForRetrains();
   lifecycle::LifecycleStats stats = manager.Stats();
   if (stats.retrains_failed != 0) {
     std::fprintf(stderr, "FATAL: %d retrains failed\n",

@@ -97,26 +97,28 @@ int main() {
     now += 1.0;
   }
   // The first tick drains the queue, sees the drift, and launches a
-  // background retrain on the pool; later ticks apply the finished,
-  // shadow-accepted candidate with the epoch-bumped swap. Serving keeps
-  // running against the incumbent throughout.
-  while (manager.Stats().retrains_completed < 1) {
-    if (!manager.Tick(now).ok()) {
-      std::fprintf(stderr, "tick failed\n");
-      return 1;
-    }
-    auto est = manager.Estimate("hive", rel::SqlOperator::MakeAgg(
-                                            rel::MakeAggQuery(
-                                                rel::SyntheticTableDef(
-                                                    500000, 100)
-                                                    .value(),
-                                                10, 1)
-                                                .value()));
-    if (!est.ok()) {
-      std::fprintf(stderr, "estimate during retrain: %s\n",
-                   est.status().ToString().c_str());
-      return 1;
-    }
+  // background retrain on the pool. Serving keeps running against the
+  // incumbent while it runs; once WaitForRetrains() has returned, the
+  // next tick applies the shadow-accepted candidate with the
+  // epoch-bumped swap.
+  if (!manager.Tick(now).ok()) {
+    std::fprintf(stderr, "tick failed\n");
+    return 1;
+  }
+  auto during = manager.Estimate(
+      "hive", rel::SqlOperator::MakeAgg(
+                  rel::MakeAggQuery(
+                      rel::SyntheticTableDef(500000, 100).value(), 10, 1)
+                      .value()));
+  if (!during.ok()) {
+    std::fprintf(stderr, "estimate during retrain: %s\n",
+                 during.status().ToString().c_str());
+    return 1;
+  }
+  manager.WaitForRetrains();
+  if (!manager.Tick(now).ok()) {
+    std::fprintf(stderr, "tick failed\n");
+    return 1;
   }
   lifecycle::LifecycleStats stats = manager.Stats();
   std::printf(

@@ -14,7 +14,8 @@
 #   7. run the serving-throughput, plan-search, model-lifecycle, and
 #      closed-loop traffic benches (default preset, no sanitizer) and check
 #      their BENCH json: hard floors fail, drift vs bench/baselines/ warns
-#      (scripts/check_bench_regression.py).
+#      (scripts/check_bench_regression.py), and a second model-lifecycle
+#      run must write byte-identical json (seeded replay).
 # Exits nonzero on any compiler warning, test failure, sanitizer report, or
 # lint finding. Tier-1 (`cmake -B build -S . && cmake --build build &&
 # ctest`) stays fast; run this before merging.
@@ -128,7 +129,10 @@ python3 scripts/check_docs.py
 echo "== [7/7] serving-throughput + plan-search + model-lifecycle + traffic benches + regression check =="
 # A real (unsanitized) build: each bench enforces its own floors at
 # runtime and aborts on violation; the checker re-verifies the artifacts'
-# hard floors and warns about drift against bench/baselines/.
+# hard floors and warns about drift against bench/baselines/. The
+# model-lifecycle bench hands every retrain off at a fixed step, so it
+# replays from its seed: it runs a second time, and a json that differs
+# from the first run's by one byte fails the step like a failed bench.
 cmake --preset default
 cmake --build --preset default --target bench_serving_throughput \
   bench_plan_search bench_model_lifecycle bench_traffic -j "$JOBS"
@@ -142,9 +146,18 @@ run_bench() {
     failed_benches+=("$1")
   fi
 }
+replay_bench() {
+  local first="build/BENCH_$1.first.json"
+  if ! cp "build/BENCH_$1.json" "$first" ||
+     ! (cd build && "./bench/bench_$1" >/dev/null) ||
+     ! cmp "$first" "build/BENCH_$1.json"; then
+    failed_benches+=("$1-replay")
+  fi
+}
 run_bench serving_throughput
 run_bench plan_search
 run_bench model_lifecycle
+replay_bench model_lifecycle
 run_bench traffic
 if (( ${#failed_benches[@]} > 0 )); then
   echo "check.sh: bench gates failed: ${failed_benches[*]}" >&2

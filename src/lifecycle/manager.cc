@@ -1,6 +1,7 @@
 #include "lifecycle/manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -84,14 +85,14 @@ LifecycleManager::LifecycleManager(core::CostEstimator* estimator,
       opts_(opts),
       queue_(opts.ingest_capacity) {}
 
-LifecycleManager::~LifecycleManager() {
-  std::vector<std::future<void>> futures;
-  {
-    MutexLock lock(&mu_);
-    futures = std::move(retrain_futures_);
-  }
-  for (std::future<void>& f : futures) {
-    if (f.valid()) f.get();
+LifecycleManager::~LifecycleManager() { WaitForRetrains(); }
+
+void LifecycleManager::WaitForRetrains() {
+  // Retrain workers take no manager lock, so waiting under mu_ cannot
+  // deadlock; it only holds off Stats() readers until the pool is done.
+  MutexLock lock(&mu_);
+  for (auto& entry : keys_) {
+    if (entry.second.retrain.valid()) entry.second.retrain.wait();
   }
 }
 
@@ -168,12 +169,12 @@ void LifecycleManager::IngestRecords(std::vector<ExecutionRecord> records) {
   for (size_t i = 0; i < records.size(); ++i) {
     if (!routable[i]) continue;
     ExecutionRecord& rec = records[i];
-    Key key{rec.system, rec.op_type};
-    auto it = detectors_.try_emplace(key, DriftDetector(opts_.drift)).first;
-    it->second.Observe(
+    KeyState& state =
+        keys_.try_emplace({rec.system, rec.op_type}, opts_.drift).first->second;
+    state.detector.Observe(
         RelativeError(rec.estimated_seconds, rec.actual_seconds),
         out_of_range[i]);
-    std::deque<ExecutionRecord>& ring = recent_[key];
+    std::deque<ExecutionRecord>& ring = state.recent;
     while (static_cast<int>(ring.size()) >= opts_.retrain_window) {
       ring.pop_front();
     }
@@ -188,16 +189,16 @@ Result<LifecycleManager::RetrainInput> LifecycleManager::PrepareRetrain(
   input.now = now;
   {
     MutexLock lock(&mu_);
-    if (in_flight_.count(key) != 0) {
+    auto it = keys_.find(key);
+    if (it != keys_.end() && it->second.retrain.valid()) {
       return Status::FailedPrecondition("retrain already in flight for " +
                                         key.first);
     }
-    auto it = recent_.find(key);
-    if (it == recent_.end() || it->second.empty()) {
+    if (it == keys_.end() || it->second.recent.empty()) {
       return Status::FailedPrecondition("no retained executions for " +
                                         key.first);
     }
-    input.records.assign(it->second.begin(), it->second.end());
+    input.records.assign(it->second.recent.begin(), it->second.recent.end());
   }
   {
     ReaderMutexLock lock(&gate_);
@@ -207,11 +208,8 @@ Result<LifecycleManager::RetrainInput> LifecycleManager::PrepareRetrain(
                              profile->logical_model(key.second));
     model->Save(kSnapshotPrefix, &input.snapshot);
   }
-  {
-    MutexLock lock(&mu_);
-    in_flight_.insert(key);
-    ++retrains_started_total_;
-  }
+  MutexLock lock(&mu_);
+  ++stats_.retrains_started;
   return input;
 }
 
@@ -228,63 +226,47 @@ LifecycleManager::FinishedRetrain LifecycleManager::RunRetrain(
       .SetString("operator", rel::OperatorTypeName(outcome.op_type))
       .SetInt("records", static_cast<int64_t>(input.records.size()))
       .SetDouble("now", input.now);
-
-  // Clone the incumbent twice from the snapshot: one copy becomes the
-  // candidate, the other scores the incumbent side of the shadow eval with
-  // weights bit-identical to what was serving at snapshot time.
-  Result<core::LogicalOpModel> candidate =
-      core::LogicalOpModel::Load(kSnapshotPrefix, input.snapshot);
-  Result<core::LogicalOpModel> incumbent =
-      core::LogicalOpModel::Load(kSnapshotPrefix, input.snapshot);
-  if (!candidate.ok() || !incumbent.ok()) {
-    outcome.reject_reason = "clone_failed";
-    finished.candidate = candidate.ok() ? incumbent.status()
-                                        : candidate.status();
-    span.SetBool("swapped", false).SetString("reject_reason",
-                                             outcome.reject_reason);
-    return finished;
-  }
+  TraceSpan shadow_span;  // started when the run reaches the shadow step
 
   // Newest-fraction holdout: retrain on the older records, shadow-score on
   // the newest ones. With a single record the two sets overlap (the
   // acceptance rule still guards against a degenerate candidate).
   const int n = static_cast<int>(input.records.size());
-  int shadow_n = static_cast<int>(
-      std::llround(opts_.shadow_fraction * static_cast<double>(n)));
-  shadow_n = std::clamp(shadow_n, 1, n);
-  int train_n = n - shadow_n;
-  const int train_begin = 0;
-  const int train_end = train_n > 0 ? train_n : n;
+  const int shadow_n = std::clamp(
+      static_cast<int>(
+          std::llround(opts_.shadow_fraction * static_cast<double>(n))),
+      1, n);
   const int shadow_begin = n - shadow_n;
-  outcome.train_records = train_end - train_begin;
+  outcome.train_records = shadow_begin > 0 ? shadow_begin : n;
   outcome.shadow_records = shadow_n;
 
-  for (int i = train_begin; i < train_end; ++i) {
-    Status logged = candidate.value().LogExecution(
-        input.records[i].features, input.records[i].actual_seconds);
-    if (!logged.ok()) {
-      outcome.reject_reason = "log_failed";
-      finished.candidate = logged;
-      span.SetBool("swapped", false).SetString("reject_reason",
-                                               outcome.reject_reason);
-      return finished;
-    }
-  }
-  // Re-fit the remedy combining weight over the replayed log (Table 1);
-  // FailedPrecondition just means no remedy execution was replayed.
-  Result<double> alpha = candidate.value().AdjustAlpha();
-  span.SetBool("alpha_refit", alpha.ok());
-  Status tuned = candidate.value().OfflineTune();
-  if (!tuned.ok()) {
-    outcome.reject_reason = "tune_failed";
-    finished.candidate = tuned;
-    span.SetBool("swapped", false).SetString("reject_reason",
-                                             outcome.reject_reason);
-    return finished;
-  }
+  // Each step names the reject reason it causes; the first failure ends
+  // the run at the one rejection exit below.
+  const char* step = "clone_failed";
+  const Status ran = [&]() -> Status {
+    // Clone the incumbent twice from the snapshot: one copy becomes the
+    // candidate, the other scores the incumbent side of the shadow eval
+    // with weights bit-identical to what was serving at snapshot time.
+    ISPHERE_ASSIGN_OR_RETURN(
+        core::LogicalOpModel candidate,
+        core::LogicalOpModel::Load(kSnapshotPrefix, input.snapshot));
+    ISPHERE_ASSIGN_OR_RETURN(
+        const core::LogicalOpModel incumbent,
+        core::LogicalOpModel::Load(kSnapshotPrefix, input.snapshot));
 
-  {
-    TraceSpan shadow_span = span.Child("lifecycle.shadow");
+    step = "log_failed";
+    for (int i = 0; i < outcome.train_records; ++i) {
+      ISPHERE_RETURN_NOT_OK(candidate.LogExecution(
+          input.records[i].features, input.records[i].actual_seconds));
+    }
+    // Re-fit the remedy combining weight over the replayed log (Table 1);
+    // FailedPrecondition just means no remedy execution was replayed.
+    span.SetBool("alpha_refit", candidate.AdjustAlpha().ok());
+    step = "tune_failed";
+    ISPHERE_RETURN_NOT_OK(candidate.OfflineTune());
+
+    step = "shadow_failed";
+    shadow_span = span.Child("lifecycle.shadow");
     std::vector<std::vector<double>> features;
     std::vector<double> actuals;
     features.reserve(shadow_n);
@@ -293,23 +275,22 @@ LifecycleManager::FinishedRetrain LifecycleManager::RunRetrain(
       features.push_back(input.records[i].features);
       actuals.push_back(input.records[i].actual_seconds);
     }
-    Result<double> candidate_error =
-        ShadowError(candidate.value(), features, actuals);
-    Result<double> incumbent_error =
-        ShadowError(incumbent.value(), features, actuals);
-    if (!candidate_error.ok() || !incumbent_error.ok() ||
-        !std::isfinite(candidate_error.value())) {
-      outcome.reject_reason = "shadow_failed";
-      shadow_span.SetBool("accepted", false)
-          .SetString("reject_reason", outcome.reject_reason);
-      finished.candidate = std::move(candidate);
-      span.SetBool("swapped", false).SetString("reject_reason",
-                                               outcome.reject_reason);
-      return finished;
+    ISPHERE_ASSIGN_OR_RETURN(const double candidate_error,
+                             ShadowError(candidate, features, actuals));
+    ISPHERE_ASSIGN_OR_RETURN(outcome.incumbent_error,
+                             ShadowError(incumbent, features, actuals));
+    if (!std::isfinite(candidate_error)) {
+      return Status::FailedPrecondition("candidate shadow error is not finite");
     }
-    outcome.candidate_error = candidate_error.value();
-    outcome.incumbent_error = incumbent_error.value();
+    outcome.candidate_error = candidate_error;
+    finished.candidate = std::move(candidate);
+    return Status::OK();
+  }();
 
+  if (!ran.ok()) {
+    outcome.reject_reason = step;
+    finished.candidate = ran;
+  } else {
     // Acceptance rule: the candidate must strictly beat the incumbent by
     // the configured margin — a tie keeps the devil we know.
     finished.accepted =
@@ -321,14 +302,12 @@ LifecycleManager::FinishedRetrain LifecycleManager::RunRetrain(
               ? "tie"
               : "no_improvement";
     }
-    shadow_span.SetInt("records", shadow_n)
-        .SetDouble("candidate_error", outcome.candidate_error)
-        .SetDouble("incumbent_error", outcome.incumbent_error)
-        .SetBool("accepted", finished.accepted)
-        .SetString("reject_reason", outcome.reject_reason);
   }
-
-  finished.candidate = std::move(candidate);
+  shadow_span.SetInt("records", shadow_n)
+      .SetDouble("candidate_error", outcome.candidate_error)
+      .SetDouble("incumbent_error", outcome.incumbent_error)
+      .SetBool("accepted", finished.accepted)
+      .SetString("reject_reason", outcome.reject_reason);
   span.SetBool("swapped", finished.accepted)
       .SetString("reject_reason", outcome.reject_reason)
       .SetDouble("candidate_error", outcome.candidate_error)
@@ -365,21 +344,20 @@ RetrainOutcome LifecycleManager::ApplyFinished(FinishedRetrain finished) {
                       outcome.reject_reason != "no_improvement";
   {
     MutexLock lock(&mu_);
-    ++retrains_completed_total_;
+    ++stats_.retrains_completed;
     if (swapped) {
-      ++shadow_accepted_total_;
-      ++swaps_applied_total_;
+      ++stats_.shadow_accepted;
+      ++stats_.swaps_applied;
     } else if (failed) {
-      ++retrains_failed_total_;
+      ++stats_.retrains_failed;
     } else {
-      ++shadow_rejected_total_;
+      ++stats_.shadow_rejected;
     }
     // Either way the episode is over: the swapped-in model starts clean,
     // and a rejected candidate must re-earn a full window of evidence.
-    auto det = detectors_.find(finished.key);
-    if (det != detectors_.end()) det->second.Reset();
-    drift_reported_.erase(finished.key);
-    in_flight_.erase(finished.key);
+    KeyState& state = keys_.find(finished.key)->second;
+    state.detector.Reset();
+    state.drift_reported = false;
   }
   return outcome;
 }
@@ -387,12 +365,19 @@ RetrainOutcome LifecycleManager::ApplyFinished(FinishedRetrain finished) {
 Status LifecycleManager::Tick(double now) {
   IngestRecords(queue_.Drain());
 
-  // Apply retrains that finished since the last tick.
+  // Apply the retrains that have finished, in key order: which retrains
+  // a Tick applies depends on when Tick runs, never on the order in which
+  // the pool finished them.
   std::vector<FinishedRetrain> finished;
   {
     MutexLock lock(&mu_);
-    finished = std::move(pending_);
-    pending_.clear();
+    for (auto& entry : keys_) {
+      std::future<FinishedRetrain>& retrain = entry.second.retrain;
+      if (retrain.valid() && retrain.wait_for(std::chrono::seconds(0)) ==
+                                 std::future_status::ready) {
+        finished.push_back(retrain.get());
+      }
+    }
   }
   for (FinishedRetrain& f : finished) {
     ApplyFinished(std::move(f));
@@ -402,13 +387,15 @@ Status LifecycleManager::Tick(double now) {
   std::vector<Key> to_launch;
   {
     MutexLock lock(&mu_);
-    for (auto& [key, detector] : detectors_) {
-      DriftState state = detector.State();
-      if (!state.drifted) continue;
-      if (drift_reported_.insert(key).second) ++drift_detected_total_;
-      if (in_flight_.count(key) != 0) continue;
+    for (auto& [key, state] : keys_) {
+      if (!state.detector.State().drifted) continue;
+      if (!state.drift_reported) {
+        state.drift_reported = true;
+        ++stats_.drift_detected;
+      }
+      if (state.retrain.valid()) continue;
       if (opts_.health != nullptr && opts_.health->IsOpen(key.first, now)) {
-        ++retrains_deferred_total_;
+        ++stats_.retrains_deferred;
         continue;
       }
       // Priority yield (DESIGN.md §17): retrains are background work; the
@@ -417,7 +404,7 @@ Status LifecycleManager::Tick(double now) {
       // on the first uncongested tick.
       if (opts_.admission != nullptr &&
           opts_.admission->ShouldYieldBackground(now)) {
-        ++retrains_yielded_total_;
+        ++stats_.retrains_yielded;
         continue;
       }
       to_launch.push_back(key);
@@ -425,14 +412,12 @@ Status LifecycleManager::Tick(double now) {
   }
   for (const Key& key : to_launch) {
     ISPHERE_ASSIGN_OR_RETURN(RetrainInput input, PrepareRetrain(key, now));
-    std::future<void> done =
+    std::future<FinishedRetrain> retrain =
         pool_->Submit([this, input = std::move(input)]() mutable {
-          FinishedRetrain result = RunRetrain(std::move(input));
-          MutexLock lock(&mu_);
-          pending_.push_back(std::move(result));
+          return RunRetrain(std::move(input));
         });
     MutexLock lock(&mu_);
-    retrain_futures_.push_back(std::move(done));
+    keys_.find(key)->second.retrain = std::move(retrain);
   }
   return Status::OK();
 }
@@ -446,19 +431,13 @@ Result<RetrainOutcome> LifecycleManager::RetrainNow(const std::string& system,
 }
 
 LifecycleStats LifecycleManager::Stats() const {
-  LifecycleStats stats;
-  stats.ingest = queue_.Stats();
+  const IngestQueueStats ingest = queue_.Stats();
   MutexLock lock(&mu_);
-  stats.drift_detected = drift_detected_total_;
-  stats.retrains_started = retrains_started_total_;
-  stats.retrains_completed = retrains_completed_total_;
-  stats.retrains_failed = retrains_failed_total_;
-  stats.retrains_deferred = retrains_deferred_total_;
-  stats.retrains_yielded = retrains_yielded_total_;
-  stats.shadow_accepted = shadow_accepted_total_;
-  stats.shadow_rejected = shadow_rejected_total_;
-  stats.swaps_applied = swaps_applied_total_;
-  stats.in_flight = static_cast<int64_t>(in_flight_.size());
+  LifecycleStats stats = stats_;
+  stats.ingest = ingest;
+  for (const auto& entry : keys_) {
+    if (entry.second.retrain.valid()) ++stats.in_flight;
+  }
   return stats;
 }
 
@@ -499,8 +478,8 @@ MetricsSnapshot LifecycleManager::StatsSnapshot() const {
   // error against lifecycle.drift.threshold, then its out-of-range
   // fraction against lifecycle.drift.out_of_range_fraction.
   MutexLock lock(&mu_);
-  for (const auto& [key, detector] : detectors_) {
-    const DriftState state = detector.State();
+  for (const auto& [key, key_state] : keys_) {
+    const DriftState state = key_state.detector.State();
     const std::string prefix = "lifecycle.detector." + key.first + "." +
                                rel::OperatorTypeName(key.second) + ".";
     snap.samples.insert(

@@ -9,7 +9,8 @@
 //     retrains on the util::ThreadPool for drifted keys, and applies
 //     finished, shadow-accepted candidates with a brief exclusive section
 //     plus the epoch bump that invalidates every cached pre-swap value
-//     (DESIGN.md §11).
+//     (DESIGN.md §11). WaitForRetrains() lets that thread choose the Tick
+//     that applies them, so a seeded run replays exactly.
 //
 // The expensive work — cloning the incumbent, feeding it the recent log,
 // OfflineTune, shadow scoring via the batched forward pass — happens on a
@@ -23,7 +24,6 @@
 #include <deque>
 #include <future>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,24 +118,25 @@ struct LifecycleStats {
   int64_t shadow_accepted = 0;
   int64_t shadow_rejected = 0;
   int64_t swaps_applied = 0;
+  /// Retrains that Tick launched and no Tick has applied yet.
   int64_t in_flight = 0;
 };
 
 /// See the file comment. Thread-safety: Record() and the Estimate()
-/// overloads are safe from any thread; Tick() and RetrainNow() must be
-/// called from a single driver thread (they may run concurrently with the
-/// serving-side calls). The manager must own all mutation of the managed
-/// estimator — external RegisterSystem/LogActual/OfflineTune calls racing
-/// the lifecycle are a contract violation (see CostEstimator's
-/// thread-safety note).
+/// overloads are safe from any thread; Tick(), RetrainNow() and
+/// WaitForRetrains() must be called from a single driver thread (they may
+/// run concurrently with the serving-side calls). The manager must own all
+/// mutation of the managed estimator — external
+/// RegisterSystem/LogActual/OfflineTune calls racing the lifecycle are a
+/// contract violation (see CostEstimator's thread-safety note).
 class LifecycleManager {
  public:
   /// `estimator` and `pool` must outlive the manager.
   LifecycleManager(core::CostEstimator* estimator, ThreadPool* pool,
                    LifecycleOptions opts);
 
-  /// Blocks until every in-flight background retrain has finished.
-  /// Finished candidates that were never applied by a Tick are discarded.
+  /// WaitForRetrains(), then discards the finished candidates that no Tick
+  /// applied.
   ~LifecycleManager();
 
   LifecycleManager(const LifecycleManager&) = delete;
@@ -169,15 +170,21 @@ class LifecycleManager {
       const core::EstimateContext& ctx = {}) const;
 
   /// One lifecycle turn at deployment time `now`: drain the ingest queue,
-  /// update drift detectors, apply finished retrains (shadow-accepted
-  /// candidates swap in under the exclusive gate with an epoch bump),
-  /// and launch background retrains for drifted keys.
+  /// update drift detectors, apply finished retrains in key order
+  /// (shadow-accepted candidates swap in under the exclusive gate with an
+  /// epoch bump), and launch background retrains for drifted keys.
   [[nodiscard]] Status Tick(double now);
+
+  /// Blocks until every background retrain that Tick launched has finished;
+  /// the next Tick applies them all. Call it from the thread that calls
+  /// Tick, never from a task on the manager's own pool: that task would
+  /// wait on work queued behind it.
+  void WaitForRetrains() EXCLUDES(mu_);
 
   /// Runs the full clone → log → tune → shadow → (maybe) swap sequence
   /// synchronously on the caller's thread. FailedPrecondition when the
-  /// key has no retained records or a background retrain is in flight;
-  /// NotFound when the system has no logical model for `type`.
+  /// key has no retained records or a background retrain that no Tick has
+  /// applied yet; NotFound when the system has no logical model for `type`.
   [[nodiscard]] Result<RetrainOutcome> RetrainNow(const std::string& system,
                                                   rel::OperatorType type,
                                                   double now);
@@ -214,6 +221,21 @@ class LifecycleManager {
     double now = 0.0;
   };
 
+  /// Everything the lifecycle holds for one (system, operator).
+  struct KeyState {
+    explicit KeyState(const DriftOptions& drift) : detector(drift) {}
+
+    DriftDetector detector;
+    /// The newest lifecycle.retrain.window records, oldest first.
+    std::deque<ExecutionRecord> recent;
+    /// True once `lifecycle.drift.detected` fired for the current episode;
+    /// cleared with the detector on reset.
+    bool drift_reported = false;
+    /// The background retrain Tick launched and no Tick has applied yet;
+    /// invalid when there is none.
+    std::future<FinishedRetrain> retrain;
+  };
+
   /// Drained-record ingestion: computes the range-metadata signal under
   /// the shared gate, then updates rings and detectors under mu_.
   void IngestRecords(std::vector<ExecutionRecord> records);
@@ -222,11 +244,12 @@ class LifecycleManager {
   /// counters and detector reset either way. Returns the settled outcome.
   RetrainOutcome ApplyFinished(FinishedRetrain finished) EXCLUDES(mu_);
 
-  /// The pool-worker body: clone, replay the log, tune, shadow-score.
+  /// The retrain body, run on a pool worker without any manager lock:
+  /// clone, replay the log, tune, shadow-score.
   [[nodiscard]] FinishedRetrain RunRetrain(RetrainInput input) const;
 
-  /// Snapshots the live model + retained records for `key`; marks the key
-  /// in flight. NotFound / FailedPrecondition as for RetrainNow.
+  /// Snapshots the live model + retained records for `key` and counts the
+  /// start. NotFound / FailedPrecondition as for RetrainNow.
   [[nodiscard]] Result<RetrainInput> PrepareRetrain(const Key& key,
                                                     double now);
 
@@ -242,23 +265,9 @@ class LifecycleManager {
   mutable SharedMutex gate_;
 
   mutable Mutex mu_;
-  std::map<Key, DriftDetector> detectors_ GUARDED_BY(mu_);
-  /// True once `lifecycle.drift.detected` fired for the current episode;
-  /// cleared with the detector on reset.
-  std::set<Key> drift_reported_ GUARDED_BY(mu_);
-  std::map<Key, std::deque<ExecutionRecord>> recent_ GUARDED_BY(mu_);
-  std::set<Key> in_flight_ GUARDED_BY(mu_);
-  std::vector<FinishedRetrain> pending_ GUARDED_BY(mu_);
-  std::vector<std::future<void>> retrain_futures_ GUARDED_BY(mu_);
-  int64_t drift_detected_total_ GUARDED_BY(mu_) = 0;
-  int64_t retrains_started_total_ GUARDED_BY(mu_) = 0;
-  int64_t retrains_completed_total_ GUARDED_BY(mu_) = 0;
-  int64_t retrains_failed_total_ GUARDED_BY(mu_) = 0;
-  int64_t retrains_deferred_total_ GUARDED_BY(mu_) = 0;
-  int64_t retrains_yielded_total_ GUARDED_BY(mu_) = 0;
-  int64_t shadow_accepted_total_ GUARDED_BY(mu_) = 0;
-  int64_t shadow_rejected_total_ GUARDED_BY(mu_) = 0;
-  int64_t swaps_applied_total_ GUARDED_BY(mu_) = 0;
+  std::map<Key, KeyState> keys_ GUARDED_BY(mu_);
+  /// Lifetime totals; Stats() fills `ingest` and `in_flight` when it reads.
+  LifecycleStats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace intellisphere::lifecycle

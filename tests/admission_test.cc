@@ -586,13 +586,8 @@ TEST_F(AdmissionServiceTest, MultiTenantOverloadRetrainHammer) {
   // Drain in-flight retrains, then check the books balance: every request
   // was admitted, degraded, or shed — none lost.
   ASSERT_TRUE(manager.Tick(1e6).ok());
-  for (int i = 0;
-       i < 20000000 && (manager.Stats().in_flight > 0 ||
-                        manager.Stats().retrains_started >
-                            manager.Stats().retrains_completed);
-       ++i) {
-    ASSERT_TRUE(manager.Tick(1e6).ok());
-  }
+  manager.WaitForRetrains();
+  ASSERT_TRUE(manager.Tick(1e6).ok());
   auto stats = admission.Stats();
   EXPECT_EQ(stats.admitted + stats.degraded + stats.shed_load +
                 stats.shed_deadline,

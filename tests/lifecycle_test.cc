@@ -1,8 +1,9 @@
 // Tests for the online model lifecycle (src/lifecycle/): the bounded
 // ingest queue, drift-detector edge cases, the shadow acceptance rule, the
 // drift -> retrain -> shadow -> swap loop, epoch fencing of cached
-// estimates across a swap, and the serve-during-retrain hammer that doubles
-// as a tsan target in scripts/check.sh.
+// estimates across a swap, the Tick/WaitForRetrains handoff and seeded replay,
+// and the serve-during-retrain hammer that doubles as a tsan target in
+// scripts/check.sh.
 
 #include <gtest/gtest.h>
 
@@ -351,12 +352,8 @@ TEST_F(LifecycleManagerTest, DriftTriggersBackgroundRetrainAndSwap) {
   EXPECT_EQ(stats.drift_detected, 1);
   EXPECT_EQ(stats.retrains_started, 1);
 
-  // Drive ticks until the background retrain lands (the pool makes
-  // progress independently; the loop is bounded for safety).
-  for (int i = 0; i < 20000000 && manager.Stats().retrains_completed < 1;
-       ++i) {
-    ASSERT_TRUE(manager.Tick(now).ok());
-  }
+  manager.WaitForRetrains();
+  ASSERT_TRUE(manager.Tick(now).ok());
   stats = manager.Stats();
   ASSERT_EQ(stats.retrains_completed, 1);
   EXPECT_EQ(stats.retrains_failed, 0);
@@ -581,10 +578,8 @@ TEST_F(LifecycleManagerTest, SwapFencesEveryCachedPreRetrainValue) {
     now += 1.0;
   }
   ASSERT_TRUE(manager.Tick(now).ok());
-  // Tick launched a background retrain; wait for it to land and be applied.
-  for (int i = 0; i < 20000000 && manager.Stats().swaps_applied < 1; ++i) {
-    ASSERT_TRUE(manager.Tick(now).ok());
-  }
+  manager.WaitForRetrains();
+  ASSERT_TRUE(manager.Tick(now).ok());
   ASSERT_EQ(manager.Stats().swaps_applied, 1);
 
   // The cached pre-retrain value is now epoch-stale: the service must
@@ -598,6 +593,119 @@ TEST_F(LifecycleManagerTest, SwapFencesEveryCachedPreRetrainValue) {
   serving::CacheStats cache = service.cache_stats();
   EXPECT_EQ(cache.stale_epoch, 1) << "the pre-retrain entry was rejected by "
                                      "the epoch check, never served";
+}
+
+// --- Retrain handoff: WaitForRetrains, then the applying Tick --------------
+
+TEST_F(LifecycleManagerTest,
+       RetrainNowRefusesWhileABackgroundRetrainIsOutstanding) {
+  ThreadPool pool(2);
+  lifecycle::LifecycleManager manager(&estimator_, &pool,
+                                      FastDriftOptions());
+  double now = 0.0;
+  for (int i = 0; i < 12; ++i) {
+    ServeAndRecord(&manager, 100000 + i * 50000, 3.0, now);
+    now += 1.0;
+  }
+  ASSERT_TRUE(manager.Tick(now).ok());
+  ASSERT_EQ(manager.Stats().retrains_started, 1);
+
+  auto refused =
+      manager.RetrainNow("hive", rel::OperatorType::kAggregation, now);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(manager.Stats().retrains_started, 1);
+
+  // A finished retrain stays in flight until a Tick applies it.
+  manager.WaitForRetrains();
+  EXPECT_EQ(manager.Stats().in_flight, 1);
+  EXPECT_EQ(manager.Stats().retrains_completed, 0);
+  ASSERT_TRUE(manager.Tick(now).ok());
+  EXPECT_EQ(manager.Stats().in_flight, 0);
+  EXPECT_EQ(manager.Stats().retrains_completed, 1);
+
+  auto retried =
+      manager.RetrainNow("hive", rel::OperatorType::kAggregation, now);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(manager.Stats().retrains_started, 2);
+  EXPECT_EQ(manager.Stats().retrains_completed, 2);
+}
+
+/// What a seeded run leaves behind, compared byte for byte across runs.
+struct ReplayRun {
+  std::string status;
+  std::string models;
+  uint64_t epoch = 0;
+};
+
+/// One seeded shift scenario on a fresh estimator: two systems serve
+/// shifted aggregations far past the trained rows, each with its own
+/// stream, so their retrains run side by side on a 3-worker pool. After
+/// each launching Tick the incumbents keep serving, then the test waits
+/// and the next Tick applies every finished retrain.
+ReplayRun RunSeededShift(const lifecycle::LifecycleOptions& opts) {
+  auto hive = remote::HiveEngine::CreateDefault("hive", 471);
+  core::CostEstimator estimator;
+  const std::vector<std::string> systems = {"hive-a", "hive-b"};
+  for (const std::string& system : systems) {
+    std::map<rel::OperatorType, core::LogicalOpModel> models;
+    models.emplace(rel::OperatorType::kAggregation,
+                   MakeCheapAggModel(hive.get()));
+    EXPECT_TRUE(estimator
+                    .RegisterSystem(system, core::CostingProfile::LogicalOpOnly(
+                                                std::move(models)))
+                    .ok());
+  }
+  ThreadPool pool(3);
+  ReplayRun run;
+  {
+    lifecycle::LifecycleManager manager(&estimator, &pool, opts);
+    double now = 0.0;
+    for (int round = 0; round < 4; ++round) {
+      for (int i = 0; i < 12; ++i) {
+        for (size_t s = 0; s < systems.size(); ++s) {
+          const rel::SqlOperator op =
+              SampleAgg(3000000 + static_cast<int64_t>(s) * 1000000 +
+                        (round * 12 + i) % 9 * 500000);
+          auto est = manager.Estimate(systems[s], op,
+                                      core::EstimateContext::AtTime(now));
+          EXPECT_TRUE(est.ok()) << est.status().ToString();
+          if (!est.ok()) return run;
+          const double actual = hive->Execute(op).value().elapsed_seconds;
+          manager.Record(systems[s], op, est.value().seconds, actual, now);
+        }
+        now += 1.0;
+      }
+      EXPECT_TRUE(manager.Tick(now).ok());
+      for (const std::string& system : systems) {
+        EXPECT_TRUE(manager.Estimate(system, SampleAgg(5000000)).ok());
+      }
+      manager.WaitForRetrains();
+      EXPECT_TRUE(manager.Tick(now).ok());
+      EXPECT_EQ(manager.Stats().in_flight, 0);
+    }
+    EXPECT_GE(manager.Stats().swaps_applied, 2);
+    run.status = manager.StatsSnapshot().ToJson();
+    run.epoch = manager.model_epoch();
+  }
+  Properties saved;
+  for (const std::string& system : systems) {
+    estimator.GetProfile(system)
+        .value()
+        ->logical_model(rel::OperatorType::kAggregation)
+        .value()
+        ->Save(system, &saved);
+  }
+  run.models = saved.Serialize();
+  return run;
+}
+
+TEST_F(LifecycleManagerTest, SeededRunReplaysByteIdentically) {
+  const ReplayRun first = RunSeededShift(FastDriftOptions());
+  const ReplayRun second = RunSeededShift(FastDriftOptions());
+  EXPECT_EQ(first.status, second.status);
+  EXPECT_EQ(first.models, second.models);
+  EXPECT_EQ(first.epoch, second.epoch);
 }
 
 // --- Serve-during-retrain hammer (tsan target) -----------------------------
@@ -658,13 +766,8 @@ TEST_F(LifecycleManagerTest, ConcurrentServeDuringRetrainHammer) {
   // before the readers produced enough records), then let every
   // still-running retrain finish and apply.
   ASSERT_TRUE(manager.Tick(2.0).ok());
-  for (int i = 0;
-       i < 20000000 && (manager.Stats().in_flight > 0 ||
-                        manager.Stats().retrains_started >
-                            manager.Stats().retrains_completed);
-       ++i) {
-    ASSERT_TRUE(manager.Tick(2.0).ok());
-  }
+  manager.WaitForRetrains();
+  ASSERT_TRUE(manager.Tick(2.0).ok());
   auto stats = manager.Stats();
   EXPECT_GE(stats.retrains_started, 1);
   EXPECT_EQ(stats.retrains_started, stats.retrains_completed);
